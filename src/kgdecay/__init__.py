@@ -28,7 +28,6 @@ from .errors import ConfigurationError, GridMismatchError, InvariantError
 from .grid import (
     Field,
     Grid,
-    SobolevOrder,
     SpectralField,
     coordinate_field,
     forward_transform,

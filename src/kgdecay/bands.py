@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +44,9 @@ class LittlewoodPaleyBank:
     k_max: int
 
     @classmethod
+    @lru_cache(maxsize=16)
     def for_grid(cls, grid: Grid) -> "LittlewoodPaleyBank":
+        """The bank closing on ``grid``, built once per grid value."""
         # smallest K with 2^K >= max |xi| closes the telescoped sum exactly
         xi_max = float(np.max(grid.frequency_norm))
         return cls(grid, max(0, math.ceil(math.log2(xi_max))))

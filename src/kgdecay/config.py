@@ -12,20 +12,14 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import Grid
 
-SUITES = (
-    "energy",
-    "sobolev",
-    "pointwise",
-    "localized",
-    "lowfreq",
-    "highfreq",
-    "interpolation",
-    "lp",
-    "partition",
-)
-
 SLICE_SUITES = ("energy", "sobolev", "pointwise")
 TIME_SUITES = ("localized", "lowfreq", "highfreq", "interpolation")
+SUITES = SLICE_SUITES + TIME_SUITES + ("lp", "partition")
+
+# In d = 1 the highfreq band-scaling sweep runs at late times on a box this
+# many times wider (and finer) than the configured one.
+HIGHFREQ_WIDE_FACTOR = 8
+HIGHFREQ_LATE_TIMES = tuple(np.geomspace(64.0, 960.0, 13))
 
 
 def parse_times(spec: str) -> tuple:
@@ -55,7 +49,7 @@ class RunConfig:
 
     @property
     def grid(self) -> Grid:
-        return Grid(self.dim, self.grid_n, self.box_length)
+        return Grid.shared(self.dim, self.grid_n, self.box_length)
 
     @property
     def selected_suites(self) -> tuple:
@@ -96,13 +90,23 @@ class RunConfig:
                         f"band {k} extends to |xi| = {2.0 ** (k + 1):.1f}, above "
                         f"the grid Nyquist frequency {nyquist:.1f}"
                     )
-        if any(s in active for s in TIME_SUITES) and self.times:
-            needed = 2.0 * (self.support_radius + max(self.times) + 2.0)
-            if self.box_length < needed:
+        if any(s in active for s in TIME_SUITES):
+            if self.mass == 0.0:
                 problems.append(
-                    f"box_length {self.box_length} below the anti-wraparound bound "
-                    f"2*(support_radius + max(times) + 2) = {needed}"
+                    f"mass must be positive for the time-series suites {TIME_SUITES} "
+                    "(sample times pi k / m0, mass-weighted constants)"
                 )
+            horizons = [("box_length", self.box_length, self.times)] if self.times else []
+            if "highfreq" in active and self.dim == 1:
+                wide = self.box_length * HIGHFREQ_WIDE_FACTOR
+                horizons.append(("highfreq's internal box_length", wide, HIGHFREQ_LATE_TIMES))
+            for label, box, times in horizons:
+                needed = 2.0 * (self.support_radius + max(times) + 2.0)
+                if box < needed:
+                    problems.append(
+                        f"{label} {box} below the anti-wraparound bound "
+                        f"2*(support_radius + max(times) + 2) = {needed}"
+                    )
         if any(s in active for s in SLICE_SUITES) and self.taus:
             # slice suites need the support cone on the largest slice inside the box
             a = 2.0 - self.support_radius

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,6 +50,13 @@ class Grid:
             raise ValueError(f"points_per_axis must be a power of two, got {n}")
         if not self.box_length > 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")
+
+    @classmethod
+    @lru_cache(maxsize=16)
+    def shared(cls, dim: int, points_per_axis: int, box_length: float) -> "Grid":
+        """One instance per grid value, so its cached arrays are built once.
+        Callers must not write into those arrays."""
+        return cls(dim, points_per_axis, box_length)
 
     @property
     def spacing(self) -> float:
@@ -175,22 +182,6 @@ class SpectralField:
         return float(np.max(np.abs(np.conj(rev) - c)) / scale)
 
 
-@dataclass(frozen=True)
-class SobolevOrder:
-    """The integer order floor(d/2) + 1 attached to a dimension."""
-
-    dim: int
-    order: int
-
-    def __post_init__(self):
-        if self.order != self.dim // 2 + 1:
-            raise ValueError(f"order must equal dim//2 + 1 = {self.dim // 2 + 1}")
-
-    @classmethod
-    def for_dimension(cls, dim: int) -> "SobolevOrder":
-        return cls(dim, dim // 2 + 1)
-
-
 def sobolev_order(dim: int) -> int:
     """floor(d/2) + 1."""
     return dim // 2 + 1
@@ -276,9 +267,7 @@ def upsample_values(F: SpectralField, factor: int) -> np.ndarray:
     if factor < 1:
         raise ValueError("upsampling factor must be >= 1")
     g = F.grid
-    if factor == 1:
-        return inverse_transform(F).values
-    fine = Grid(g.dim, g.points_per_axis * factor, g.box_length)
+    fine = Grid.shared(g.dim, g.points_per_axis * factor, g.box_length)
     pos = spectral_index_map(g.points_per_axis, fine.points_per_axis)
     padded = np.zeros(fine.shape, dtype=complex)
     padded[np.ix_(*([pos] * g.dim))] = F.coefficients

@@ -25,6 +25,7 @@ from .propagator import (
 )
 
 SLICE_PADDING = 2.0  # sampling margin beyond the solution support radius
+SOBOLEV_ELLS = (0.0, 1.0)  # the weights (t/tau)^ell of the global Sobolev check
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,20 @@ class EnergyReport:
         return (self.energy - self.flat_energy) / self.flat_energy
 
 
+def _energy_components(s: SliceSample, mass: float) -> tuple:
+    """(boost, time-derivative, mass) terms of the weighted slice energy."""
+    slc = s.slice
+    t, tau = slc.t, slc.tau
+    boost_sq = np.zeros_like(t)
+    for a in range(slc.grid.dim):
+        boost_sq += boost_values(s, a) ** 2
+    return (
+        slice_integral(slc, boost_sq / (t * tau)),
+        slice_integral(slc, (tau / t) * s.dphi_dt**2),
+        slice_integral(slc, (t / tau) * (mass * s.phi) ** 2),
+    )
+
+
 def energy(
     data: CauchyData, tau: float, slc: HyperboloidSlice | None = None
 ) -> EnergyReport:
@@ -146,20 +161,8 @@ def energy(
     Density: (1/(t tau)) sum_i (L^i phi)^2 + (tau/t) (d_t phi)^2
     + (t/tau) m^2 phi^2, integrated against the induced volume weights.
     """
-    if slc is None:
-        slc = build_slice(tau, data.grid, data_support_radius(data), data.t0)
-    elif slc.tau != tau:
-        raise ValueError("slice tau does not match requested tau")
-    s = sample_on_slice(data, slc)
-    t = slc.t
-    boost_sq = np.zeros_like(t)
-    for a in range(data.grid.dim):
-        boost_sq += boost_values(s, a) ** 2
-    comp = (
-        slice_integral(slc, boost_sq / (t * tau)),
-        slice_integral(slc, (tau / t) * s.dphi_dt**2),
-        slice_integral(slc, (t / tau) * (data.mass * s.phi) ** 2),
-    )
+    (sample,) = _boost_samples(data, tau, slc, 0)
+    comp = _energy_components(sample, data.mass)
     return EnergyReport(tau, sum(comp), flat_energy(data), comp)
 
 
@@ -169,6 +172,14 @@ def boost_tuples(dim: int, max_order: int) -> list:
     for k in range(max_order + 1):
         out.extend(itertools.product(range(dim), repeat=k))
     return out
+
+
+def _ratio(lhs: float, rhs: float) -> float:
+    if rhs == 0.0:
+        if lhs > 0.0:
+            raise InvariantError("zero right-hand side with positive sup: slice sampling bug")
+        return 0.0
+    return lhs / rhs
 
 
 @dataclass(frozen=True)
@@ -181,46 +192,45 @@ class SupBoundReport:
 
     @property
     def ratio(self) -> float:
-        if self.rhs == 0.0:
-            if self.lhs > 0.0:
-                raise InvariantError(
-                    "zero right-hand side with positive sup: slice sampling bug"
-                )
-            return 0.0
-        return self.lhs / self.rhs
+        return _ratio(self.lhs, self.rhs)
+
+
+def _boost_samples(
+    data: CauchyData, tau: float, slc: HyperboloidSlice | None, max_order: int
+) -> list:
+    """Samples on the tau-slice of the data and of each iterated boost of
+    order <= max_order, in boost_tuples order, each taken once.  The slice
+    defaults to one reaching past the data's support cone."""
+    if slc is None:
+        slc = build_slice(tau, data.grid, data_support_radius(data), data.t0)
+    elif slc.tau != tau:
+        raise ValueError("slice tau does not match requested tau")
+    return [
+        sample_on_slice(data if not axes else iterated_boost_data(data, axes), slc)
+        for axes in boost_tuples(data.grid.dim, max_order)
+    ]
 
 
 def global_sobolev_check(
-    data: CauchyData,
-    tau: float,
-    ell: float = 0.0,
-    order: int | None = None,
-    slc: HyperboloidSlice | None = None,
-) -> SupBoundReport:
-    """Weighted sup of phi^2 against iterated-boost slice integrals.
+    data: CauchyData, tau: float, slc: HyperboloidSlice | None = None
+) -> dict:
+    """Weighted sup of phi^2 against iterated-boost slice integrals, for
+    each ell in SOBOLEV_ELLS (the dict keys).
 
     lhs = sup tau^(1-ell) t^(d+ell-1) phi^2; rhs sums the integrals
     (t/tau)^ell |L^{i_1}..L^{i_k} phi|^2 over all boost tuples with
-    k <= order (default floor(d/2)+1).  The ratio should be bounded
-    uniformly in tau.
+    k <= floor(d/2)+1.  The ratio should be bounded uniformly in tau.
     """
     d = data.grid.dim
-    if order is None:
-        order = sobolev_order(d)
-    if slc is None:
-        slc = build_slice(tau, data.grid, data_support_radius(data), data.t0)
-    base = sample_on_slice(data, slc)
-    lhs = float(np.max(tau ** (1.0 - ell) * slc.t ** (d + ell - 1.0) * base.phi**2))
-    rhs = 0.0
-    weight = (slc.t / tau) ** ell
-    for axes in boost_tuples(d, order):
-        if len(axes) == 0:
-            vals = base.phi
-        else:
-            boosted = iterated_boost_data(data, axes)
-            vals = sample_on_slice(boosted, slc).phi
-        rhs += slice_integral(slc, weight * vals**2)
-    return SupBoundReport(tau, lhs, rhs)
+    samples = _boost_samples(data, tau, slc, sobolev_order(d))
+    slc = samples[0].slice
+    reports = {}
+    for ell in SOBOLEV_ELLS:
+        lhs = float(np.max(tau ** (1.0 - ell) * slc.t ** (d + ell - 1.0) * samples[0].phi**2))
+        weight = (slc.t / tau) ** ell
+        rhs = sum(slice_integral(slc, weight * s.phi**2) for s in samples)
+        reports[ell] = SupBoundReport(tau, lhs, rhs)
+    return reports
 
 
 @dataclass(frozen=True)
@@ -237,41 +247,26 @@ class PointwiseEnergyReport:
 
     @property
     def ratio(self) -> float:
-        if self.rhs_energy_sum == 0.0:
-            if self.lhs_total > 0.0:
-                raise InvariantError(
-                    "zero energy sum with positive sup: slice sampling bug"
-                )
-            return 0.0
-        return self.lhs_total / self.rhs_energy_sum
+        return _ratio(self.lhs_total, self.rhs_energy_sum)
 
 
 def pointwise_energy_check(
-    data: CauchyData,
-    tau: float,
-    order: int | None = None,
-    slc: HyperboloidSlice | None = None,
+    data: CauchyData, tau: float, slc: HyperboloidSlice | None = None
 ) -> PointwiseEnergyReport:
     """sup-norm decay terms controlled by energies of iterated boosts.
 
     lhs = (m^2 sup t^d phi^2, sup tau^2 t^(d-2) (d_t phi)^2,
     sum_i sup t^(d-2) (L^i phi)^2); rhs = sum of slice energies of
-    L^{i_1}..L^{i_k} phi over tuples with k <= order.
+    L^{i_1}..L^{i_k} phi over tuples with k <= floor(d/2)+1.
     """
     d = data.grid.dim
-    if order is None:
-        order = sobolev_order(d)
-    if slc is None:
-        slc = build_slice(tau, data.grid, data_support_radius(data), data.t0)
-    s = sample_on_slice(data, slc)
-    t = slc.t
+    samples = _boost_samples(data, tau, slc, sobolev_order(d))
+    s = samples[0]
+    t = s.slice.t
     lhs_mass = data.mass**2 * float(np.max(t**d * s.phi**2))
     lhs_time = float(np.max(tau**2 * t ** (d - 2.0) * s.dphi_dt**2))
     lhs_boost = 0.0
     for a in range(d):
         lhs_boost += float(np.max(t ** (d - 2.0) * boost_values(s, a) ** 2))
-    rhs = 0.0
-    for axes in boost_tuples(d, order):
-        boosted = data if len(axes) == 0 else iterated_boost_data(data, axes)
-        rhs += energy(boosted, tau, slc).energy
+    rhs = sum(sum(_energy_components(b, data.mass)) for b in samples)
     return PointwiseEnergyReport(tau, (lhs_mass, lhs_time, lhs_boost), rhs)

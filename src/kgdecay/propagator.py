@@ -14,6 +14,7 @@ evaluator used for sampling on curved slices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,14 @@ class CauchyData:
     def grid(self) -> Grid:
         return self.f.grid
 
+    @cached_property
+    def spectra(self) -> tuple:
+        """(f_hat, g_hat), transformed once per data; read-only."""
+        out = forward_transform(self.f).coefficients, forward_transform(self.g).coefficients
+        for c in out:
+            c.setflags(write=False)
+        return out
+
 
 @dataclass(frozen=True)
 class EvolvedState:
@@ -80,8 +89,7 @@ def evolve_spectra(data: CauchyData, t: float) -> tuple:
     g = data.grid
     dt = t - data.t0
     omega = _omega(g, data.mass)
-    fh = forward_transform(data.f).coefficients
-    gh = forward_transform(data.g).coefficients
+    fh, gh = data.spectra
     cos_ = np.cos(dt * omega)
     phi_hat = cos_ * fh + _sinc_omega(dt, omega) * gh
     dphi_hat = -omega * np.sin(dt * omega) * fh + cos_ * gh
@@ -119,8 +127,7 @@ def evaluate_at_points(data: CauchyData, times, points):
     xi = g.flat_frequency_lattice()  # (M, d)
     m_modes = xi.shape[0]
     omega = np.sqrt(np.sum(xi**2, axis=-1) + data.mass**2)
-    fh = forward_transform(data.f).coefficients.ravel()
-    gh = forward_transform(data.g).coefficients.ravel()
+    fh, gh = (c.ravel() for c in data.spectra)
     inv_vol = 1.0 / g.box_length**g.dim
 
     chunk = max(1, _EVAL_CHUNK_ENTRIES // m_modes)
@@ -251,8 +258,7 @@ def rescale_high_frequency(
             "rescaled field does not fit the target box with a unit margin"
         )
 
-    fh = forward_transform(data.f).coefficients
-    gh = forward_transform(data.g).coefficients
+    fh, gh = data.spectra
     for name, coeff in (("f", fh), ("g", gh)):
         defect = _band_limit_defect(coeff, g, band)
         if defect > 1e-8:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bands import LittlewoodPaleyBank
 from .bumps import bump_derivative_field, bump_field
-from .config import RunConfig
+from .config import HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
 from .decay import (
     highfreq_check,
     interpolation_check,
@@ -19,7 +19,7 @@ from .decay import (
     localized_decay_check,
 )
 from .grid import Field, Grid, l2_norm, linf_norm
-from .hyperboloid import energy, global_sobolev_check, pointwise_energy_check
+from .hyperboloid import SOBOLEV_ELLS, energy, global_sobolev_check, pointwise_energy_check
 from .partition import build_partition, overlap_bound, w_k1_comparability
 from .propagator import CauchyData
 
@@ -28,6 +28,7 @@ DATA_SHARPNESS = 4.0  # bump steepness for the decay-harness data family
 # slice suites need steeper data: the commuted-data Laplacian amplifies the
 # grid's Nyquist spectrum tail by xi^2, and s = 8 keeps that leak ~1e-7
 SLICE_DATA_SHARPNESS = 8.0
+FIT_WINDOW = (8.0, 64.0)  # decay exponents are fitted on t in [8, 64]
 
 
 def _check(name: str, value: float, threshold: float, op: str = "<=") -> dict:
@@ -43,15 +44,14 @@ def _check(name: str, value: float, threshold: float, op: str = "<=") -> dict:
 
 
 def _spread(values) -> float:
-    values = [v for v in values]
-    lo, hi = min(values), max(values)
-    if lo <= 0:
-        return float("inf") if hi > 0 else 1.0
-    return hi / lo
+    """max/min of positive values; inf when there are none to compare."""
+    if not values or min(values) <= 0:
+        return float("inf")
+    return max(values) / min(values)
 
 
-def mass_commensurate_times(m0: float, lo: float = 8.0, hi: float = 64.0) -> np.ndarray:
-    """Times t = pi k / m0 inside [lo, hi].
+def mass_commensurate_times(m0: float) -> np.ndarray:
+    """Times t = pi k / m0 inside FIT_WINDOW.
 
     The low-frequency part of a mass-m0 solution carries a coherent
     oscillation at frequency ~ m0 until stationary-phase spreading
@@ -59,6 +59,7 @@ def mass_commensurate_times(m0: float, lo: float = 8.0, hi: float = 64.0) -> np.
     envelope instead of the phase, which is what the sup-norm bounds
     control.
     """
+    lo, hi = FIT_WINDOW
     k = np.arange(int(np.ceil(lo * m0 / np.pi)), int(np.floor(hi * m0 / np.pi)) + 1)
     return np.pi * k / m0
 
@@ -216,8 +217,9 @@ def suite_sobolev(config: RunConfig, rng) -> dict:
     data = standard_data(config)
     checks = []
     ratio_table = {}
-    for ell in (0.0, 1.0):
-        ratios = [global_sobolev_check(data, tau, ell).ratio for tau in config.taus]
+    per_tau = [global_sobolev_check(data, tau) for tau in config.taus]
+    for ell in SOBOLEV_ELLS:
+        ratios = [reports[ell].ratio for reports in per_tau]
         ratio_table[f"ell_{ell:g}"] = [float(r) for r in ratios]
         checks.append(_check(f"ratio_positive_ell_{ell:g}", min(ratios), 0.0, op=">="))
         checks.append(_check(f"tau_spread_ell_{ell:g}", _spread(ratios), 4.0))
@@ -253,9 +255,8 @@ def suite_localized(config: RunConfig, rng) -> dict:
     f = bump_field(config.grid, width=w, sharpness=1.0)
     g = bump_derivative_field(config.grid, 0, width=w, sharpness=1.0) * 0.5 + f * 0.25
     data = CauchyData(f, g, 2.0, config.mass)
-    window = (8.0, 64.0)
-    times = mass_commensurate_times(config.mass, *window)
-    reports = localized_decay_check(data, times, fit_window=window)
+    times = mass_commensurate_times(config.mass)
+    reports = localized_decay_check(data, times, FIT_WINDOW)
     by_q = {r.quantity: r for r in reports}
     phi_fit = by_q["m2_td_phi_sq"].fit
     checks = [
@@ -268,9 +269,7 @@ def suite_localized(config: RunConfig, rng) -> dict:
     ]
     # halving the mass keeps the constant bounded (C depends only on d, m0)
     half = CauchyData(data.f, data.g, data.t0, data.mass / 2.0)
-    reports_half = localized_decay_check(
-        half, mass_commensurate_times(half.mass, *window), fit_window=window
-    )
+    reports_half = localized_decay_check(half, mass_commensurate_times(half.mass), FIT_WINDOW)
     c_full = by_q["combined"].empirical_constant
     c_half = {r.quantity: r for r in reports_half}["combined"].empirical_constant
     checks.append(_check("mass_halving_spread", _spread([c_full, c_half]), 3.0))
@@ -284,27 +283,22 @@ def suite_localized(config: RunConfig, rng) -> dict:
 
 def suite_lowfreq(config: RunConfig, rng) -> dict:
     d = config.dim
-    bank = LittlewoodPaleyBank.for_grid(config.grid)
-    window = (8.0, 64.0)
     # canonical envelope-sampled run measures the decay exponent
     f0 = bump_field(config.grid, width=1.0, sharpness=DATA_SHARPNESS)
     zero = Field(config.grid, np.zeros(config.grid.shape))
-    canonical = lowfreq_check(
-        f0, zero, config.mass,
-        mass_commensurate_times(config.mass, *window),
-        bank, fit_window=window,
-    )
+    times = mass_commensurate_times(config.mass)
+    canonical = lowfreq_check(f0, zero, config.mass, times, FIT_WINDOW)
     exponent = canonical[0].fit.slope if canonical[0].fit else float("inf")
     constants, reports = [], list(canonical)
     for _ in range(10):
         f, g = random_bump_pair(config, rng)
-        reps = lowfreq_check(f, g, config.mass, config.times, bank, fit_window=window)
+        reps = lowfreq_check(f, g, config.mass, config.times, FIT_WINDOW)
         reports.extend(reps)
         if reps[0].status == "ok":
             constants.append(reps[0].empirical_constant)
     checks = [
         _check("phi_exponent_error", abs(exponent + d / 2.0), 0.1),
-        _check("constant_spread", _spread(constants) if constants else float("inf"), 3.0),
+        _check("constant_spread", _spread(constants), 3.0),
         _check("runs_ok", len(constants), 10, op=">="),
     ]
     return {
@@ -330,8 +324,6 @@ def _slope_vs_band(reports, attr: str = "unnormalized_constant"):
 def suite_highfreq(config: RunConfig, rng) -> dict:
     d = config.dim
     grid = config.grid
-    bank = LittlewoodPaleyBank.for_grid(grid)
-    window = (8.0, 64.0)
     # narrow bump so every swept band is well populated
     f = bump_field(grid, width=0.25, sharpness=DATA_SHARPNESS)
     zero = Field(grid, np.zeros(grid.shape))
@@ -343,12 +335,12 @@ def suite_highfreq(config: RunConfig, rng) -> dict:
     # mass keeps the low bands on the dyadic line (omega = sqrt(xi^2 + m^2)
     # bends the k = 0, 1 constants when m ~ 1).
     if d == 1:
-        wide = Grid(d, config.grid_n * 8, config.box_length * 8)
-        late_times = tuple(np.geomspace(64.0, 960.0, 13))
+        scale = HIGHFREQ_WIDE_FACTOR
+        wide = Grid.shared(d, config.grid_n * scale, config.box_length * scale)
+        late_times = HIGHFREQ_LATE_TIMES
     else:
         wide = grid
         late_times = config.times
-    wide_bank = LittlewoodPaleyBank.for_grid(wide)
     f_wide = bump_field(wide, width=0.25, sharpness=DATA_SHARPNESS)
     g_wide = bump_field(wide, width=0.25, amplitude=1.5, sharpness=DATA_SHARPNESS)
     zero_wide = Field(wide, np.zeros(wide.shape))
@@ -356,9 +348,9 @@ def suite_highfreq(config: RunConfig, rng) -> dict:
 
     phi_f, phi_g, partial_f, reports = [], [], [], []
     for k in config.bands:
-        rep_f = highfreq_check(f_wide, zero_wide, m_phi, k, late_times, wide_bank)
-        rep_g = highfreq_check(zero_wide, g_wide, m_phi, k, late_times, wide_bank)
-        rep_w = highfreq_check(f, zero, m_wave, k, config.times, bank, fit_window=window)
+        rep_f = highfreq_check(f_wide, zero_wide, m_phi, k, late_times)
+        rep_g = highfreq_check(zero_wide, g_wide, m_phi, k, late_times)
+        rep_w = highfreq_check(f, zero, m_wave, k, config.times, FIT_WINDOW)
         phi_f.append(rep_f[0])
         phi_g.append(rep_g[0])
         partial_f.append(rep_w[1])
@@ -386,7 +378,7 @@ def suite_highfreq(config: RunConfig, rng) -> dict:
     k_top = max(config.bands)
     wave_consts = []
     for m in (config.mass, config.mass / 4.0, config.mass / 16.0):
-        rep = highfreq_check(f, zero, m, k_top, config.times, bank, fit_window=window)
+        rep = highfreq_check(f, zero, m, k_top, config.times, FIT_WINDOW)
         wave_consts.append(rep[1].empirical_constant)
         reports.extend(rep)
     checks.append(_check("wavedecay_mass_spread", _spread(wave_consts), 2.0))
@@ -409,30 +401,26 @@ def suite_highfreq(config: RunConfig, rng) -> dict:
 def suite_interpolation(config: RunConfig, rng) -> dict:
     d = config.dim
     grid = config.grid
-    bank = LittlewoodPaleyBank.for_grid(grid)
-    window = (8.0, 64.0)
     k = config.bands[len(config.bands) // 2]
     f = bump_field(grid, width=0.5, sharpness=DATA_SHARPNESS)
     zero = Field(grid, np.zeros(grid.shape))
     s_lo, s_hi = (d - 1.0) / 2.0, d / 2.0
     s_values = np.linspace(s_lo, s_hi, 5)
-    reports = [
-        interpolation_check(f, zero, config.mass, k, s, config.times, bank, fit_window=window)
-        for s in s_values
-    ]
-    consts = [r.empirical_constant for r in reports]
-    hf = highfreq_check(f, zero, config.mass, k, config.times, bank, fit_window=window)
-    c_hf, c_wd = hf[0].empirical_constant, hf[1].empirical_constant
+    reports = interpolation_check(
+        f, zero, config.mass, k, s_values, config.times, FIT_WINDOW
+    )
+    *interp, hf, wd = reports
+    consts = [r.empirical_constant for r in interp]
     checks = [
         _check("constants_finite", max(consts), 1e6),
         _check(
             "endpoint_kg_spread",
-            _spread([config.mass * reports[-1].empirical_constant, c_hf]),
+            _spread([config.mass * interp[-1].empirical_constant, hf.empirical_constant]),
             2.0,
         ),
         _check(
             "endpoint_wave_spread",
-            _spread([reports[0].empirical_constant, c_wd]),
+            _spread([interp[0].empirical_constant, wd.empirical_constant]),
             2.0,
         ),
     ]
@@ -443,7 +431,7 @@ def suite_interpolation(config: RunConfig, rng) -> dict:
         "checks": checks,
         "s_values": [float(s) for s in s_values],
         "constants": [float(c) for c in consts],
-        "reports": reports + hf,
+        "reports": reports,
     }
 
 

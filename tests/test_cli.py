@@ -8,6 +8,7 @@ from kgdecay.config import RunConfig, load_config, parse_times
 from kgdecay.decay import DecayCurve
 from kgdecay.errors import ConfigurationError
 from kgdecay.reporting import write_curve_csv, write_loglog_svg
+from kgdecay.suites import _spread
 
 
 def small_overrides(out, suite="lp"):
@@ -75,6 +76,28 @@ def test_validation_band_above_nyquist():
     with pytest.raises(ConfigurationError) as err:
         cfg.validate()
     assert "Nyquist" in str(err.value)
+
+
+def test_validation_highfreq_internal_box():
+    # d = 1 highfreq sweeps late times up to 960 on an 8x wider box
+    with pytest.raises(ConfigurationError) as err:
+        RunConfig(suite="highfreq", box_length=200.0).validate()
+    assert "highfreq's internal box_length 1600.0" in str(err.value)
+    RunConfig(suite="highfreq").validate()  # 2048 >= 2 (1 + 960 + 2) = 1926
+
+
+@pytest.mark.parametrize("suite", ["localized", "lowfreq", "highfreq", "interpolation"])
+def test_cli_rejects_zero_mass_for_time_suites(tmp_path, capsys, suite):
+    assert main(["--suite", suite, "--mass", "0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "mass must be positive" in err
+    assert "Traceback" not in err
+
+
+def test_spread_of_nonpositive_values_is_infinite():
+    assert _spread([0.0, 0.0]) == float("inf")
+    assert _spread([]) == float("inf")
+    assert _spread([2.0, 1.0]) == 2.0
 
 
 def test_cli_configuration_error_exit_code(tmp_path):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from kgdecay.bands import LittlewoodPaleyBank
 from kgdecay.bumps import bump_field
 from kgdecay.decay import (
     DecayCurve,
@@ -17,7 +16,6 @@ from kgdecay.grid import Field, Grid
 from kgdecay.propagator import CauchyData
 
 GRID = Grid(1, 1024, 256.0)
-BANK = LittlewoodPaleyBank.for_grid(GRID)
 ZERO = Field(GRID, np.zeros(GRID.shape))
 TIMES = tuple(np.geomspace(8.0, 64.0, 9))
 
@@ -81,33 +79,27 @@ def test_sup_norms_catch_oscillation_peaks():
 
 
 def test_lowfreq_zero_data_skipped():
-    reports = lowfreq_check(ZERO, ZERO, 1.0, TIMES, BANK)
-    assert all(r.status == "skipped" for r in reports)
+    reports = lowfreq_check(ZERO, ZERO, 1.0, TIMES)
+    assert all(r.status == "skipped" and r.mode == "origin" for r in reports)
     assert all(r.empirical_constant == 0.0 for r in reports)
     assert np.all(reports[0].curve.weighted_sup == 0.0)
 
 
 def test_lowfreq_constant_scale_invariance():
     f = bump_field(GRID, width=1.0, sharpness=4.0)
-    r1 = lowfreq_check(f, ZERO, 1.0, TIMES, BANK)[0]
-    r10 = lowfreq_check(f * 10.0, ZERO, 1.0, TIMES, BANK)[0]
+    r1 = lowfreq_check(f, ZERO, 1.0, TIMES)[0]
+    r10 = lowfreq_check(f * 10.0, ZERO, 1.0, TIMES)[0]
+    # the low band carries the (1+t)^(d/2) weight on top of m0 sup|phi|
+    c = r1.curve
+    assert np.allclose(c.weighted_sup, np.sqrt(1.0 + c.times) * c.raw_sup, rtol=1e-14)
     assert abs(r1.empirical_constant - r10.empirical_constant) <= 1e-10 * max(
         r1.empirical_constant, 1e-300
     )
 
 
-def test_lowfreq_modes():
-    f = bump_field(GRID, width=1.0, sharpness=4.0)
-    r_origin = lowfreq_check(f, ZERO, 1.0, TIMES, BANK, mode="origin")[0]
-    r_d2 = lowfreq_check(f, ZERO, 1.0, TIMES, BANK, mode="data2")[0]
-    assert r_origin.mode == "origin" and r_d2.mode == "data2"
-    # origin mode weights by (1+t), data2 mode by t; same raw physics family
-    assert r_origin.empirical_constant != r_d2.empirical_constant
-
-
 def test_highfreq_band_zero_normalization_trivial():
     f = bump_field(GRID, width=0.5, sharpness=4.0)
-    rep = highfreq_check(f, ZERO, 1.0, 0, TIMES, BANK)
+    rep = highfreq_check(f, ZERO, 1.0, 0, TIMES)
     # 2^0 = 1: normalized and plain constants coincide for the phi bound
     assert abs(rep[0].empirical_constant - rep[0].unnormalized_constant) <= 1e-12
     assert rep[0].inequality_id == "highfreq"
@@ -117,15 +109,18 @@ def test_highfreq_band_zero_normalization_trivial():
 def test_highfreq_band_above_nyquist_rejected():
     f = bump_field(GRID, width=0.5, sharpness=4.0)
     with pytest.raises(ConfigurationError):
-        highfreq_check(f, ZERO, 1.0, 12, TIMES, BANK)
+        highfreq_check(f, ZERO, 1.0, 12, TIMES)
     with pytest.raises(ValueError):
-        highfreq_check(f, ZERO, 1.0, -1, TIMES, BANK)
+        highfreq_check(f, ZERO, 1.0, -1, TIMES)
 
 
 def test_highfreq_homogeneity():
     f = bump_field(GRID, width=0.5, sharpness=4.0)
-    r1 = highfreq_check(f, ZERO, 1.0, 2, TIMES, BANK)[0]
-    r5 = highfreq_check(f * 5.0, ZERO, 1.0, 2, TIMES, BANK)[0]
+    r1 = highfreq_check(f, ZERO, 1.0, 2, TIMES)[0]
+    r5 = highfreq_check(f * 5.0, ZERO, 1.0, 2, TIMES)[0]
+    # bands k >= 0 carry the plain t^(d/2) weight
+    c = r1.curve
+    assert np.allclose(c.weighted_sup, np.sqrt(c.times) * c.raw_sup, rtol=1e-14)
     assert abs(r1.empirical_constant - r5.empirical_constant) <= 1e-10 * max(
         r1.empirical_constant, 1e-300
     )
@@ -134,8 +129,8 @@ def test_highfreq_homogeneity():
 def test_interpolation_validation_and_zero():
     f = bump_field(GRID, width=0.5, sharpness=4.0)
     with pytest.raises(ValueError):
-        interpolation_check(f, ZERO, 1.0, 2, 0.75, TIMES, BANK)  # s > d/2
-    rep = interpolation_check(ZERO, ZERO, 1.0, 2, 0.25, TIMES, BANK)
+        interpolation_check(f, ZERO, 1.0, 2, (0.75,), TIMES)  # s > d/2
+    rep = interpolation_check(ZERO, ZERO, 1.0, 2, (0.25,), TIMES)[0]
     assert rep.status == "skipped"
     assert rep.extras["s"] == 0.25
 
@@ -143,10 +138,13 @@ def test_interpolation_validation_and_zero():
 def test_interpolation_endpoint_matches_highfreq_up_to_mass():
     f = bump_field(GRID, width=0.5, sharpness=4.0)
     m0 = 0.5
-    hf = highfreq_check(f, ZERO, m0, 2, TIMES, BANK)[0]
-    ip = interpolation_check(f, ZERO, m0, 2, 0.5, TIMES, BANK)
-    assert abs(m0 * ip.empirical_constant - hf.empirical_constant) <= 1e-12 * max(
-        hf.empirical_constant, 1e-300
+    hf = highfreq_check(f, ZERO, m0, 2, TIMES)
+    ip = interpolation_check(f, ZERO, m0, 2, (0.5,), TIMES)
+    # the endpoint rows come from the same sweep as the interpolated row
+    assert [r.inequality_id for r in ip] == ["interpolation", "highfreq", "wavedecay"]
+    assert [r.empirical_constant for r in ip[1:]] == [r.empirical_constant for r in hf]
+    assert abs(m0 * ip[0].empirical_constant - hf[0].empirical_constant) <= 1e-12 * max(
+        hf[0].empirical_constant, 1e-300
     )
 
 
@@ -168,7 +166,7 @@ def test_localized_zero_data_zero_curves():
         "combined",
     }
     for r in reports:
-        assert r.status == "skipped"
+        assert r.status == "skipped" and r.mode == "data2"
         assert np.all(r.curve.weighted_sup == 0.0)
 
 
@@ -186,4 +184,4 @@ def test_localized_constant_scale_invariance():
 def test_time_grid_must_increase():
     f = bump_field(GRID, width=1.0, sharpness=4.0)
     with pytest.raises(ValueError):
-        lowfreq_check(f, ZERO, 1.0, (8.0, 8.0, 9.0), BANK)
+        lowfreq_check(f, ZERO, 1.0, (8.0, 8.0, 9.0))

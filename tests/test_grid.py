@@ -6,7 +6,6 @@ from kgdecay.errors import GridMismatchError
 from kgdecay.grid import (
     Field,
     Grid,
-    SobolevOrder,
     SpectralField,
     forward_transform,
     inverse_transform,
@@ -191,9 +190,6 @@ def test_sobolev_order_values():
     assert sobolev_order(1) == 1
     assert sobolev_order(2) == 2
     assert sobolev_order(3) == 2
-    assert SobolevOrder.for_dimension(3).order == 2
-    with pytest.raises(ValueError):
-        SobolevOrder(3, 5)
 
 
 def test_upsample_values_reproduces_interpolant():
