@@ -9,7 +9,6 @@ from .bumps import (
     bump_field,
     bump_profile,
     mollifier,
-    radial_bump_field,
     smoothstep,
 )
 from .config import RunConfig, load_config

@@ -70,8 +70,7 @@ class LittlewoodPaleyBank:
 
     def project(self, f: Field, k: int) -> Field:
         """Apply the band-k projector; real in, real out."""
-        F = forward_transform(f)
-        return inverse_transform(SpectralField(self.grid, self.symbol(k) * F.coefficients))
+        return inverse_transform(self.project_spectrum(forward_transform(f), k))
 
     def project_spectrum(self, F: SpectralField, k: int) -> SpectralField:
         return SpectralField(self.grid, self.symbol(k) * F.coefficients)

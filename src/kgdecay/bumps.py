@@ -115,14 +115,3 @@ def bump_derivative_field(
             vals = vals * bump_profile(u, sharpness)
     return Field(grid, amplitude * vals)
 
-
-def radial_bump_field(
-    grid: Grid, radius: float, amplitude: float = 1.0, sharpness: float = 1.0
-) -> Field:
-    """Radially symmetric bump supported in |x| < radius."""
-    if radius <= 0:
-        raise ValueError("bump radius must be positive")
-    r2 = np.zeros(grid.shape)
-    for x in grid.coordinate_arrays():
-        r2 += x**2
-    return Field(grid, amplitude * bump_profile(np.sqrt(r2) / radius, sharpness))

@@ -14,8 +14,15 @@ Inequalities covered (d = dimension, k = dyadic band, m0 = mass):
 
 Each check computes the sup curve of its data once and reads every
 inequality from it as one row of a table.  The band checks place the
-projected data at t = 0 ("origin" in the reports); the localized check takes
-its data at t = 2 ("data2") and weights by plain t.
+projected data at t = 0 ("origin" in the reports); their spectra are the
+projected spectra themselves, exactly zero off the band.  The localized check
+takes its data at t = 2 ("data2") and weights by plain t.
+
+A sup at one time is the maximum over an ``OVERSAMPLE``-times upsampled grid,
+raised where a direct evaluation of the same trigonometric polynomials on a
+small window around each upsampled maximizer finds more.  The window sums run
+over the evolved spectra, restricted to their nonzero modes, so band data
+cost in proportion to their band.
 """
 
 from __future__ import annotations
@@ -30,11 +37,13 @@ from .grid import (
     Field,
     SpectralField,
     derivative_multiplier,
+    forward_transform,
     l1_norm,
+    point_values,
     sobolev_h_norm,
     upsample_values,
 )
-from .propagator import CauchyData, evaluate_at_points, evolve_spectra
+from .propagator import CauchyData, evolve_spectra
 
 DEGENERATE_NORM = 1e-12
 OVERSAMPLE = 4  # global upsampling factor of the sup search, a power of two
@@ -76,9 +85,12 @@ def sup_norms(data: CauchyData, t: float) -> SupNorms:
     """Sup of |phi|, |d_t phi|, |grad phi|, |d phi| at time t.
 
     Lattice maxima under-estimate sups of oscillatory fields (a band at the
-    grid Nyquist has ~2 samples per wavelength), so the fields are globally
-    upsampled by zero-padding the spectrum (by ``OVERSAMPLE``) and then
-    polished by direct Fourier evaluation around each upsampled maximizer.
+    grid Nyquist has ~2 samples per wavelength), so the evolved spectra of
+    phi, d_t phi and grad phi are upsampled by zero-padding (by
+    ``OVERSAMPLE``).  The same trigonometric polynomials are then evaluated
+    directly on a window around the upsampled maximizer of each quantity,
+    summing only over the modes where some spectrum is nonzero, and each sup
+    is the larger of its grid and window maxima.
     """
     g = data.grid
     phi_hat, dphi_hat = evolve_spectra(data, t)
@@ -95,12 +107,16 @@ def sup_norms(data: CauchyData, t: float) -> SupNorms:
     sups = {name: float(np.max(vals)) for name, vals in quantities.items()}
     if any(v > 0 for v in sups.values()):
         windows = {int(np.argmax(vals)) for vals in quantities.values()}
-        for idx in windows:
-            pts = _refine_window(g, idx)
-            vphi, vdphi, vgrad = evaluate_at_points(data, np.full(len(pts), t), pts)
-            refined = _sup_quantities(vphi, vdphi, np.sum(vgrad**2, axis=-1))
-            for name, vals in refined.items():
-                sups[name] = max(sups[name], float(np.max(vals)))
+        pts = np.concatenate([_refine_window(g, idx) for idx in windows])
+        # the window differentiates phi's interpolant exactly, Nyquist mode
+        # included, which derivative_multiplier zeroes on the lattice
+        exact_grad = [
+            SpectralField(g, 1j * xi * phi_hat.coefficients) for xi in g.frequency_arrays()
+        ]
+        vals = point_values([phi_hat, dphi_hat, *exact_grad], pts)
+        refined = _sup_quantities(vals[:, 0], vals[:, 1], np.sum(vals[:, 2:] ** 2, axis=-1))
+        for name, v in refined.items():
+            sups[name] = max(sups[name], float(np.max(v)))
     return SupNorms(**sups)
 
 
@@ -279,13 +295,20 @@ def localized_decay_check(data: CauchyData, times, fit_window=None) -> list:
     return _decay_reports(data, times, fit_window, rows, n_f, n_g, norms, None)
 
 
+def _band_data(f: Field, g: Field, m0: float, band: int) -> CauchyData:
+    """The band-``band`` pieces of (f, g) at t = 0.  Their spectra are the
+    projected spectra themselves, exactly zero off the band's support, and
+    their fields are the ``LittlewoodPaleyBank.project`` values."""
+    bank = LittlewoodPaleyBank.for_grid(f.grid)
+    f_hat, g_hat = (bank.project_spectrum(forward_transform(h), band) for h in (f, g))
+    return CauchyData.from_spectra(f_hat, g_hat, 0.0, m0)
+
+
 def _projected_reports(f: Field, g: Field, m0: float, band: int, times, fit_window, rows) -> list:
     """The rows for the band-``band`` pieces of (f, g), evolved from t = 0."""
-    bank = LittlewoodPaleyBank.for_grid(f.grid)
-    pf, pg = bank.project(f, band), bank.project(g, band)
-    n_f, n_g = l1_norm(pf), l1_norm(pg)
+    data = _band_data(f, g, m0, band)
+    n_f, n_g = l1_norm(data.f), l1_norm(data.g)
     norms = {"l1_p_f": n_f, "l1_p_g": n_g}
-    data = CauchyData(pf, pg, 0.0, m0)
     return _decay_reports(data, times, fit_window, rows, n_f, n_g, norms, band)
 
 

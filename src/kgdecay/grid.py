@@ -170,17 +170,6 @@ class SpectralField:
             raise ValueError("spectral coefficients must be finite")
         object.__setattr__(self, "coefficients", c)
 
-    def hermitian_defect(self) -> float:
-        """Relative departure from conj(F(-xi)) = F(xi); 0 for real fields."""
-        c = self.coefficients
-        rev = c
-        for ax in range(c.ndim):
-            rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
-        scale = np.max(np.abs(c))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(np.conj(rev) - c)) / scale)
-
 
 def sobolev_order(dim: int) -> int:
     """floor(d/2) + 1."""
@@ -272,6 +261,25 @@ def upsample_values(F: SpectralField, factor: int) -> np.ndarray:
     padded = np.zeros(fine.shape, dtype=complex)
     padded[np.ix_(*([pos] * g.dim))] = F.coefficients
     return inverse_transform(SpectralField(fine, padded)).values
+
+
+def point_values(fields, points) -> np.ndarray:
+    """Values of the trigonometric interpolants of ``fields`` (SpectralFields
+    on one grid) at arbitrary points of shape (P, d); returns (P, len(fields)).
+
+    ``L^-d Re sum_k exp(i xi_k.x) F_k`` is summed only over the modes where
+    some field's coefficient is nonzero, so band-limited fields cost in
+    proportion to their band.
+    """
+    g = fields[0].grid
+    coeff = np.stack([F.coefficients.ravel() for F in fields], axis=-1)
+    keep = np.any(coeff != 0, axis=-1)
+    xi = np.stack([x.ravel()[keep] for x in g.frequency_arrays()], axis=-1)
+    theta = np.asarray(points, dtype=float) @ xi.T
+    c = coeff[keep]
+    # Re(exp(i theta) c) = cos(theta) Re c - sin(theta) Im c, in real arithmetic
+    re = np.cos(theta) @ c.real - np.sin(theta, out=theta) @ c.imag
+    return re / g.box_length**g.dim
 
 
 def multi_indices(dim: int, max_order: int) -> list:

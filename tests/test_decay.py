@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from kgdecay.bumps import bump_field
+from kgdecay.bands import LOW_PASS_BAND, LittlewoodPaleyBank
+from kgdecay.bumps import bump_derivative_field, bump_field
 from kgdecay.decay import (
+    OVERSAMPLE,
     DecayCurve,
+    _band_data,
     fit_exponent,
     highfreq_check,
     interpolation_check,
@@ -12,8 +15,15 @@ from kgdecay.decay import (
     sup_norms,
 )
 from kgdecay.errors import ConfigurationError
-from kgdecay.grid import Field, Grid
-from kgdecay.propagator import CauchyData
+from kgdecay.grid import (
+    Field,
+    Grid,
+    SpectralField,
+    derivative_multiplier,
+    point_values,
+    upsample_values,
+)
+from kgdecay.propagator import CauchyData, evaluate_at_points, evolve_spectra
 
 GRID = Grid(1, 1024, 256.0)
 ZERO = Field(GRID, np.zeros(GRID.shape))
@@ -76,6 +86,67 @@ def test_sup_norms_catch_oscillation_peaks():
     f = Field(GRID, np.cos(xi0 * x))
     s = sup_norms(CauchyData(f, ZERO, 0.0, 1.0), 0.0)
     assert abs(s.phi - 1.0) <= 1e-6
+
+
+FINE = Grid(1, 2048, 128.0)  # Nyquist 50.3, room for band 4 ([8, 32])
+
+
+def bump_pair(grid, sharpness=4.0):
+    f = bump_field(grid, width=1.0, sharpness=sharpness)
+    return f, bump_derivative_field(grid, 0, width=1.0, sharpness=sharpness) * 0.5 + f * 0.25
+
+
+def oracle_case(name):
+    """(data, t, points) for the point-evaluator oracle comparison."""
+    rng = np.random.default_rng(11)
+    if name == "bump_2d":
+        grid = Grid(2, 32, 8.0)
+        f, g = bump_pair(grid, sharpness=2.0)
+        return CauchyData(f, g, 2.0, 0.8), 3.0, rng.uniform(-3.0, 3.0, size=(40, 2))
+    f, g = bump_pair(FINE)
+    if name == "bump":
+        data = CauchyData(f, g, 2.0, 1.0)
+    else:
+        data = _band_data(f, g, 1.0, {"low_pass": LOW_PASS_BAND, "band_4": 4}[name])
+    return data, 7.3, rng.uniform(-8.0, 8.0, size=(40, 1))
+
+
+@pytest.mark.parametrize("name", ["low_pass", "band_4", "bump", "bump_2d"])
+def test_point_values_match_direct_evaluation(name):
+    data, t, pts = oracle_case(name)
+    g = data.grid
+    phi_hat, dphi_hat = evolve_spectra(data, t)
+    grad_hats = [SpectralField(g, 1j * xi * phi_hat.coefficients) for xi in g.frequency_arrays()]
+    vals = point_values([phi_hat, dphi_hat, *grad_hats], pts)
+    phi, dphi, grad = evaluate_at_points(data, np.full(len(pts), t), pts)
+    for got, want in zip(vals.T, [phi, dphi, *grad.T]):
+        assert np.max(np.abs(want)) > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("band", [LOW_PASS_BAND, 0, 4])
+def test_band_data_spectra_vanish_off_band(band):
+    f, g = bump_pair(FINE)
+    bank = LittlewoodPaleyBank.for_grid(FINE)
+    data = _band_data(f, g, 1.0, band)
+    off = bank.symbol(band) == 0.0
+    assert np.any(off)
+    for spectrum, field, source in zip(data.spectra, (data.f, data.g), (f, g)):
+        assert not spectrum.flags.writeable
+        assert np.all(spectrum[off] == 0.0)
+        assert np.array_equal(field.values, bank.project(source, band).values)
+
+
+@pytest.mark.parametrize("band", [LOW_PASS_BAND, 2, 4])
+def test_sup_norms_not_below_upsampled_grid_max(band):
+    f, g = bump_pair(FINE)
+    data = _band_data(f, g, 1.0, band)
+    for t in (0.0, 3.7, 20.0):
+        phi_hat, dphi_hat = evolve_spectra(data, t)
+        grad_hat = SpectralField(FINE, derivative_multiplier(FINE, 0, 1) * phi_hat.coefficients)
+        s = sup_norms(data, t)
+        for sup, hat in ((s.phi, phi_hat), (s.dphi_dt, dphi_hat), (s.grad, grad_hat)):
+            assert sup >= np.max(np.abs(upsample_values(hat, OVERSAMPLE)))
 
 
 def test_lowfreq_zero_data_skipped():

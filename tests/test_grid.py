@@ -72,12 +72,6 @@ def test_round_trip_2d():
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * linf_norm(f)
 
 
-def test_hermitian_symmetry_of_real_field_spectrum():
-    rng = np.random.default_rng(2)
-    F = forward_transform(Field(GRID, rng.standard_normal(GRID.shape)))
-    assert F.hermitian_defect() < 1e-12
-
-
 def test_parseval_random_fields():
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -14,6 +14,7 @@ from kgdecay.grid import (
 )
 from kgdecay.propagator import (
     CauchyData,
+    _multipliers,
     boost_commuted_data,
     data_support_radius,
     evaluate_at_points,
@@ -118,6 +119,22 @@ def test_linearity():
     lhs = evolve(combo, t).phi.values
     rhs = a * evolve(d1, t).phi.values + b * evolve(d2, t).phi.values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(lhs)), 1.0)
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_sinc_multiplier_matches_numpy_sinc(mass):
+    omega = np.sqrt(GRID.frequency_norm**2 + mass**2)
+    for dt in (0.0, 0.3, -1.7, 4.5, 60.0):
+        cos_, sin_, sinc = _multipliers(dt, omega)
+        assert np.array_equal(cos_, np.cos(dt * omega))
+        assert np.array_equal(sin_, np.sin(dt * omega))
+        ref = dt * np.sinc(dt * omega / np.pi)
+        assert np.max(np.abs(sinc - ref)) <= 1e-14 * abs(dt)
+    # per-point time offsets broadcast over the modes, as in evaluate_at_points
+    dts = np.array([[0.0], [2.5], [-3.0]])
+    _, _, sinc = _multipliers(dts, omega)
+    ref = dts * np.sinc(dts * omega / np.pi)
+    assert np.max(np.abs(sinc - ref) / np.maximum(np.abs(dts), 1.0)) <= 1e-14
 
 
 def test_evaluate_at_points_matches_evolve_on_grid():
