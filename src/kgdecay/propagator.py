@@ -14,12 +14,12 @@ evaluator used for sampling on curved slices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
 from .grid import (
+    EVAL_CHUNK_ENTRIES,
     Field,
     Grid,
     SpectralField,
@@ -32,10 +32,6 @@ from .grid import (
     spatial_derivative,
     spectral_index_map,
 )
-
-# cap on points*modes per evaluation block (8 MB complex); 2**22 ran the slice
-# suites no faster and raised their peak RSS from 101 to 307 MB
-_EVAL_CHUNK_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -59,25 +55,30 @@ class CauchyData:
 
     @classmethod
     def from_spectra(
-        cls, f_hat: SpectralField, g_hat: SpectralField, t0: float = 2.0, mass: float = 0.0
-    ) -> "CauchyData":
+        cls, f_hat: SpectralField, g_hat: SpectralField, t0: float, mass: float
+    ) -> CauchyData:
         """Data whose fields are the inverse transforms of ``f_hat`` and
-        ``g_hat``, which become its (read-only) ``spectra`` as they are, so
-        modes that are exactly zero stay exactly zero."""
+        ``g_hat``, which become its ``spectra`` as they are, so modes that are
+        exactly zero stay exactly zero."""
         data = cls(inverse_transform(f_hat), inverse_transform(g_hat), t0, mass)
-        out = f_hat.coefficients, g_hat.coefficients
-        for c in out:
-            c.setflags(write=False)
-        data.__dict__["spectra"] = out
+        data._keep_spectra(f_hat.coefficients, g_hat.coefficients)
         return data
 
-    @cached_property
+    @property
     def spectra(self) -> tuple:
         """(f_hat, g_hat), transformed once per data; read-only."""
-        out = forward_transform(self.f).coefficients, forward_transform(self.g).coefficients
-        for c in out:
+        kept = self.__dict__.get("_spectra")
+        if kept is None:
+            kept = self._keep_spectra(
+                forward_transform(self.f).coefficients, forward_transform(self.g).coefficients
+            )
+        return kept
+
+    def _keep_spectra(self, f_hat: np.ndarray, g_hat: np.ndarray) -> tuple:
+        for c in (f_hat, g_hat):
             c.setflags(write=False)
-        return out
+        self.__dict__["_spectra"] = f_hat, g_hat
+        return f_hat, g_hat
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def evaluate_at_points(data: CauchyData, times, points):
     fh, gh = (c.ravel() for c in data.spectra)
     inv_vol = 1.0 / g.box_length**g.dim
 
-    chunk = max(1, _EVAL_CHUNK_ENTRIES // m_modes)
+    chunk = max(1, EVAL_CHUNK_ENTRIES // m_modes)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         dt = (times[lo:hi] - data.t0)[:, None]  # (p, 1)

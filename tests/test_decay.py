@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kgdecay import grid as grid_module
 from kgdecay.bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from kgdecay.bumps import bump_derivative_field, bump_field
 from kgdecay.decay import (
@@ -15,14 +18,7 @@ from kgdecay.decay import (
     sup_norms,
 )
 from kgdecay.errors import ConfigurationError
-from kgdecay.grid import (
-    Field,
-    Grid,
-    SpectralField,
-    derivative_multiplier,
-    point_values,
-    upsample_values,
-)
+from kgdecay.grid import Field, Grid, SpectralField, point_values
 from kgdecay.propagator import CauchyData, evaluate_at_points, evolve_spectra
 
 GRID = Grid(1, 1024, 256.0)
@@ -111,8 +107,11 @@ def oracle_case(name):
     return data, 7.3, rng.uniform(-8.0, 8.0, size=(40, 1))
 
 
+@pytest.mark.parametrize("chunk", [None, 100])
 @pytest.mark.parametrize("name", ["low_pass", "band_4", "bump", "bump_2d"])
-def test_point_values_match_direct_evaluation(name):
+def test_point_values_match_direct_evaluation(name, chunk, monkeypatch):
+    if chunk is not None:  # many blocks of a few points each
+        monkeypatch.setattr(grid_module, "EVAL_CHUNK_ENTRIES", chunk)
     data, t, pts = oracle_case(name)
     g = data.grid
     phi_hat, dphi_hat = evolve_spectra(data, t)
@@ -122,6 +121,23 @@ def test_point_values_match_direct_evaluation(name):
     for got, want in zip(vals.T, [phi, dphi, *grad.T]):
         assert np.max(np.abs(want)) > 0.0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
+    # 2-D bump data keep all 4096 modes; the refinement windows hold several
+    # hundred points, so one points x modes block would be tens of MB per array
+    grid = Grid(2, 64, 16.0)
+    f = bump_field(grid, width=1.0, sharpness=1.0)
+    data = CauchyData(f, bump_derivative_field(grid, 0, width=1.0, sharpness=1.0), 2.0, 1.0)
+    data.spectra  # transformed before the measured call
+    tracemalloc.start()
+    try:
+        s = sup_norms(data, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.phi > 0.0
+    assert peak <= 24 * 2**20  # 14 MB with 2**19-entry blocks, 60 MB unblocked
 
 
 @pytest.mark.parametrize("band", [LOW_PASS_BAND, 0, 4])
@@ -137,16 +153,26 @@ def test_band_data_spectra_vanish_off_band(band):
         assert np.array_equal(field.values, bank.project(source, band).values)
 
 
+BRACKET = Grid(1, 256, 16.0)  # Nyquist 50.3, as FINE
+
+
 @pytest.mark.parametrize("band", [LOW_PASS_BAND, 2, 4])
-def test_sup_norms_not_below_upsampled_grid_max(band):
-    f, g = bump_pair(FINE)
+def test_sup_norms_bracketed_by_direct_evaluation(band):
+    # evaluate_at_points on the lattice 4 x OVERSAMPLE times finer than the
+    # grid, which holds every refinement window point; its every fourth point
+    # is the upsampled grid
+    f, g = bump_pair(BRACKET)
     data = _band_data(f, g, 1.0, band)
-    for t in (0.0, 3.7, 20.0):
-        phi_hat, dphi_hat = evolve_spectra(data, t)
-        grad_hat = SpectralField(FINE, derivative_multiplier(FINE, 0, 1) * phi_hat.coefficients)
+    n = BRACKET.points_per_axis * OVERSAMPLE * 4
+    x = (np.arange(n) / n - 0.5) * BRACKET.box_length
+    for t in (3.7, 20.0):
         s = sup_norms(data, t)
-        for sup, hat in ((s.phi, phi_hat), (s.dphi_dt, dphi_hat), (s.grad, grad_hat)):
-            assert sup >= np.max(np.abs(upsample_values(hat, OVERSAMPLE)))
+        phi, dphi, grad = evaluate_at_points(data, np.full(n, t), x[:, None])
+        for sup, vals in ((s.phi, phi), (s.dphi_dt, dphi), (s.grad, grad[:, 0])):
+            dense = np.abs(vals)
+            assert sup >= np.max(dense[::4]) * (1.0 - 1e-12)
+            # the grid maximum alone is up to 4e-3 low for band 4
+            assert np.max(dense) * (1.0 - 1e-3) <= sup <= np.max(dense) * (1.0 + 1e-12)
 
 
 def test_lowfreq_zero_data_skipped():
