@@ -71,7 +71,6 @@ from .propagator import (
     flat_energy,
     flat_energy_at,
     iterated_boost_data,
-    rescale_high_frequency,
     support_radius,
 )
 

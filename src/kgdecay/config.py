@@ -22,13 +22,23 @@ HIGHFREQ_WIDE_FACTOR = 8
 HIGHFREQ_LATE_TIMES = tuple(np.geomspace(64.0, 960.0, 13))
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def parse_times(spec: str) -> tuple:
     """Either a comma list of floats or 'lo:hi:n' for n log-spaced points."""
     spec = spec.strip()
-    if ":" in spec:
-        lo, hi, n = spec.split(":")
-        return tuple(np.geomspace(float(lo), float(hi), int(n)))
-    return tuple(float(s) for s in spec.split(","))
+    try:
+        if ":" in spec:
+            lo, hi, n = spec.split(":")
+            return tuple(np.geomspace(_finite(lo), _finite(hi), int(n)))
+        return tuple(_finite(s) for s in spec.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(f"not a comma list of numbers or lo:hi:n ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -122,6 +132,18 @@ class RunConfig:
                         f"largest tau {max(self.taus)} puts the solution support "
                         f"edge at |x| = {edge:.1f}, beyond the half-box {half}"
                     )
+        # the uniformity checks compare constants across taus and across bands
+        uniform = [s for s in ("sobolev", "pointwise") if s in active]
+        if uniform and len(set(self.taus)) < 2:
+            problems.append(
+                f"the tau-uniformity checks of {' and '.join(uniform)} need at "
+                f"least two distinct taus (got {list(self.taus)})"
+            )
+        if "highfreq" in active and len(set(self.bands)) < 2:
+            problems.append(
+                "the band-scaling checks of highfreq need at least two distinct "
+                f"bands (got {list(self.bands)})"
+            )
         if problems:
             raise ConfigurationError(
                 "invalid configuration:\n  - " + "\n  - ".join(problems)
@@ -143,25 +165,30 @@ class RunConfig:
         }
 
 
-_INT_KEYS = {"dim", "grid_n", "seed"}
-_FLOAT_KEYS = {"box_length", "mass", "max_mass", "support_radius"}
+def _comma_list(convert):
+    return lambda raw: tuple(convert(s) for s in raw.split(","))
+
+
+_PARSERS = {
+    **dict.fromkeys(("dim", "grid_n", "seed"), int),
+    **dict.fromkeys(("box_length", "mass", "max_mass", "support_radius"), _finite),
+    "bands": _comma_list(int),
+    "taus": _comma_list(_finite),
+    "times": parse_times,
+    **dict.fromkeys(("suite", "out_dir"), str.strip),
+}
 
 
 def _assign(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     key = key.replace("-", "_")
-    if key in _INT_KEYS:
-        return replace(cfg, **{key: int(raw)})
-    if key in _FLOAT_KEYS:
-        return replace(cfg, **{key: float(raw)})
-    if key == "bands":
-        return replace(cfg, bands=tuple(int(s) for s in raw.split(",")))
-    if key == "taus":
-        return replace(cfg, taus=tuple(float(s) for s in raw.split(",")))
-    if key == "times":
-        return replace(cfg, times=parse_times(raw))
-    if key in ("suite", "out_dir"):
-        return replace(cfg, **{key: raw.strip()})
-    raise ConfigurationError(f"unknown configuration key {key!r}")
+    parse = _PARSERS.get(key)
+    if parse is None:
+        raise ConfigurationError(f"unknown configuration key {key!r}")
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid {key} value {raw!r}: {exc}") from None
+    return replace(cfg, **{key: value})
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

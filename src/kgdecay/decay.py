@@ -36,7 +36,6 @@ from .errors import ConfigurationError
 from .grid import (
     Field,
     SpectralField,
-    derivative_multiplier,
     forward_transform,
     l1_norm,
     point_values,
@@ -86,34 +85,29 @@ def sup_norms(data: CauchyData, t: float) -> SupNorms:
 
     Lattice maxima under-estimate sups of oscillatory fields (a band at the
     grid Nyquist has ~2 samples per wavelength), so the evolved spectra of
-    phi, d_t phi and grad phi are upsampled by zero-padding (by
-    ``OVERSAMPLE``).  The same trigonometric polynomials are then evaluated
-    directly on a window around the upsampled maximizer of each quantity,
-    summing only over the modes where some spectrum is nonzero, and each sup
-    is the larger of its grid and window maxima.
+    phi, d_t phi and grad phi (``i xi phi_hat``, Nyquist mode included) are
+    upsampled by zero-padding (by ``OVERSAMPLE``).  The same trigonometric
+    polynomials are then evaluated directly on a window around the upsampled
+    maximizer of each quantity, summing only over the modes where some
+    spectrum is nonzero, and each sup is the larger of its grid and window
+    maxima.
     """
     g = data.grid
     phi_hat, dphi_hat = evolve_spectra(data, t)
-    grad_hats = [
-        SpectralField(g, derivative_multiplier(g, a, 1) * phi_hat.coefficients)
-        for a in range(g.dim)
-    ]
+    xis = g.frequency_arrays()
+    grad_hats = [1j * xi * phi_hat.coefficients for xi in xis]
     phi = upsample_values(phi_hat, OVERSAMPLE)
     dphi = upsample_values(dphi_hat, OVERSAMPLE)
     grad_sq = np.zeros(phi.shape)
     for gh in grad_hats:
-        grad_sq += upsample_values(gh, OVERSAMPLE) ** 2
+        grad_sq += upsample_values(SpectralField(g, gh), OVERSAMPLE) ** 2
     quantities = _sup_quantities(phi, dphi, grad_sq)
     sups = {name: float(np.max(vals)) for name, vals in quantities.items()}
     if any(v > 0 for v in sups.values()):
         windows = {int(np.argmax(vals)) for vals in quantities.values()}
         pts = np.concatenate([_refine_window(g, idx) for idx in windows])
-        # the window differentiates phi's interpolant exactly, Nyquist mode
-        # included, which derivative_multiplier zeroes on the lattice
-        exact_grad = [
-            SpectralField(g, 1j * xi * phi_hat.coefficients) for xi in g.frequency_arrays()
-        ]
-        vals = point_values([phi_hat, dphi_hat, *exact_grad], pts)
+        coeff = np.stack([phi_hat.coefficients, dphi_hat.coefficients, *grad_hats], axis=-1)
+        vals = point_values(pts, xis, coeff) / g.box_length**g.dim
         refined = _sup_quantities(vals[:, 0], vals[:, 1], np.sum(vals[:, 2:] ** 2, axis=-1))
         for name, v in refined.items():
             sups[name] = max(sups[name], float(np.max(v)))

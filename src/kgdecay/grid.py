@@ -24,8 +24,8 @@ import numpy as np
 from .errors import GridMismatchError
 
 # cap on points*modes per block of a direct Fourier evaluation at arbitrary
-# points (4 MB per real, 8 MB per complex array); 2**22 ran the slice suites
-# no faster and raised their peak RSS from 101 to 307 MB
+# points (4 MB per real array); 2**22 ran the slice suites no faster and
+# raised their peak RSS from 101 to 307 MB
 EVAL_CHUNK_ENTRIES = 2**19
 
 
@@ -112,10 +112,6 @@ class Grid:
         for _ in range(self.dim - 1):
             out = np.multiply.outer(out, sign)
         return out
-
-    def flat_frequency_lattice(self) -> np.ndarray:
-        """All lattice frequencies as an (N^d, dim) array, FFT order."""
-        return np.stack([xi.ravel() for xi in self.frequency_arrays()], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -268,28 +264,29 @@ def upsample_values(F: SpectralField, factor: int) -> np.ndarray:
     return inverse_transform(SpectralField(fine, padded)).values
 
 
-def point_values(fields, points) -> np.ndarray:
-    """Values of the trigonometric interpolants of ``fields`` (SpectralFields
-    on one grid) at arbitrary points of shape (P, d); returns (P, len(fields)).
+def point_values(points, frequencies, coefficients) -> np.ndarray:
+    """``Re sum_k exp(i xi_k.x) c_k`` at arbitrary points x of shape (P, D),
+    for each column of ``coefficients``; returns (P, C).
 
-    ``L^-d Re sum_k exp(i xi_k.x) F_k`` is summed only over the modes where
-    some field's coefficient is nonzero, so band-limited fields cost in
-    proportion to their band.  Points go in blocks of at most
+    ``frequencies`` holds the D components of the xi_k as arrays of one
+    shape S, and ``coefficients`` has shape S + (C,).  The sum runs only over
+    the modes where some column is nonzero, so band-limited spectra cost in
+    proportion to their band, and ``cos(theta) Re c - sin(theta) Im c`` keeps
+    it in real arithmetic.  Points go in blocks of at most
     ``EVAL_CHUNK_ENTRIES`` points x modes.
     """
-    g = fields[0].grid
-    coeff = np.stack([F.coefficients.ravel() for F in fields], axis=-1)
+    coeff = np.asarray(coefficients)
+    coeff = coeff.reshape(-1, coeff.shape[-1])
     keep = np.any(coeff != 0, axis=-1)
-    xi = np.stack([x.ravel()[keep] for x in g.frequency_arrays()], axis=-1)
+    xi = np.stack([np.ravel(x)[keep] for x in frequencies], axis=-1)
     c = coeff[keep]
     points = np.asarray(points, dtype=float)
-    out = np.empty((len(points), len(fields)))
+    out = np.empty((len(points), c.shape[-1]))
     rows = max(1, EVAL_CHUNK_ENTRIES // max(1, len(xi)))
     for lo in range(0, len(points), rows):
         theta = points[lo : lo + rows] @ xi.T
-        # Re(exp(i theta) c) = cos(theta) Re c - sin(theta) Im c, in real arithmetic
         out[lo : lo + rows] = np.cos(theta) @ c.real - np.sin(theta, out=theta) @ c.imag
-    return out / g.box_length**g.dim
+    return out
 
 
 def multi_indices(dim: int, max_order: int) -> list:

@@ -6,9 +6,10 @@ xi evolves as a harmonic oscillator with omega = sqrt(|xi|^2 + m^2):
     phi_hat(t)   = cos(dt*omega) f_hat + (sin(dt*omega)/omega) g_hat
     d/dt phi_hat = -omega sin(dt*omega) f_hat + cos(dt*omega) g_hat
 
-with dt = t - t0 and sin(dt*omega)/omega -> dt as omega -> 0.  The same
-multipliers drive both the grid propagator and the pointwise space-time
-evaluator used for sampling on curved slices.
+with dt = t - t0 and sin(dt*omega)/omega -> dt as omega -> 0.  The grid
+propagator applies these multipliers.  The pointwise evaluator used for
+sampling on curved slices splits each mode into its two half-waves
+exp(+-i dt omega) and sums them directly at space-time points.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
 from .grid import (
-    EVAL_CHUNK_ENTRIES,
     Field,
     Grid,
     SpectralField,
@@ -29,8 +29,8 @@ from .grid import (
     inverse_transform,
     l2_norm,
     laplacian,
+    point_values,
     spatial_derivative,
-    spectral_index_map,
 )
 
 
@@ -96,16 +96,14 @@ def _omega(grid: Grid, mass: float) -> np.ndarray:
     return np.sqrt(grid.frequency_norm**2 + mass**2)
 
 
-def _multipliers(dt, omega) -> tuple:
+def _multipliers(dt: float, omega) -> tuple:
     """cos(dt*omega), sin(dt*omega) and sin(dt*omega)/omega, the last with its
-    limit dt at omega = 0; ``dt`` is a scalar or broadcasts against ``omega``'s
-    last axes."""
+    limit dt at omega = 0."""
     angles = dt * omega
     sin_ = np.sin(angles)
     zero = omega == 0.0
     sinc = sin_ / np.where(zero, 1.0, omega)
-    if np.any(zero):
-        sinc[..., zero] = dt
+    sinc[zero] = dt
     return np.cos(angles), sin_, sinc
 
 
@@ -133,43 +131,35 @@ def evolve(data: CauchyData, t: float) -> EvolvedState:
 def evaluate_at_points(data: CauchyData, times, points):
     """Evaluate (phi, dphi_dt, grad phi) at arbitrary space-time points.
 
-    ``times`` has shape (P,), ``points`` shape (P, d).  Uses direct Fourier
-    summation with the same multipliers as :func:`evolve`; cost is one
-    points-by-modes block per quantity, processed in chunks.
+    ``times`` has shape (P,), ``points`` shape (P, d).  Each mode is split
+    into its half-waves, phi_hat = exp(+i dt w) c+ + exp(-i dt w) c- with
+    c+- = (f_hat -+ i g_hat / w) / 2, whose d_t phi coefficients are
+    (g_hat +- i w f_hat) / 2 and gradient coefficients i xi c+-.  All three
+    quantities are then one :func:`grid.point_values` sum at the points
+    (x, dt) over the frequencies (xi, +-w).  A mode with w = 0 (the zero
+    mode at mass 0) takes c+- = f_hat / 2 plus the linear growth dt g_hat.
 
     Returns (phi, dphi_dt, grad) with shapes (P,), (P,), (P, d).
     """
     g = data.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
     points = np.asarray(points, dtype=float).reshape(len(times), g.dim)
-    n = len(times)
-    phi = np.empty(n)
-    dphi = np.empty(n)
-    grad = np.empty((n, g.dim))
-    if n == 0:
-        return phi, dphi, grad
-
-    xi = g.flat_frequency_lattice()  # (M, d)
-    m_modes = xi.shape[0]
-    omega = np.sqrt(np.sum(xi**2, axis=-1) + data.mass**2)
-    fh, gh = (c.ravel() for c in data.spectra)
-    inv_vol = 1.0 / g.box_length**g.dim
-
-    chunk = max(1, EVAL_CHUNK_ENTRIES // m_modes)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        dt = (times[lo:hi] - data.t0)[:, None]  # (p, 1)
-        phase = np.exp(1j * points[lo:hi] @ xi.T)  # (p, M)
-        cos_, sin_, sinc = _multipliers(dt, omega)
-        amp = cos_ * fh + sinc * gh
-        phi[lo:hi] = inv_vol * np.real(np.sum(phase * amp, axis=1))
-        damp = -omega * sin_ * fh + cos_ * gh
-        dphi[lo:hi] = inv_vol * np.real(np.sum(phase * damp, axis=1))
-        for a in range(g.dim):
-            grad[lo:hi, a] = inv_vol * np.real(
-                np.sum(phase * (1j * xi[None, :, a] * amp), axis=1)
-            )
-    return phi, dphi, grad
+    dt = times - data.t0
+    omega = _omega(g, data.mass)
+    zero = omega == 0.0
+    fh, gh = data.spectra
+    g_over_w = np.divide(gh, omega, out=np.zeros_like(gh), where=~zero)
+    xis = g.frequency_arrays()
+    half_waves = []
+    for sign in (1.0, -1.0):
+        c = 0.5 * (fh - sign * 1j * g_over_w)
+        dc = 0.5 * (gh + sign * 1j * omega * fh)
+        half_waves.append(np.stack([c, dc, *(1j * xi * c for xi in xis)], axis=-1))
+    frequencies = [np.stack([xi, xi]) for xi in xis] + [np.stack([omega, -omega])]
+    vals = point_values(np.column_stack([points, dt]), frequencies, np.stack(half_waves))
+    vals[:, 0] += dt * np.sum(gh[zero].real)
+    vals /= g.box_length**g.dim
+    return vals[:, 0], vals[:, 1], vals[:, 2:]
 
 
 def support_radius(field: Field, rel_threshold: float = 1e-5) -> float:
@@ -246,63 +236,3 @@ def flat_energy_at(state: EvolvedState) -> float:
     for df in state.grad_phi:
         total += l2_norm(df) ** 2
     return total
-
-
-def _band_limit_defect(coeff: np.ndarray, grid: Grid, band: int) -> float:
-    lo, hi = 2.0 ** (band - 1), 2.0 ** (band + 1)
-    r = grid.frequency_norm
-    outside = (r < lo * (1 - 1e-9)) | (r > hi * (1 + 1e-9))
-    scale = np.max(np.abs(coeff))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(coeff[outside])) / scale)
-
-
-def rescale_high_frequency(
-    data: CauchyData, band: int, target_grid: Grid | None = None
-) -> CauchyData:
-    """Zoom band-k data to unit frequency scale: f(x) -> f(2^-k x), g scaled
-    by an extra 2^-k, mass by 2^-k, on a grid with the same spacing and a
-    2^k larger box.
-
-    The map is an exact spectral index assignment: the target coefficient at
-    xi equals 2^(k d) times the source coefficient at 2^k xi, which lands on
-    the source lattice because the boxes are dyadically related.
-    """
-    if band < 0:
-        raise ValueError(f"band must be >= 0, got {band}")
-    g = data.grid
-    scale = 2**band
-    if target_grid is None:
-        # the dyadic target box scales with the data, so the dilation maps
-        # the source box onto the target box exactly; no support check needed
-        target_grid = Grid(g.dim, g.points_per_axis * scale, g.box_length * scale)
-    elif target_grid.box_length / 2.0 < scale * data_support_radius(data) + 1.0:
-        raise ConfigurationError(
-            "rescaled field does not fit the target box with a unit margin"
-        )
-
-    fh, gh = data.spectra
-    for name, coeff in (("f", fh), ("g", gh)):
-        defect = _band_limit_defect(coeff, g, band)
-        if defect > 1e-8:
-            raise ConfigurationError(
-                f"{name} is not band-limited to band {band} "
-                f"(relative out-of-band amplitude {defect:.2e})"
-            )
-
-    pos = spectral_index_map(g.points_per_axis, target_grid.points_per_axis)
-    sel = np.ix_(*([pos] * g.dim))
-    amp = float(scale**g.dim)
-
-    f_coeff = np.zeros(target_grid.shape, dtype=complex)
-    f_coeff[sel] = amp * fh
-    g_coeff = np.zeros(target_grid.shape, dtype=complex)
-    g_coeff[sel] = (amp / scale) * gh
-
-    return CauchyData(
-        inverse_transform(SpectralField(target_grid, f_coeff)),
-        inverse_transform(SpectralField(target_grid, g_coeff)),
-        data.t0,
-        data.mass / scale,
-    )

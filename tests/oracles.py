@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's multiplier/quadrature code paths:
-RK4 time integration per mode, centered finite differences, adaptive
-quadrature of closed-form profiles, and closed-form single-mode solutions.
+RK4 time integration per mode, complex direct Fourier summation, centered
+finite differences, adaptive quadrature of closed-form profiles, and
+closed-form single-mode solutions.
 """
 
 import numpy as np
@@ -46,6 +47,31 @@ def rk4_mode_oracle(data: CauchyData, t: float, target_local_error: float = 1e-9
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
 
     return inverse_transform(SpectralField(g, y)), inverse_transform(SpectralField(g, v))
+
+
+def direct_sum_oracle(data: CauchyData, times, points, block: int = 2**18):
+    """(phi, dphi_dt, grad phi) at space-time points by complex direct
+    summation of ``L^-d Re sum_k exp(i xi_k.x) m_k(t) F_k`` over every lattice
+    mode, with the multipliers cos(dt w), sin(dt w)/w (through ``np.sinc``)
+    formed per point and mode.  ``times`` has shape (P,), ``points`` (P, d)."""
+    g = data.grid
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    points = np.asarray(points, dtype=float).reshape(len(times), g.dim)
+    xi = np.stack([x.ravel() for x in g.frequency_arrays()], axis=-1)
+    omega = np.sqrt(np.sum(xi**2, axis=-1) + data.mass**2)
+    fh, gh = (c.ravel() for c in data.spectra)
+    n = len(times)
+    out = np.empty((n, 2 + g.dim))
+    rows = max(1, block // len(xi))
+    for lo in range(0, n, rows):
+        dt = (times[lo : lo + rows] - data.t0)[:, None]
+        phase = np.exp(1j * points[lo : lo + rows] @ xi.T)
+        amp = np.cos(dt * omega) * fh + dt * np.sinc(dt * omega / np.pi) * gh
+        damp = -omega * np.sin(dt * omega) * fh + np.cos(dt * omega) * gh
+        cols = [amp, damp] + [1j * xi[:, a] * amp for a in range(g.dim)]
+        out[lo : lo + rows] = np.stack([np.sum(phase * c, axis=1).real for c in cols], -1)
+    out /= g.box_length**g.dim
+    return out[:, 0], out[:, 1], out[:, 2:]
 
 
 def centered_difference(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:

@@ -28,6 +28,8 @@ def test_parse_times():
     t = parse_times("8:64:5")
     assert len(t) == 5
     assert abs(t[0] - 8.0) < 1e-12 and abs(t[-1] - 64.0) < 1e-12
+    with pytest.raises(ConfigurationError):
+        parse_times("8:64")
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -69,6 +71,40 @@ def test_validation_slice_suites_tau_bound():
     with pytest.raises(ConfigurationError) as err:
         cfg.validate()
     assert "support edge" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "suite, field, value",
+    [
+        ("sobolev", "taus", (2.0,)),
+        ("pointwise", "taus", (4.0, 4.0)),
+        ("all", "taus", (8.0,)),
+        ("highfreq", "bands", (2,)),
+        ("all", "bands", (1, 1)),
+    ],
+)
+def test_validation_uniformity_checks_need_two_values(suite, field, value):
+    # one tau or band would pass a spread check at exactly 1 with nothing compared
+    with pytest.raises(ConfigurationError) as err:
+        RunConfig(suite=suite, **{field: value}).validate()
+    assert f"at least two distinct {field}" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--grid-n", "abc"),
+        ("--times", "8:64"),
+        ("--bands", "1,x"),
+        ("--taus", ""),
+        ("--box-length", "nan"),
+    ],
+)
+def test_cli_rejects_malformed_values(tmp_path, capsys, flag, value):
+    assert main(["--suite", "lp", flag, value, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid {flag[2:].replace('-', '_')} value {value!r}" in err
+    assert "Traceback" not in err
 
 
 def test_validation_band_above_nyquist():

@@ -18,8 +18,10 @@ from kgdecay.decay import (
     sup_norms,
 )
 from kgdecay.errors import ConfigurationError
-from kgdecay.grid import Field, Grid, SpectralField, point_values
-from kgdecay.propagator import CauchyData, evaluate_at_points, evolve_spectra
+from kgdecay.grid import Field, Grid, point_values
+from kgdecay.propagator import CauchyData, evolve_spectra
+
+from oracles import direct_sum_oracle
 
 GRID = Grid(1, 1024, 256.0)
 ZERO = Field(GRID, np.zeros(GRID.shape))
@@ -114,10 +116,11 @@ def test_point_values_match_direct_evaluation(name, chunk, monkeypatch):
         monkeypatch.setattr(grid_module, "EVAL_CHUNK_ENTRIES", chunk)
     data, t, pts = oracle_case(name)
     g = data.grid
-    phi_hat, dphi_hat = evolve_spectra(data, t)
-    grad_hats = [SpectralField(g, 1j * xi * phi_hat.coefficients) for xi in g.frequency_arrays()]
-    vals = point_values([phi_hat, dphi_hat, *grad_hats], pts)
-    phi, dphi, grad = evaluate_at_points(data, np.full(len(pts), t), pts)
+    phi_hat, dphi_hat = (F.coefficients for F in evolve_spectra(data, t))
+    xis = g.frequency_arrays()
+    coeff = np.stack([phi_hat, dphi_hat, *(1j * xi * phi_hat for xi in xis)], axis=-1)
+    vals = point_values(pts, xis, coeff) / g.box_length**g.dim
+    phi, dphi, grad = direct_sum_oracle(data, np.full(len(pts), t), pts)
     for got, want in zip(vals.T, [phi, dphi, *grad.T]):
         assert np.max(np.abs(want)) > 0.0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -158,7 +161,7 @@ BRACKET = Grid(1, 256, 16.0)  # Nyquist 50.3, as FINE
 
 @pytest.mark.parametrize("band", [LOW_PASS_BAND, 2, 4])
 def test_sup_norms_bracketed_by_direct_evaluation(band):
-    # evaluate_at_points on the lattice 4 x OVERSAMPLE times finer than the
+    # the direct-sum oracle on the lattice 4 x OVERSAMPLE times finer than the
     # grid, which holds every refinement window point; its every fourth point
     # is the upsampled grid
     f, g = bump_pair(BRACKET)
@@ -167,7 +170,7 @@ def test_sup_norms_bracketed_by_direct_evaluation(band):
     x = (np.arange(n) / n - 0.5) * BRACKET.box_length
     for t in (3.7, 20.0):
         s = sup_norms(data, t)
-        phi, dphi, grad = evaluate_at_points(data, np.full(n, t), x[:, None])
+        phi, dphi, grad = direct_sum_oracle(data, np.full(n, t), x[:, None])
         for sup, vals in ((s.phi, phi), (s.dphi_dt, dphi), (s.grad, grad[:, 0])):
             dense = np.abs(vals)
             assert sup >= np.max(dense[::4]) * (1.0 - 1e-12)

@@ -8,7 +8,6 @@ from kgdecay.grid import (
     Field,
     Grid,
     coordinate_field,
-    forward_transform,
     linf_norm,
     spatial_derivative,
 )
@@ -22,10 +21,10 @@ from kgdecay.propagator import (
     flat_energy,
     flat_energy_at,
     iterated_boost_data,
-    rescale_high_frequency,
 )
+from kgdecay.hyperboloid import build_slice
 
-from oracles import rk4_mode_oracle, single_mode_solution
+from oracles import direct_sum_oracle, rk4_mode_oracle, single_mode_solution
 
 GRID = Grid(1, 1024, 64.0)
 ZERO = Field(GRID, np.zeros(GRID.shape))
@@ -130,11 +129,6 @@ def test_sinc_multiplier_matches_numpy_sinc(mass):
         assert np.array_equal(sin_, np.sin(dt * omega))
         ref = dt * np.sinc(dt * omega / np.pi)
         assert np.max(np.abs(sinc - ref)) <= 1e-14 * abs(dt)
-    # per-point time offsets broadcast over the modes, as in evaluate_at_points
-    dts = np.array([[0.0], [2.5], [-3.0]])
-    _, _, sinc = _multipliers(dts, omega)
-    ref = dts * np.sinc(dts * omega / np.pi)
-    assert np.max(np.abs(sinc - ref) / np.maximum(np.abs(dts), 1.0)) <= 1e-14
 
 
 def test_evaluate_at_points_matches_evolve_on_grid():
@@ -150,10 +144,16 @@ def test_evaluate_at_points_matches_evolve_on_grid():
     assert np.max(np.abs(grad[:, 0] - st.grad_phi[0].values[sel])) <= 1e-10 * scale
 
 
-def test_evaluate_at_points_off_grid_closed_form():
-    xi0 = lattice_xi(GRID, 2.0)
-    data = CauchyData(mode_field(GRID, xi0, 0.8), mode_field(GRID, xi0, -0.3), 2.0, 1.3)
-    phi_exact, dphi_exact, dx_exact = single_mode_solution(xi0, 1.3, 0.8, -0.3)
+@pytest.mark.parametrize(
+    "target, mass",
+    # the massless zero mode (phi = f + dt g) takes the evaluator's linear term
+    [(2.0, 1.3), (0.0, 0.0)],
+    ids=["mode", "massless_zero_mode"],
+)
+def test_evaluate_at_points_off_grid_closed_form(target, mass):
+    xi0 = lattice_xi(GRID, target)
+    data = CauchyData(mode_field(GRID, xi0, 0.8), mode_field(GRID, xi0, -0.3), 2.0, mass)
+    phi_exact, dphi_exact, dx_exact = single_mode_solution(xi0, mass, 0.8, -0.3)
     rng = np.random.default_rng(2)
     ts = rng.uniform(2.0, 12.0, size=20)
     xs = rng.uniform(-20.0, 20.0, size=(20, 1))
@@ -161,6 +161,23 @@ def test_evaluate_at_points_off_grid_closed_form():
     assert np.max(np.abs(phi - phi_exact(ts - 2.0, xs[:, 0]))) <= 1e-10
     assert np.max(np.abs(dphi - dphi_exact(ts - 2.0, xs[:, 0]))) <= 1e-10
     assert np.max(np.abs(grad[:, 0] - dx_exact(ts - 2.0, xs[:, 0]))) <= 1e-10
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "grid, tau", [(GRID, 6.0), (Grid(2, 32, 16.0), 3.0)], ids=["1d", "2d"]
+)
+def test_evaluate_at_points_matches_direct_sum_oracle(grid, tau, mass):
+    # bump data on a slice; at mass 0 the zero mode of g grows linearly
+    f = bump_field(grid, width=1.0, sharpness=4.0)
+    g = bump_derivative_field(grid, 0, width=1.0, sharpness=4.0) * 0.5 + f * 0.25
+    data = CauchyData(f, g, 2.0, mass)
+    slc = build_slice(tau, grid, 1.0, 2.0)
+    got = evaluate_at_points(data, slc.t, slc.points)
+    want = direct_sum_oracle(data, slc.t, slc.points)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(b)) > 0.0
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_evaluate_at_points_at_t0_returns_data():
@@ -227,68 +244,6 @@ def test_iterated_boost_matches_nested():
     once = boost_commuted_data(boost_commuted_data(data, 0), 0)
     twice = iterated_boost_data(data, (0, 0))
     assert np.max(np.abs(once.f.values - twice.f.values)) == 0.0
-
-
-def test_rescale_band_zero_is_identity():
-    g = Grid(1, 512, 64.0)
-    bank = LittlewoodPaleyBank.for_grid(g)
-    f = bank.project(bump_field(g, width=1.0), 0)
-    gg = bank.project(bump_field(g, width=0.7, amplitude=0.5), 0)
-    data = CauchyData(f, gg, 2.0, 1.0)
-    out = rescale_high_frequency(data, 0)
-    assert out.grid == g
-    assert out.mass == data.mass
-    assert np.max(np.abs(out.f.values - f.values)) <= 1e-12 * max(linf_norm(f), 1.0)
-
-
-def test_rescale_moves_pure_mode_to_unit_frequency():
-    k = 3
-    xi0 = 2.0**k
-    g = Grid(1, 512, 16.0 * np.pi)  # lattice contains xi = 8 and 1 exactly
-    data = CauchyData(mode_field(g, xi0), Field(g, np.zeros(g.shape)), 2.0, 1.0)
-    out = rescale_high_frequency(data, k)
-    coeffs = np.abs(forward_transform(out.f).coefficients)
-    peak = out.grid.frequency_norm.ravel()[np.argmax(coeffs.ravel())]
-    assert abs(peak - 1.0) <= 1e-12
-    assert out.mass == data.mass / 2.0**k
-    assert out.grid.box_length == g.box_length * 2.0**k
-    assert out.grid.spacing == g.spacing
-
-
-def test_rescale_two_path_consistency():
-    k = 2
-    g = Grid(1, 1024, 64.0)
-    bank = LittlewoodPaleyBank.for_grid(g)
-    f = bank.project(bump_field(g, width=0.5, sharpness=4.0), k)
-    gg = bank.project(bump_field(g, width=0.4, amplitude=0.6, sharpness=4.0), k)
-    data = CauchyData(f, gg, 2.0, 1.0)
-    tilde = rescale_high_frequency(data, k)
-    t = 10.0
-    st = evolve(tilde, t)
-    sel = np.arange(0, tilde.grid.points_per_axis, 257)
-    pts = tilde.grid.axis_coordinates[sel]
-    src_t = np.full(len(sel), 2.0 + (t - 2.0) / 2.0**k)
-    phi_src, _, _ = evaluate_at_points(data, src_t, (pts / 2.0**k).reshape(-1, 1))
-    assert np.max(np.abs(st.phi.values[sel] - phi_src)) <= 1e-8 * linf_norm(st.phi)
-
-
-def test_rescale_rejects_wideband_data():
-    data = bump_pair(GRID)  # full-spectrum bump is not band limited
-    with pytest.raises(ConfigurationError):
-        rescale_high_frequency(data, 2)
-
-
-def test_rescaled_spectrum_in_unit_annulus():
-    k = 3
-    g = Grid(1, 1024, 64.0)
-    bank = LittlewoodPaleyBank.for_grid(g)
-    f = bank.project(bump_field(g, width=0.5, sharpness=4.0), k)
-    data = CauchyData(f, Field(g, np.zeros(g.shape)), 2.0, 1.0)
-    out = rescale_high_frequency(data, k)
-    coeffs = np.abs(forward_transform(out.f).coefficients)
-    r = out.grid.frequency_norm
-    outside = (r < 0.5 * (1 - 1e-9)) | (r > 2.0 * (1 + 1e-9))
-    assert np.max(coeffs[outside]) <= 1e-10 * np.max(coeffs)
 
 
 def test_support_radius_detection():
