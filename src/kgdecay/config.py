@@ -20,6 +20,9 @@ SUITES = SLICE_SUITES + TIME_SUITES + ("lp", "partition")
 # many times wider (and finer) than the configured one.
 HIGHFREQ_WIDE_FACTOR = 8
 HIGHFREQ_LATE_TIMES = tuple(np.geomspace(64.0, 960.0, 13))
+# decay exponents are fitted on t in this window; localized and lowfreq's
+# canonical run sample it at mass-commensurate times whatever `times` says
+FIT_WINDOW = (8.0, 64.0)
 
 
 def _finite(raw: str) -> float:
@@ -106,16 +109,25 @@ class RunConfig:
                     f"mass must be positive for the time-series suites {TIME_SUITES} "
                     "(sample times pi k / m0, mass-weighted constants)"
                 )
-            horizons = [("box_length", self.box_length, self.times)] if self.times else []
+            if not self.times:
+                problems.append(f"times is empty; the time-series suites {TIME_SUITES} need times")
+            horizon, t_max = "max(times)", max(self.times, default=0.0)
+            fixed = [s for s in ("localized", "lowfreq") if s in active]
+            if fixed and FIT_WINDOW[1] > t_max:
+                t_max = FIT_WINDOW[1]
+                horizon = f"{t_max:g} (the fit window's end, sampled by {' and '.join(fixed)})"
+            horizons = [("box_length", self.box_length, horizon, t_max)]
             if "highfreq" in active and self.dim == 1:
                 wide = self.box_length * HIGHFREQ_WIDE_FACTOR
-                horizons.append(("highfreq's internal box_length", wide, HIGHFREQ_LATE_TIMES))
-            for label, box, times in horizons:
-                needed = 2.0 * (self.support_radius + max(times) + 2.0)
+                horizons.append(
+                    ("highfreq's internal box_length", wide, "max(times)", max(HIGHFREQ_LATE_TIMES))
+                )
+            for label, box, horizon, t_max in horizons:
+                needed = 2.0 * (self.support_radius + t_max + 2.0)
                 if box < needed:
                     problems.append(
                         f"{label} {box} below the anti-wraparound bound "
-                        f"2*(support_radius + max(times) + 2) = {needed}"
+                        f"2*(support_radius + {horizon} + 2) = {needed}"
                     )
         if any(s in active for s in SLICE_SUITES) and self.taus:
             # slice suites need the support cone on the largest slice inside the box

@@ -18,11 +18,12 @@ projected data at t = 0 ("origin" in the reports); their spectra are the
 projected spectra themselves, exactly zero off the band.  The localized check
 takes its data at t = 2 ("data2") and weights by plain t.
 
-A sup at one time is the maximum over an ``OVERSAMPLE``-times upsampled grid,
-raised where a direct evaluation of the same trigonometric polynomials on a
-small window around each upsampled maximizer finds more.  The window sums run
-over the evolved spectra, restricted to their nonzero modes, so band data
-cost in proportion to their band.
+A sup at one time is the maximum over an ``OVERSAMPLE``-times upsampled grid
+(one real inverse FFT for phi, d_t phi and grad phi), raised where a direct
+evaluation of the same trigonometric polynomials on a small window around
+each upsampled maximizer finds more.  The windows share their offsets, so
+one sum over the evolved spectra, restricted to their nonzero modes, serves
+them all, and band data cost in proportion to their band.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .errors import ConfigurationError
 from .grid import (
     Field,
-    SpectralField,
     forward_transform,
     l1_norm,
     point_values,
@@ -58,26 +58,49 @@ class SupNorms:
     partial: float  # euclidean norm of the full space-time gradient
 
 
-def _refine_window(grid, index_flat: int):
-    """Points within two fine spacings of one point of the upsampled grid."""
+def _window_points(grid, indices):
+    """The (4 OVERSAMPLE + 1)^d offsets o, within two fine spacings, that
+    every refinement window shares, shape (Q, d), and the window centres c,
+    the points of the given flat indices of the upsampled grid, shape (W, d)."""
     fine_spacing = grid.spacing / OVERSAMPLE
-    idx = np.unravel_index(index_flat, (grid.points_per_axis * OVERSAMPLE,) * grid.dim)
-    center = np.array(
-        [-0.5 * grid.box_length + fine_spacing * i for i in idx]
-    )
     offsets = np.linspace(-2.0, 2.0, 4 * OVERSAMPLE + 1) * fine_spacing
     mesh = np.meshgrid(*([offsets] * grid.dim), indexing="ij")
-    return center + np.stack([m.ravel() for m in mesh], axis=-1)
+    idx = np.unravel_index(indices, (grid.points_per_axis * OVERSAMPLE,) * grid.dim)
+    centers = -0.5 * grid.box_length + fine_spacing * np.stack(idx, axis=-1)
+    return np.stack([m.ravel() for m in mesh], axis=-1), centers
 
 
-def _sup_quantities(phi, dphi, grad_sq) -> dict:
-    """|phi|, |d_t phi|, |grad phi|, |d phi| from the sampled fields."""
-    return {
-        "phi": np.abs(phi),
-        "dphi_dt": np.abs(dphi),
-        "grad": np.sqrt(grad_sq),
-        "partial": np.sqrt(dphi**2 + grad_sq),
-    }
+def _window_values(grid, spectra, indices) -> np.ndarray:
+    """The trigonometric polynomials of ``spectra`` (shape (C,) + grid.shape)
+    at the points c + o of the windows around the given upsampled-grid
+    indices; shape (Q, W, C).  Since Re sum e^(i xi.(c + o)) a =
+    Re sum e^(i xi.o) (a e^(i xi.c)), one point sum at the shared offsets o
+    covers every window, with the coefficients shifted to each centre c on
+    the nonzero modes only."""
+    flat = spectra.reshape(len(spectra), -1)
+    keep = np.any(flat != 0, axis=0)
+    xi = np.stack([x.ravel()[keep] for x in grid.frequency_arrays()], axis=-1)
+    offsets, centers = _window_points(grid, indices)
+    shifted = np.exp(1j * (xi @ centers.T))[:, :, None] * flat[:, keep].T[:, None, :]
+    vals = point_values(offsets, xi.T, shifted.reshape(len(xi), -1))
+    return vals.reshape(len(offsets), len(centers), -1) / grid.box_length**grid.dim
+
+
+def _sup_quantities(phi, dphi, grad_sq):
+    """(name, values) of |phi|, |d_t phi|, |grad phi|, |d phi| from the
+    sampled fields, one array at a time."""
+    yield "phi", np.abs(phi)
+    yield "dphi_dt", np.abs(dphi)
+    yield "grad", np.sqrt(grad_sq)
+    yield "partial", np.sqrt(dphi**2 + grad_sq)
+
+
+def _evolved_spectra(data: CauchyData, t: float) -> np.ndarray:
+    """The spectra of phi, d_t phi and grad phi (``i xi phi_hat``, Nyquist
+    mode included) at time t; shape (2 + d,) + grid.shape."""
+    phi_hat, dphi_hat = (F.coefficients for F in evolve_spectra(data, t))
+    xis = data.grid.frequency_arrays()
+    return np.stack([phi_hat, dphi_hat, *(1j * xi * phi_hat for xi in xis)])
 
 
 def sup_norms(data: CauchyData, t: float) -> SupNorms:
@@ -86,30 +109,25 @@ def sup_norms(data: CauchyData, t: float) -> SupNorms:
     Lattice maxima under-estimate sups of oscillatory fields (a band at the
     grid Nyquist has ~2 samples per wavelength), so the evolved spectra of
     phi, d_t phi and grad phi (``i xi phi_hat``, Nyquist mode included) are
-    upsampled by zero-padding (by ``OVERSAMPLE``).  The same trigonometric
-    polynomials are then evaluated directly on a window around the upsampled
-    maximizer of each quantity, summing only over the modes where some
+    upsampled by zero-padding (by ``OVERSAMPLE``), all in one real inverse
+    transform.  The same trigonometric polynomials are then evaluated
+    directly on a window around the upsampled maximizer of each quantity, in
+    one sum over the windows' shared offsets and over the modes where some
     spectrum is nonzero, and each sup is the larger of its grid and window
     maxima.
     """
     g = data.grid
-    phi_hat, dphi_hat = evolve_spectra(data, t)
-    xis = g.frequency_arrays()
-    grad_hats = [1j * xi * phi_hat.coefficients for xi in xis]
-    phi = upsample_values(phi_hat, OVERSAMPLE)
-    dphi = upsample_values(dphi_hat, OVERSAMPLE)
-    grad_sq = np.zeros(phi.shape)
-    for gh in grad_hats:
-        grad_sq += upsample_values(SpectralField(g, gh), OVERSAMPLE) ** 2
-    quantities = _sup_quantities(phi, dphi, grad_sq)
-    sups = {name: float(np.max(vals)) for name, vals in quantities.items()}
+    spectra = _evolved_spectra(data, t)
+    phi, dphi, *grad = upsample_values(g, spectra, OVERSAMPLE)
+    sups, windows = {}, set()
+    for name, vals in _sup_quantities(phi, dphi, sum(v**2 for v in grad)):
+        i = int(np.argmax(vals))
+        sups[name] = float(vals.flat[i])
+        windows.add(i)
     if any(v > 0 for v in sups.values()):
-        windows = {int(np.argmax(vals)) for vals in quantities.values()}
-        pts = np.concatenate([_refine_window(g, idx) for idx in windows])
-        coeff = np.stack([phi_hat.coefficients, dphi_hat.coefficients, *grad_hats], axis=-1)
-        vals = point_values(pts, xis, coeff) / g.box_length**g.dim
-        refined = _sup_quantities(vals[:, 0], vals[:, 1], np.sum(vals[:, 2:] ** 2, axis=-1))
-        for name, v in refined.items():
+        vals = _window_values(g, spectra, sorted(windows))
+        grad_sq = np.sum(vals[..., 2:] ** 2, axis=-1)
+        for name, v in _sup_quantities(vals[..., 0], vals[..., 1], grad_sq):
             sups[name] = max(sups[name], float(np.max(v)))
     return SupNorms(**sups)
 

@@ -244,24 +244,37 @@ def gradient(f: Field) -> list:
     return [spatial_derivative(f, a) for a in range(f.grid.dim)]
 
 
-def spectral_index_map(n_src: int, n_tgt: int) -> np.ndarray:
-    """Positions of the source FFT-layout frequencies inside a larger target
-    layout (signed integer frequencies are preserved)."""
-    signed = np.fft.fftfreq(n_src, d=1.0 / n_src).astype(int)
-    return np.mod(signed, n_tgt)
+def upsample_values(grid: Grid, spectra: np.ndarray, factor: int) -> np.ndarray:
+    """Real parts of the trigonometric interpolants of a stack of spectra,
+    shape (C,) + grid.shape (or one spectrum), on the factor-times finer grid
+    of the same box; returns (C,) + fine shape.
 
-
-def upsample_values(F: SpectralField, factor: int) -> np.ndarray:
-    """Values of the trigonometric interpolant on a factor-times finer grid,
-    via zero-padded inverse transform (same box, same coefficients)."""
-    if factor < 1:
-        raise ValueError("upsampling factor must be >= 1")
-    g = F.grid
-    fine = Grid.shared(g.dim, g.points_per_axis * factor, g.box_length)
-    pos = spectral_index_map(g.points_per_axis, fine.points_per_axis)
-    padded = np.zeros(fine.shape, dtype=complex)
-    padded[np.ix_(*([pos] * g.dim))] = F.coefficients
-    return inverse_transform(SpectralField(fine, padded)).values
+    The spectra are zero-padded at their signed frequencies (the coarse
+    Nyquist plane at -N/2 only), and the real part of the inverse transform of
+    a padded spectrum X is the inverse transform of its Hermitian part
+    (X_k + conj X_-k) / 2.  That part is written straight into one
+    half-spectrum buffer, with the box phase and the fine normalization
+    folded into the coarse coefficients, and one ``irfftn`` over the spatial
+    axes gives every interpolant.
+    """
+    if factor < 2:
+        raise ValueError("upsampling factor must be >= 2")
+    d, n = grid.dim, grid.points_per_axis
+    m = n * factor
+    lead = (slice(None),) * (spectra.ndim - d)
+    scale = 0.5 * (m / grid.box_length) ** d  # 1 / (fine cell volume), halved
+    half = np.zeros(spectra.shape[:-d] + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
+    signed = np.arange(-(n // 2), n // 2)
+    # X_k goes to k = signed and conj X_k to k = -signed; the last axis keeps k >= 0
+    for sign, last in ((1, signed[n // 2 :]), (-1, signed[: n // 2 + 1])):
+        axes = [signed] * (d - 1) + [last]
+        src = np.ix_(*(np.mod(s, n) for s in axes))
+        part = spectra[lead + src]
+        part *= grid.alternating_phase[src] * scale
+        if sign < 0:
+            np.conj(part, out=part)
+        half[lead + np.ix_(*(np.mod(sign * s, m) for s in axes))] += part
+    return np.fft.irfftn(half, s=(m,) * d, axes=tuple(range(-d, 0)))
 
 
 def point_values(points, frequencies, coefficients) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bands import LittlewoodPaleyBank
 from .bumps import bump_derivative_field, bump_field
-from .config import HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
+from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
 from .decay import (
     highfreq_check,
     interpolation_check,
@@ -28,7 +28,6 @@ DATA_SHARPNESS = 4.0  # bump steepness for the decay-harness data family
 # slice suites need steeper data: the commuted-data Laplacian amplifies the
 # grid's Nyquist spectrum tail by xi^2, and s = 8 keeps that leak ~1e-7
 SLICE_DATA_SHARPNESS = 8.0
-FIT_WINDOW = (8.0, 64.0)  # decay exponents are fitted on t in [8, 64]
 
 
 def _check(name: str, value: float, threshold: float, op: str = "<=") -> dict:

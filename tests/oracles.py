@@ -1,15 +1,15 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's multiplier/quadrature code paths:
-RK4 time integration per mode, complex direct Fourier summation, centered
-finite differences, adaptive quadrature of closed-form profiles, and
+RK4 time integration per mode, complex direct Fourier summation, complex
+zero-padded upsampling, centered finite differences, adaptive quadrature of closed-form profiles, and
 closed-form single-mode solutions.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from kgdecay.grid import Field, SpectralField, forward_transform, inverse_transform
+from kgdecay.grid import Field, Grid, SpectralField, forward_transform, inverse_transform
 from kgdecay.propagator import CauchyData
 
 
@@ -72,6 +72,20 @@ def direct_sum_oracle(data: CauchyData, times, points, block: int = 2**18):
         out[lo : lo + rows] = np.stack([np.sum(phase * c, axis=1).real for c in cols], -1)
     out /= g.box_length**g.dim
     return out[:, 0], out[:, 1], out[:, 2:]
+
+
+def complex_upsample_oracle(spectrum: SpectralField, factor: int) -> np.ndarray:
+    """Real part of the trigonometric interpolant of ``spectrum`` on the
+    factor-times finer grid of the same box: the coefficients are placed at
+    their signed frequencies in a zero complex array of the fine shape (the
+    Nyquist mode at -N/2 only) and inverse-transformed on the fine grid."""
+    g = spectrum.grid
+    fine = Grid(g.dim, g.points_per_axis * factor, g.box_length)
+    signed = np.fft.fftfreq(g.points_per_axis, d=1.0 / g.points_per_axis).astype(int)
+    pos = np.mod(signed, fine.points_per_axis)
+    padded = np.zeros(fine.shape, dtype=complex)
+    padded[np.ix_(*([pos] * g.dim))] = spectrum.coefficients
+    return inverse_transform(SpectralField(fine, padded)).values
 
 
 def centered_difference(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:

@@ -122,6 +122,28 @@ def test_validation_highfreq_internal_box():
     RunConfig(suite="highfreq").validate()  # 2048 >= 2 (1 + 960 + 2) = 1926
 
 
+@pytest.mark.parametrize("suite", ["localized", "lowfreq", "all"])
+def test_cli_rejects_box_below_fit_window_horizon(tmp_path, capsys, suite):
+    # localized and lowfreq's canonical run sample the fit window up to t = 64
+    # whatever --times says: 64 < 2 (1 + 64 + 2) although 64 >= 2 (1 + 16 + 2)
+    args = ["--box-length", "64", "--grid-n", "1024", "--times", "4:16:5", "--bands", "0,1"]
+    assert main(["--suite", suite, *args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "box_length 64.0 below the anti-wraparound bound" in err
+    assert "fit window's end" in err
+    assert "Traceback" not in err
+    RunConfig(suite="interpolation", box_length=64.0, grid_n=1024, times=(4.0, 16.0)).validate()
+
+
+@pytest.mark.parametrize("suite", ["localized", "lowfreq", "highfreq", "interpolation"])
+def test_cli_rejects_empty_times_for_time_suites(tmp_path, capsys, suite):
+    assert main(["--suite", suite, "--times", "8:64:0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "times is empty" in err
+    assert "Traceback" not in err
+    RunConfig(suite="lp", times=()).validate()
+
+
 @pytest.mark.parametrize("suite", ["localized", "lowfreq", "highfreq", "interpolation"])
 def test_cli_rejects_zero_mass_for_time_suites(tmp_path, capsys, suite):
     assert main(["--suite", suite, "--mass", "0", "--out", str(tmp_path)]) == 2

@@ -10,6 +10,9 @@ from kgdecay.decay import (
     OVERSAMPLE,
     DecayCurve,
     _band_data,
+    _evolved_spectra,
+    _window_points,
+    _window_values,
     fit_exponent,
     highfreq_check,
     interpolation_check,
@@ -18,7 +21,7 @@ from kgdecay.decay import (
     sup_norms,
 )
 from kgdecay.errors import ConfigurationError
-from kgdecay.grid import Field, Grid, point_values
+from kgdecay.grid import Field, Grid, point_values, upsample_values
 from kgdecay.propagator import CauchyData, evolve_spectra
 
 from oracles import direct_sum_oracle
@@ -141,6 +144,46 @@ def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
         tracemalloc.stop()
     assert s.phi > 0.0
     assert peak <= 24 * 2**20  # 14 MB with 2**19-entry blocks, 60 MB unblocked
+
+
+def test_sup_norms_memory_is_bounded_on_wide_band_data():
+    # band 4 of highfreq's d = 1 sweep on its 8x wider box; one call peaked
+    # at 20.9 MB with a complex fine transform per spectrum
+    wide = Grid(1, 32768, 2048.0)
+    f = bump_field(wide, width=0.25, sharpness=4.0)
+    data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
+    tracemalloc.start()
+    try:
+        s = sup_norms(data, 64.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.phi > 0.0
+    assert peak <= 21 * 2**20
+
+
+@pytest.mark.parametrize("name", ["band_-1", "band_2", "band_4", "bump_2d"])
+def test_window_values_match_direct_sum_oracle(name):
+    # windows around an upsampled-grid maximizer, a corner index (its window
+    # reaches past -L/2) and an interior index, against the complex direct
+    # sum at the absolute window points c + o
+    if name == "bump_2d":
+        data, t, _ = oracle_case(name)
+    else:
+        data, t = _band_data(*bump_pair(BRACKET), 1.0, int(name[5:])), 7.3
+    g = data.grid
+    spectra = _evolved_spectra(data, t)
+    phi_fine = upsample_values(g, spectra[0], OVERSAMPLE)
+    indices = [int(np.argmax(np.abs(phi_fine))), 0, phi_fine.size // 3]
+    vals = _window_values(g, spectra, indices)
+    offsets, centers = _window_points(g, indices)
+    assert vals.shape == (len(offsets), len(indices), 2 + g.dim)
+    pts = (centers[None, :, :] + offsets[:, None, :]).reshape(-1, g.dim)
+    phi, dphi, grad = direct_sum_oracle(data, np.full(len(pts), t), pts)
+    for got, want in zip(np.moveaxis(vals, -1, 0), [phi, dphi, *grad.T]):
+        got = got.ravel()
+        assert np.max(np.abs(want)) > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("band", [LOW_PASS_BAND, 0, 4])

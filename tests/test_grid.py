@@ -19,9 +19,10 @@ from kgdecay.grid import (
     spatial_derivative,
     upsample_values,
 )
+from kgdecay.bands import LittlewoodPaleyBank
 from kgdecay.bumps import bump_field
 
-from oracles import bump_mass_1d, centered_difference
+from oracles import bump_mass_1d, centered_difference, complex_upsample_oracle
 
 GRID = Grid(1, 512, 32.0)
 
@@ -190,6 +191,32 @@ def test_upsample_values_reproduces_interpolant():
     x = GRID.axis_coordinates
     xi0 = 2.0 * np.pi * 11 / GRID.box_length
     f = Field(GRID, np.cos(xi0 * x))
-    fine_vals = upsample_values(forward_transform(f), 4)
+    fine_vals = upsample_values(GRID, forward_transform(f).coefficients, 4)
     fine_x = -0.5 * GRID.box_length + (GRID.spacing / 4.0) * np.arange(4 * GRID.points_per_axis)
     assert np.max(np.abs(fine_vals - np.cos(xi0 * fine_x))) <= 1e-10
+
+
+def nyquist_spectra(name):
+    """A grid and the spectra of a full-spectrum bump, or of its top-band
+    piece, stacked with their i xi gradients, whose Nyquist modes keep
+    more than 1e-2 of their peak."""
+    grid = {"bump_1d": Grid(1, 32, 8.0), "bump_2d": Grid(2, 16, 8.0)}.get(name, Grid(1, 64, 16.0))
+    F = forward_transform(bump_field(grid, width=1.0, sharpness=1.0))
+    if name == "top_band_1d":
+        bank = LittlewoodPaleyBank.for_grid(grid)
+        F = bank.project_spectrum(F, bank.k_max)
+    c = F.coefficients
+    return grid, np.stack([c, *(1j * xi * c for xi in grid.frequency_arrays())])
+
+
+@pytest.mark.parametrize("name", ["bump_1d", "bump_2d", "top_band_1d"])
+def test_upsample_values_matches_complex_oracle(name):
+    grid, spectra = nyquist_spectra(name)
+    # the d/dx_0 row's Nyquist plane along axis 0
+    nyquist = spectra[1][grid.points_per_axis // 2]
+    assert np.max(np.abs(nyquist)) > 1e-3 * np.max(np.abs(spectra[1]))
+    got = upsample_values(grid, spectra, 4)
+    assert got.shape == (len(spectra),) + (4 * grid.points_per_axis,) * grid.dim
+    for vals, c in zip(got, spectra):
+        want = complex_upsample_oracle(SpectralField(grid, c), 4)
+        assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
