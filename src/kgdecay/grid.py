@@ -254,8 +254,8 @@ def upsample_values(grid: Grid, spectra: np.ndarray, factor: int) -> np.ndarray:
     a padded spectrum X is the inverse transform of its Hermitian part
     (X_k + conj X_-k) / 2.  That part is written straight into one
     half-spectrum buffer, with the box phase and the fine normalization
-    folded into the coarse coefficients, and one ``irfftn`` over the spatial
-    axes gives every interpolant.
+    folded into the coarse coefficients, and one real inverse FFT over the
+    spatial axes gives every interpolant.
     """
     if factor < 2:
         raise ValueError("upsampling factor must be >= 2")
@@ -274,7 +274,11 @@ def upsample_values(grid: Grid, spectra: np.ndarray, factor: int) -> np.ndarray:
         if sign < 0:
             np.conj(part, out=part)
         half[lead + np.ix_(*(np.mod(sign * s, m) for s in axes))] += part
-    return np.fft.irfftn(half, s=(m,) * d, axes=tuple(range(-d, 0)))
+    # irfftn in two steps, the complex axes in place, which saves a copy of
+    # the buffer in d >= 2
+    if d > 1:
+        np.fft.ifftn(half, axes=tuple(range(-d, -1)), out=half)
+    return np.fft.irfft(half, n=m, axis=-1)
 
 
 def point_values(points, frequencies, coefficients) -> np.ndarray:
