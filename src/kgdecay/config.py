@@ -88,6 +88,17 @@ class RunConfig:
             problems.append("times must be positive and strictly increasing")
         if any(tau <= 0 for tau in self.taus):
             problems.append("taus must be positive")
+        # a repeated tau (by the label that names its checks) or band would be
+        # sampled and reported twice
+        labels = [f"{tau:g}" for tau in self.taus]
+        if len(set(labels)) < len(labels):
+            problems.append(f"taus must not repeat (labels {', '.join(labels)})")
+        if len(set(self.bands)) < len(self.bands):
+            problems.append(f"bands must not repeat (got {list(self.bands)})")
+        if self.seed < 0:
+            problems.append(f"seed must be non-negative (got {self.seed})")
+        if not self.support_radius > 0:
+            problems.append(f"support_radius must be positive (got {self.support_radius})")
 
         active = self.selected_suites
         half = self.box_length / 2.0

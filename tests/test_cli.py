@@ -107,6 +107,27 @@ def test_cli_rejects_malformed_values(tmp_path, capsys, flag, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "suite, argv, ini, message",
+    [
+        ("lp", ["--seed", "-1"], "", "seed must be non-negative (got -1)"),
+        ("energy", [], "support_radius = -0.5", "support_radius must be positive (got -0.5)"),
+        ("localized", [], "support_radius = 0", "support_radius must be positive (got 0.0)"),
+        # 2 and 2.0000001 share the label that names their checks
+        ("energy", ["--taus", "2,2.0000001,4"], "", "taus must not repeat (labels 2, 2, 4)"),
+        ("highfreq", ["--bands", "0,2,2"], "", "bands must not repeat (got [0, 2, 2])"),
+    ],
+    ids=["seed", "support_radius_energy", "support_radius_localized", "taus", "bands"],
+)
+def test_cli_rejects_values_that_would_fail_or_repeat(tmp_path, capsys, suite, argv, ini, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{ini}\n")
+    assert main(["--config", str(cfg), "--suite", suite, *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid configuration:\n  - {message}\n" == err[err.index("invalid"):]
+    assert "Traceback" not in err
+
+
 def test_validation_band_above_nyquist():
     cfg = RunConfig(suite="highfreq", grid_n=512, box_length=256.0, bands=(0, 6))
     with pytest.raises(ConfigurationError) as err:
