@@ -18,12 +18,15 @@ projected data at t = 0 ("origin" in the reports); their spectra are the
 projected spectra themselves, exactly zero off the band.  The localized check
 takes its data at t = 2 ("data2") and weights by plain t.
 
-A sup at one time is the maximum over an ``OVERSAMPLE``-times upsampled grid
-(one real inverse FFT for phi, d_t phi and grad phi), raised where a direct
-evaluation of the same trigonometric polynomials on a small window around
-each upsampled maximizer finds more.  The windows share their offsets, so
-one sum over the evolved spectra, restricted to their nonzero modes, serves
-them all, and band data cost in proportion to their band.
+A sup curve is one sweep per curve over the nonzero modes: the lattice modes
+where the data spectra are nonzero are found once, and at each time only
+they are evolved.  A sup at one time is the maximum over an
+``OVERSAMPLE``-times upsampled grid (one real inverse FFT for phi, d_t phi
+and grad phi, whose half spectrum only those modes fill), raised where a
+direct evaluation of the same trigonometric polynomials on a small window
+around each upsampled maximizer finds more.  The windows share their
+offsets, so one sum over the same modes serves them all, and band data cost
+in proportion to their band.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .grid import (
     sobolev_h_norm,
     upsample_values,
 )
-from .propagator import CauchyData, evolve_spectra
+from .propagator import CauchyData, _evolved, _omega
 
 DEGENERATE_NORM = 1e-12
 OVERSAMPLE = 4  # global upsampling factor of the sup search, a power of two
@@ -70,18 +73,15 @@ def _window_points(grid, indices):
     return np.stack([m.ravel() for m in mesh], axis=-1), centers
 
 
-def _window_values(grid, spectra, indices) -> np.ndarray:
-    """The trigonometric polynomials of ``spectra`` (shape (C,) + grid.shape)
-    at the points c + o of the windows around the given upsampled-grid
-    indices; shape (Q, W, C).  Since Re sum e^(i xi.(c + o)) a =
-    Re sum e^(i xi.o) (a e^(i xi.c)), one point sum at the shared offsets o
-    covers every window, with the coefficients shifted to each centre c on
-    the nonzero modes only."""
-    flat = spectra.reshape(len(spectra), -1)
-    keep = np.any(flat != 0, axis=0)
-    xi = np.stack([x.ravel()[keep] for x in grid.frequency_arrays()], axis=-1)
+def _window_values(grid, xi, coefficients, indices) -> np.ndarray:
+    """The trigonometric polynomials with ``coefficients`` (shape (M, C)) at
+    the frequencies ``xi`` (shape (M, d)), at the points c + o of the
+    windows around the given upsampled-grid indices; shape (Q, W, C).  Since
+    Re sum e^(i xi.(c + o)) a = Re sum e^(i xi.o) (a e^(i xi.c)), one point
+    sum at the shared offsets o covers every window, with the coefficients
+    shifted to each centre c."""
     offsets, centers = _window_points(grid, indices)
-    shifted = np.exp(1j * (xi @ centers.T))[:, :, None] * flat[:, keep].T[:, None, :]
+    shifted = np.exp(1j * (xi @ centers.T))[:, :, None] * coefficients[:, None, :]
     vals = point_values(offsets, xi.T, shifted.reshape(len(xi), -1))
     return vals.reshape(len(offsets), len(centers), -1) / grid.box_length**grid.dim
 
@@ -95,41 +95,66 @@ def _sup_quantities(phi, dphi, grad_sq):
     yield "partial", np.sqrt(dphi**2 + grad_sq)
 
 
-def _evolved_spectra(data: CauchyData, t: float) -> np.ndarray:
-    """The spectra of phi, d_t phi and grad phi (``i xi phi_hat``, Nyquist
-    mode included) at time t; shape (2 + d,) + grid.shape."""
-    phi_hat, dphi_hat = (F.coefficients for F in evolve_spectra(data, t))
-    xis = data.grid.frequency_arrays()
-    return np.stack([phi_hat, dphi_hat, *(1j * xi * phi_hat for xi in xis)])
-
-
-def sup_norms(data: CauchyData, t: float) -> SupNorms:
-    """Sup of |phi|, |d_t phi|, |grad phi|, |d phi| at time t.
-
-    Lattice maxima under-estimate sups of oscillatory fields (a band at the
-    grid Nyquist has ~2 samples per wavelength), so the evolved spectra of
-    phi, d_t phi and grad phi (``i xi phi_hat``, Nyquist mode included) are
-    upsampled by zero-padding (by ``OVERSAMPLE``), all in one real inverse
-    transform.  The same trigonometric polynomials are then evaluated
-    directly on a window around the upsampled maximizer of each quantity, in
-    one sum over the windows' shared offsets and over the modes where some
-    spectrum is nonzero, and each sup is the larger of its grid and window
-    maxima.
-    """
+def _mode_sweep(data: CauchyData, times):
+    """The flat indices of the lattice modes where f_hat or g_hat is nonzero,
+    their frequencies xi, shape (M, d), and an iterator over ``times`` of the
+    coefficients of phi, d_t phi and grad phi (``i xi phi_hat``, Nyquist
+    mode included) at those modes, shape (2 + d, M)."""
     g = data.grid
-    spectra = _evolved_spectra(data, t)
-    phi, dphi, *grad = upsample_values(g, spectra, OVERSAMPLE)
+    f_hat, g_hat = (c.ravel() for c in data.spectra)
+    modes = np.flatnonzero((f_hat != 0) | (g_hat != 0))
+    xi = g.axis_frequencies[np.stack(np.unravel_index(modes, g.shape), axis=-1)]
+    omega = _omega(g, data.mass).ravel()[modes]
+    f_hat, g_hat = f_hat[modes], g_hat[modes]
+
+    def coefficients(t):
+        phi_hat, dphi_hat = _evolved(t - data.t0, omega, f_hat, g_hat)
+        return np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
+
+    return modes, xi, map(coefficients, times)
+
+
+def _grid_sups(fine):
+    """The maxima of the sup quantities over the upsampled fields ``fine``
+    (phi, d_t phi, grad phi), by name, and the set of their flat argmax
+    indices."""
+    phi, dphi, *grad = fine
     sups, windows = {}, set()
     for name, vals in _sup_quantities(phi, dphi, sum(v**2 for v in grad)):
         i = int(np.argmax(vals))
         sups[name] = float(vals.flat[i])
         windows.add(i)
-    if any(v > 0 for v in sups.values()):
-        vals = _window_values(g, spectra, sorted(windows))
-        grad_sq = np.sum(vals[..., 2:] ** 2, axis=-1)
-        for name, v in _sup_quantities(vals[..., 0], vals[..., 1], grad_sq):
-            sups[name] = max(sups[name], float(np.max(v)))
-    return SupNorms(**sups)
+    return sups, windows
+
+
+def sup_norms(data: CauchyData, times) -> list:
+    """Sup of |phi|, |d_t phi|, |grad phi|, |d phi|, one ``SupNorms`` per time,
+    from one sweep per curve over the nonzero modes.
+
+    The modes where f_hat or g_hat is nonzero are found once; at each time
+    only they are evolved.  Lattice maxima under-estimate sups of
+    oscillatory fields (a band at the grid Nyquist has ~2 samples per
+    wavelength), so the evolved spectra of phi, d_t phi and grad phi
+    (``i xi phi_hat``, Nyquist mode included) are upsampled by zero-padding
+    (by ``OVERSAMPLE``), all in one real inverse transform.  The same
+    trigonometric polynomials are then evaluated directly on a window around
+    the upsampled maximizer of each quantity, in one sum over the windows'
+    shared offsets and over the same modes, and each sup is the larger of
+    its grid and window maxima.  The upsampled fields are freed before the
+    window sum.
+    """
+    g = data.grid
+    modes, xi, sweep = _mode_sweep(data, times)
+    out = []
+    for coefficients in sweep:
+        sups, windows = _grid_sups(upsample_values(g, modes, coefficients, OVERSAMPLE))
+        if any(v > 0 for v in sups.values()):
+            vals = _window_values(g, xi, coefficients.T, sorted(windows))
+            grad_sq = np.sum(vals[..., 2:] ** 2, axis=-1)
+            for name, v in _sup_quantities(vals[..., 0], vals[..., 1], grad_sq):
+                sups[name] = max(sups[name], float(np.max(v)))
+        out.append(SupNorms(**sups))
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,7 +258,7 @@ def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, b
     if np.any(np.diff(t) <= 0):
         raise ValueError("time grid must be strictly increasing")
     window = fit_window or ((t[0], t[-1]) if len(t) else (1.0, 2.0))
-    sups = [sup_norms(data, ti) for ti in t]
+    sups = sup_norms(data, t)
     series = {
         name: np.array([getattr(s, name) for s in sups])
         for name in ("phi", "dphi_dt", "grad", "partial")

@@ -244,36 +244,39 @@ def gradient(f: Field) -> list:
     return [spatial_derivative(f, a) for a in range(f.grid.dim)]
 
 
-def upsample_values(grid: Grid, spectra: np.ndarray, factor: int) -> np.ndarray:
-    """Real parts of the trigonometric interpolants of a stack of spectra,
-    shape (C,) + grid.shape (or one spectrum), on the factor-times finer grid
-    of the same box; returns (C,) + fine shape.
+def upsample_values(grid: Grid, modes, coefficients, factor: int) -> np.ndarray:
+    """Real parts of the trigonometric interpolants, on the factor-times finer
+    grid of the same box, of spectra that vanish off the given lattice modes.
 
-    The spectra are zero-padded at their signed frequencies (the coarse
-    Nyquist plane at -N/2 only), and the real part of the inverse transform of
-    a padded spectrum X is the inverse transform of its Hermitian part
-    (X_k + conj X_-k) / 2.  That part is written straight into one
-    half-spectrum buffer, with the box phase and the fine normalization
-    folded into the coarse coefficients, and one real inverse FFT over the
-    spatial axes gives every interpolant.
+    ``modes`` holds M flat indices into the grid's FFT layout and
+    ``coefficients`` the spectra at them, shape (C, M) (or (M,) for one
+    spectrum); returns (C,) + fine shape.  Each mode is zero-padded at its
+    signed frequency k (the coarse Nyquist plane at -N/2 only), and the real
+    part of the inverse transform of a padded spectrum X is the inverse
+    transform of its Hermitian part (X_k + conj X_-k) / 2.  Only the half
+    spectrum with last index >= 0 is kept, so a mode writes X_k at k when
+    k_d >= 0 and conj X_k at -k when k_d <= 0 (both on the k_d = 0 plane),
+    into one fresh buffer, with the box phase and the fine normalization
+    folded into its coefficients, and one real inverse FFT over the spatial
+    axes gives every interpolant.
     """
     if factor < 2:
         raise ValueError("upsampling factor must be >= 2")
     d, n = grid.dim, grid.points_per_axis
     m = n * factor
-    lead = (slice(None),) * (spectra.ndim - d)
-    scale = 0.5 * (m / grid.box_length) ** d  # 1 / (fine cell volume), halved
-    half = np.zeros(spectra.shape[:-d] + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
-    signed = np.arange(-(n // 2), n // 2)
-    # X_k goes to k = signed and conj X_k to k = -signed; the last axis keeps k >= 0
-    for sign, last in ((1, signed[n // 2 :]), (-1, signed[: n // 2 + 1])):
-        axes = [signed] * (d - 1) + [last]
-        src = np.ix_(*(np.mod(s, n) for s in axes))
-        part = spectra[lead + src]
-        part *= grid.alternating_phase[src] * scale
+    coefficients = np.asarray(coefficients)
+    half = np.zeros(coefficients.shape[:-1] + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
+    signed = np.stack(np.unravel_index(modes, grid.shape))
+    signed[signed >= n // 2] -= n
+    # the box phase times 1 / (fine cell volume), halved
+    fold = grid.alternating_phase.ravel()[modes] * (0.5 * (m / grid.box_length) ** d)
+    flat = half.reshape(coefficients.shape[:-1] + (-1,))
+    for sign, keep in ((1, signed[-1] >= 0), (-1, signed[-1] <= 0)):
+        part = coefficients[..., keep] * fold[keep]
         if sign < 0:
             np.conj(part, out=part)
-        half[lead + np.ix_(*(np.mod(sign * s, m) for s in axes))] += part
+        dest = np.ravel_multi_index(sign * signed[:, keep], half.shape[-d:], mode="wrap")
+        flat[..., dest] += part
     # irfftn in two steps, the complex axes in place, which saves a copy of
     # the buffer in d >= 2
     if d > 1:

@@ -107,15 +107,17 @@ def _multipliers(dt: float, omega) -> tuple:
     return np.cos(angles), sin_, sinc
 
 
+def _evolved(dt: float, omega, f_hat, g_hat) -> tuple:
+    """phi_hat and d_t phi_hat a time dt after the data (f_hat, g_hat), at
+    modes of the given omega."""
+    cos_, sin_, sinc = _multipliers(dt, omega)
+    return cos_ * f_hat + sinc * g_hat, -omega * sin_ * f_hat + cos_ * g_hat
+
+
 def evolve_spectra(data: CauchyData, t: float) -> tuple:
     """(phi_hat, dphi_hat) at time t as spectral fields."""
     g = data.grid
-    dt = t - data.t0
-    omega = _omega(g, data.mass)
-    fh, gh = data.spectra
-    cos_, sin_, sinc = _multipliers(dt, omega)
-    phi_hat = cos_ * fh + sinc * gh
-    dphi_hat = -omega * sin_ * fh + cos_ * gh
+    phi_hat, dphi_hat = _evolved(t - data.t0, _omega(g, data.mass), *data.spectra)
     return SpectralField(g, phi_hat), SpectralField(g, dphi_hat)
 
 

@@ -3,14 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kgdecay import decay as decay_module
 from kgdecay import grid as grid_module
 from kgdecay.bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from kgdecay.bumps import bump_derivative_field, bump_field
 from kgdecay.decay import (
     OVERSAMPLE,
     DecayCurve,
+    SupNorms,
     _band_data,
-    _evolved_spectra,
+    _mode_sweep,
     _window_points,
     _window_values,
     fit_exponent,
@@ -20,6 +22,7 @@ from kgdecay.decay import (
     localized_decay_check,
     sup_norms,
 )
+from kgdecay.config import HIGHFREQ_LATE_TIMES
 from kgdecay.errors import ConfigurationError
 from kgdecay.grid import Field, Grid, point_values, upsample_values
 from kgdecay.propagator import CauchyData, evolve_spectra
@@ -75,8 +78,21 @@ def test_curve_validation():
 
 
 def test_sup_norms_of_zero_data():
-    s = sup_norms(CauchyData(ZERO, ZERO, 0.0, 1.0), 5.0)
+    s = sup_norms(CauchyData(ZERO, ZERO, 0.0, 1.0), [5.0])[0]
     assert s.phi == 0.0 and s.partial == 0.0
+
+
+def test_sup_norms_of_zero_data_skip_the_window_sum(monkeypatch):
+    def no_window_sum(*args):
+        raise AssertionError("window sum of data without nonzero modes")
+
+    monkeypatch.setattr(decay_module, "_window_values", no_window_sum)
+    data = CauchyData(ZERO, ZERO, 0.0, 1.0)
+    modes, xi, _ = _mode_sweep(data, TIMES)
+    assert len(modes) == 0 and xi.shape == (0, 1)
+    sups = sup_norms(data, TIMES)
+    assert len(sups) == len(TIMES)
+    assert all(s == SupNorms(0.0, 0.0, 0.0, 0.0) for s in sups)
 
 
 def test_sup_norms_catch_oscillation_peaks():
@@ -85,7 +101,7 @@ def test_sup_norms_catch_oscillation_peaks():
     x = GRID.axis_coordinates
     xi0 = 2.0 * np.pi * 200 / GRID.box_length
     f = Field(GRID, np.cos(xi0 * x))
-    s = sup_norms(CauchyData(f, ZERO, 0.0, 1.0), 0.0)
+    s = sup_norms(CauchyData(f, ZERO, 0.0, 1.0), [0.0])[0]
     assert abs(s.phi - 1.0) <= 1e-6
 
 
@@ -138,7 +154,7 @@ def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
     data.spectra  # transformed before the measured call
     tracemalloc.start()
     try:
-        s = sup_norms(data, 3.0)
+        s = sup_norms(data, [3.0])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,11 +170,29 @@ def test_sup_norms_memory_is_bounded_on_wide_band_data():
     data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
     tracemalloc.start()
     try:
-        s = sup_norms(data, 64.0)
+        s = sup_norms(data, [64.0])[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert s.phi > 0.0
+    assert peak <= 21 * 2**20
+
+
+def test_sup_norms_memory_is_bounded_over_a_whole_sweep():
+    # the whole late-time curve of the band-4 data above in one call; each
+    # time's fine fields must be freed before its window sum, or the peak
+    # passes the one-call bound
+    wide = Grid(1, 32768, 2048.0)
+    f = bump_field(wide, width=0.25, sharpness=4.0)
+    data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
+    tracemalloc.start()
+    try:
+        sups = sup_norms(data, HIGHFREQ_LATE_TIMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sups) == len(HIGHFREQ_LATE_TIMES)
+    assert all(s.phi > 0.0 for s in sups)
     assert peak <= 21 * 2**20
 
 
@@ -172,10 +206,10 @@ def test_window_values_match_direct_sum_oracle(name):
     else:
         data, t = _band_data(*bump_pair(BRACKET), 1.0, int(name[5:])), 7.3
     g = data.grid
-    spectra = _evolved_spectra(data, t)
-    phi_fine = upsample_values(g, spectra[0], OVERSAMPLE)
+    modes, xi, (coefficients,) = _mode_sweep(data, [t])
+    phi_fine = upsample_values(g, modes, coefficients[0], OVERSAMPLE)
     indices = [int(np.argmax(np.abs(phi_fine))), 0, phi_fine.size // 3]
-    vals = _window_values(g, spectra, indices)
+    vals = _window_values(g, xi, coefficients.T, indices)
     offsets, centers = _window_points(g, indices)
     assert vals.shape == (len(offsets), len(indices), 2 + g.dim)
     pts = (centers[None, :, :] + offsets[:, None, :]).reshape(-1, g.dim)
@@ -212,7 +246,7 @@ def test_sup_norms_bracketed_by_direct_evaluation(band):
     n = BRACKET.points_per_axis * OVERSAMPLE * 4
     x = (np.arange(n) / n - 0.5) * BRACKET.box_length
     for t in (3.7, 20.0):
-        s = sup_norms(data, t)
+        s = sup_norms(data, [t])[0]
         phi, dphi, grad = direct_sum_oracle(data, np.full(n, t), x[:, None])
         for sup, vals in ((s.phi, phi), (s.dphi_dt, dphi), (s.grad, grad[:, 0])):
             dense = np.abs(vals)

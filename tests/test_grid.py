@@ -191,7 +191,8 @@ def test_upsample_values_reproduces_interpolant():
     x = GRID.axis_coordinates
     xi0 = 2.0 * np.pi * 11 / GRID.box_length
     f = Field(GRID, np.cos(xi0 * x))
-    fine_vals = upsample_values(GRID, forward_transform(f).coefficients, 4)
+    modes = np.arange(GRID.points_per_axis)
+    fine_vals = upsample_values(GRID, modes, forward_transform(f).coefficients, 4)
     fine_x = -0.5 * GRID.box_length + (GRID.spacing / 4.0) * np.arange(4 * GRID.points_per_axis)
     assert np.max(np.abs(fine_vals - np.cos(xi0 * fine_x))) <= 1e-10
 
@@ -215,8 +216,49 @@ def test_upsample_values_matches_complex_oracle(name):
     # the d/dx_0 row's Nyquist plane along axis 0
     nyquist = spectra[1][grid.points_per_axis // 2]
     assert np.max(np.abs(nyquist)) > 1e-3 * np.max(np.abs(spectra[1]))
-    got = upsample_values(grid, spectra, 4)
+    modes = np.arange(spectra[0].size)
+    got = upsample_values(grid, modes, spectra.reshape(len(spectra), -1), 4)
     assert got.shape == (len(spectra),) + (4 * grid.points_per_axis,) * grid.dim
     for vals, c in zip(got, spectra):
         want = complex_upsample_oracle(SpectralField(grid, c), 4)
         assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def few_mode_spectra(grid, signed_modes):
+    """Two spectra with random complex coefficients at the given signed
+    multi-indices only: their flat indices and coefficients, shape (2, M),
+    and the full spectra."""
+    rng = np.random.default_rng(5)
+    n = grid.points_per_axis
+    modes = np.ravel_multi_index(np.mod(np.array(signed_modes).T, n), grid.shape)
+    coefficients = rng.normal(size=(2, len(modes))) + 1j * rng.normal(size=(2, len(modes)))
+    full = np.zeros((2, n**grid.dim), dtype=complex)
+    full[:, modes] = coefficients
+    return modes, coefficients, full.reshape((2,) + grid.shape)
+
+
+@pytest.mark.parametrize(
+    "grid, signed_modes",
+    [
+        # the zero mode and the coarse Nyquist mode -N/2, without their partners
+        (Grid(1, 16, 8.0), [(0,), (3,), (-8,), (-5,)]),
+        # modes on the k_d = 0 plane, whose Hermitian part both halves write,
+        # a Nyquist mode on each axis and the zero mode
+        (Grid(2, 8, 4.0), [(0, 0), (3, 0), (-4, 0), (-2, 0), (2, 3), (1, -4), (-4, -1)]),
+    ],
+    ids=["1d", "2d"],
+)
+def test_upsample_values_of_few_modes_matches_complex_oracle(grid, signed_modes):
+    modes, coefficients, full = few_mode_spectra(grid, signed_modes)
+    got = upsample_values(grid, modes, coefficients, 4)
+    assert got.shape == (2,) + (4 * grid.points_per_axis,) * grid.dim
+    for vals, c in zip(got, full):
+        want = complex_upsample_oracle(SpectralField(grid, c), 4)
+        assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_upsample_values_of_no_modes_is_zero():
+    grid = Grid(2, 8, 4.0)
+    got = upsample_values(grid, np.array([], dtype=int), np.zeros((3, 0), dtype=complex), 4)
+    assert got.shape == (3, 32, 32)
+    assert np.all(got == 0.0)
