@@ -179,9 +179,9 @@ def test_sup_norms_memory_is_bounded_on_wide_band_data():
 
 
 def test_sup_norms_memory_is_bounded_over_a_whole_sweep():
-    # the whole late-time curve of the band-4 data above in one call; each
-    # time's fine fields must be freed before its window sum, or the peak
-    # passes the one-call bound
+    # the whole late-time curve of the band-4 data above in one call stays
+    # within the one-call bound: nothing is kept per time (the fine fields
+    # of every time would add 3 MB each)
     wide = Grid(1, 32768, 2048.0)
     f = bump_field(wide, width=0.25, sharpness=4.0)
     data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
