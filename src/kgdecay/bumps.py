@@ -76,11 +76,7 @@ def _bump_factors(grid: Grid, center, width):
 
 
 def bump_field(
-    grid: Grid,
-    center=None,
-    width=1.0,
-    amplitude: float = 1.0,
-    sharpness: float = 1.0,
+    grid: Grid, center=None, width=1.0, amplitude: float = 1.0, sharpness: float = 1.0
 ) -> Field:
     """Tensor-product bump supported in the product of |x_a - c_a| < w_a."""
     center, width = _bump_factors(grid, center, width)
@@ -91,11 +87,7 @@ def bump_field(
 
 
 def bump_derivative_field(
-    grid: Grid,
-    axis: int = 0,
-    center=None,
-    width=1.0,
-    amplitude: float = 1.0,
+    grid: Grid, axis: int = 0, center=None, width=1.0, amplitude: float = 1.0,
     sharpness: float = 1.0,
 ) -> Field:
     """Closed-form partial derivative of :func:`bump_field` along one axis.

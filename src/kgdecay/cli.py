@@ -76,24 +76,10 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "suite",
-            "dim",
-            "grid_n",
-            "box_length",
-            "mass",
-            "bands",
-            "taus",
-            "times",
-            "seed",
-            "out_dir",
-        )
-    }
+    args = vars(build_parser().parse_args(argv))
+    config_file = args.pop("config")
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(config_file, args)
         return run(config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -4,7 +4,7 @@ validated as a whole so an invalid config reports every violation at once."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,8 @@ SLICE_SUITES = ("energy", "sobolev", "pointwise")
 TIME_SUITES = ("localized", "lowfreq", "highfreq", "interpolation")
 SUITES = SLICE_SUITES + TIME_SUITES + ("lp", "partition")
 
-# In d = 1 the highfreq band-scaling sweep runs at late times on a box this
-# many times wider (and finer) than the configured one.
+# In d = 1 the highfreq band-scaling sweep runs at these late times on a box
+# this many times wider (and finer) than the configured one (see RunPlan).
 HIGHFREQ_WIDE_FACTOR = 8
 HIGHFREQ_LATE_TIMES = tuple(np.geomspace(64.0, 960.0, 13))
 # decay exponents are fitted on t in this window; localized and lowfreq's
@@ -58,7 +58,6 @@ class RunConfig:
     seed: int = 7
     suite: str = "all"
     out_dir: str = "out"
-    extras: dict = field(default_factory=dict)
 
     @property
     def grid(self) -> Grid:
@@ -69,7 +68,12 @@ class RunConfig:
         return SUITES if self.suite == "all" else (self.suite,)
 
     def validate(self) -> None:
-        """Raise ConfigurationError listing every violated constraint."""
+        """Raise ConfigurationError listing every violated constraint.  The
+        horizons, slices and slice data checked are the run plan's, which the
+        suites then read."""
+        from .plan import RunPlan  # the plan is built on this module
+
+        plan = RunPlan.of(self)
         problems = []
         if self.dim < 1:
             problems.append(f"dim must be >= 1 (got {self.dim})")
@@ -99,9 +103,10 @@ class RunConfig:
             problems.append(f"seed must be non-negative (got {self.seed})")
         if not self.support_radius > 0:
             problems.append(f"support_radius must be positive (got {self.support_radius})")
+        # the plan's slice data and slices can only be built from valid values
+        buildable = not problems
 
         active = self.selected_suites
-        half = self.box_length / 2.0
         if self.dim >= 1 and n >= 2 and self.box_length > 0:
             nyquist = np.pi * n / self.box_length
             for k in self.bands:
@@ -122,39 +127,20 @@ class RunConfig:
                 )
             if not self.times:
                 problems.append(f"times is empty; the time-series suites {TIME_SUITES} need times")
-            horizon, t_max = "max(times)", max(self.times, default=0.0)
-            fixed = [s for s in ("localized", "lowfreq") if s in active]
-            if fixed and FIT_WINDOW[1] > t_max:
-                t_max = FIT_WINDOW[1]
-                horizon = f"{t_max:g} (the fit window's end, sampled by {' and '.join(fixed)})"
-            horizons = [("box_length", self.box_length, horizon, t_max)]
-            if "highfreq" in active and self.dim == 1:
-                wide = self.box_length * HIGHFREQ_WIDE_FACTOR
-                horizons.append(
-                    ("highfreq's internal box_length", wide, "max(times)", max(HIGHFREQ_LATE_TIMES))
+            if "localized" in active and self.support_radius > 1.0:
+                problems.append(
+                    f"support_radius must be at most 1 for localized, whose data lie "
+                    f"in the unit ball (got {self.support_radius})"
                 )
-            for label, box, horizon, t_max in horizons:
+            for label, box, horizon, t_max in plan.horizons:
                 needed = 2.0 * (self.support_radius + t_max + 2.0)
                 if box < needed:
                     problems.append(
                         f"{label} {box} below the anti-wraparound bound "
                         f"2*(support_radius + {horizon} + 2) = {needed}"
                     )
-        if any(s in active for s in SLICE_SUITES) and self.taus:
-            # slice suites need the support cone on the largest slice inside the box
-            a = 2.0 - self.support_radius
-            if a <= 0:
-                problems.append(
-                    f"support_radius must stay below the prescription time 2 "
-                    f"(got {self.support_radius})"
-                )
-            else:
-                edge = (max(self.taus) ** 2 - a**2) / (2.0 * a)
-                if edge > half:
-                    problems.append(
-                        f"largest tau {max(self.taus)} puts the solution support "
-                        f"edge at |x| = {edge:.1f}, beyond the half-box {half}"
-                    )
+        if any(s in active for s in SLICE_SUITES) and self.taus and buildable:
+            problems.extend(plan.slice_problems())
         # the uniformity checks compare constants across taus and across bands
         uniform = [s for s in ("sobolev", "pointwise") if s in active]
         if uniform and len(set(self.taus)) < 2:
@@ -173,19 +159,9 @@ class RunConfig:
             )
 
     def summary_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "grid_n": self.grid_n,
-            "box_length": self.box_length,
-            "mass": self.mass,
-            "max_mass": self.max_mass,
-            "bands": list(self.bands),
-            "taus": list(self.taus),
-            "times": [float(t) for t in self.times],
-            "support_radius": self.support_radius,
-            "seed": self.seed,
-            "suite": self.suite,
-        }
+        out = {k: v for k, v in vars(self).items() if k != "out_dir"}
+        times = [float(t) for t in self.times]
+        return {**out, "bands": list(self.bands), "taus": list(self.taus), "times": times}
 
 
 def _comma_list(convert):

@@ -221,10 +221,6 @@ class DecayReport:
     mode: str = "origin"
     extras: dict = field(default_factory=dict)
 
-    @property
-    def fitted_exponent(self) -> float | None:
-        return None if self.fit is None else self.fit.slope
-
 
 def _max_ratio(weighted: np.ndarray, rhs: float) -> float:
     if rhs < DEGENERATE_NORM:
@@ -276,21 +272,11 @@ def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, b
         s, a, b = row.rhs_exponents
         rhs = 2.0 ** (k * s) * (2.0 ** (k * a) * n_f + 2.0 ** (k * b) * n_g)
         curve = DecayCurve(t, weighted, raw, norms)
+        constants = (_max_ratio(weighted, rhs), _max_ratio(weighted, plain))
+        fit = _try_fit(curve, window)
         reports.append(
-            DecayReport(
-                row.inequality_id,
-                row.quantity,
-                data.grid.dim,
-                data.mass,
-                band,
-                _max_ratio(weighted, rhs),
-                _max_ratio(weighted, plain),
-                curve,
-                _try_fit(curve, window),
-                status,
-                mode,
-                row.extras,
-            )
+            DecayReport(row.inequality_id, row.quantity, data.grid.dim, data.mass, band,
+                        *constants, curve, fit, status, mode, row.extras)
         )
     return reports
 

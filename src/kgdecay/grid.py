@@ -347,12 +347,3 @@ def sobolev_w_k1_norm(f: Field, k: int) -> float:
         raise ValueError(f"W^(k,1) order must satisfy 0 <= k <= d+2 = {d + 2}, got {k}")
     return sum(l1_norm(partial_derivative(f, alpha)) for alpha in multi_indices(d, k))
 
-
-def norms(f: Field, sobolev_s=(), w_k1_orders=()) -> dict:
-    """Norm report: the basic triple plus any requested Sobolev entries."""
-    out = {"l1": l1_norm(f), "l2": l2_norm(f), "linf": linf_norm(f)}
-    for s in sobolev_s:
-        out[f"h_{s:g}"] = sobolev_h_norm(f, s)
-    for k in w_k1_orders:
-        out[f"w_{k}_1"] = sobolev_w_k1_norm(f, k)
-    return out

@@ -28,9 +28,10 @@ SLICE_PADDING = 2.0  # sampling margin beyond the solution support radius
 SOBOLEV_ELLS = (0.0, 1.0)  # the weights (t/tau)^ell of the global Sobolev check
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperboloidSlice:
-    """Sample points of one tau-slice with induced volume weights."""
+    """Sample points of one tau-slice with induced volume weights; hashed by
+    identity, so samples can be kept per slice."""
 
     tau: float
     grid: Grid
@@ -53,8 +54,8 @@ def support_edge_radius(tau: float, t0: float, support_radius_at_t0: float) -> f
     a = t0 - support_radius_at_t0
     if a <= 0:
         raise ConfigurationError(
-            "support radius must stay below the prescription time for a "
-            "well-defined support cone on the slice"
+            f"support radius {support_radius_at_t0:g} must stay below the "
+            f"prescription time {t0:g} for a well-defined support cone on the slice"
         )
     if tau <= a:
         return 0.0
@@ -77,8 +78,8 @@ def build_slice(
         truncation_radius = min(half, edge + SLICE_PADDING)
     if truncation_radius < edge:
         raise ConfigurationError(
-            f"truncation radius {truncation_radius} smaller than the solution "
-            f"support radius {edge:.3f} on the tau={tau} slice"
+            f"tau {tau:g} puts the solution support edge at |x| = {edge:.1f}, "
+            f"beyond the slice's truncation radius {truncation_radius:g}"
         )
     pts = np.stack([x.ravel() for x in grid.coordinate_arrays()], axis=-1)
     r = np.linalg.norm(pts, axis=-1)
@@ -195,19 +196,43 @@ class SupBoundReport:
         return _ratio(self.lhs, self.rhs)
 
 
+def _kept(data: CauchyData, key, build):
+    """build() once per key, kept on the data object as its spectra are."""
+    kept = data.__dict__.setdefault("_slice_work", {})
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
+
+
+def data_slice(data: CauchyData, tau: float) -> HyperboloidSlice:
+    """The tau-slice reaching past the data's support cone, built once."""
+    return _kept(
+        data, tau, lambda: build_slice(tau, data.grid, data_support_radius(data), data.t0)
+    )
+
+
+def boosted_data(data: CauchyData, max_order: int) -> list:
+    """The data and its iterated boosts of order <= max_order, in
+    boost_tuples order; each is built once, from the one below it."""
+    out = {(): data}
+    for axes in boost_tuples(data.grid.dim, max_order)[1:]:
+        out[axes] = _kept(data, axes, lambda: iterated_boost_data(out[axes[1:]], axes[:1]))
+    return list(out.values())
+
+
 def _boost_samples(
     data: CauchyData, tau: float, slc: HyperboloidSlice | None, max_order: int
 ) -> list:
     """Samples on the tau-slice of the data and of each iterated boost of
-    order <= max_order, in boost_tuples order, each taken once.  The slice
-    defaults to one reaching past the data's support cone."""
+    order <= max_order, in boost_tuples order, each taken once per slice.
+    The slice defaults to one reaching past the data's support cone."""
     if slc is None:
-        slc = build_slice(tau, data.grid, data_support_radius(data), data.t0)
+        slc = data_slice(data, tau)
     elif slc.tau != tau:
         raise ValueError("slice tau does not match requested tau")
     return [
-        sample_on_slice(data if not axes else iterated_boost_data(data, axes), slc)
-        for axes in boost_tuples(data.grid.dim, max_order)
+        _kept(b, slc, lambda: sample_on_slice(b, slc))
+        for b in boosted_data(data, max_order)
     ]
 
 

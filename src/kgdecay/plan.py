@@ -1,0 +1,157 @@
+"""The run plan: every grid, time set and horizon a configuration derives,
+the slice data with its iterated boosts, and its slice per tau, built once
+per config value.  ``validate()`` checks them and the suites read them, and
+the slice samples, kept on the slice data, are taken once per tau."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+import numpy as np
+
+from .bumps import bump_derivative_field, bump_field
+from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
+from .errors import ConfigurationError
+from .grid import Grid, sobolev_order
+from .hyperboloid import boosted_data, data_slice
+from .propagator import CauchyData
+
+# slice suites need steeper data: the commuted-data Laplacian amplifies the
+# grid's Nyquist spectrum tail by xi^2, and s = 8 keeps that leak ~1e-7
+SLICE_DATA_SHARPNESS = 8.0
+# largest Nyquist tail of the slice data or its deepest boosts that the slice
+# suites accept: energy passes (gaps < 1e-4) at tails up to 1.6e-3 (N = 1024,
+# L = 160) and fails from 1.5e-2 (d = 2, N = 128, L = 32)
+MAX_NYQUIST_TAIL = 5e-3
+
+
+def mass_commensurate_times(m0: float) -> np.ndarray:
+    """Times t = pi k / m0 inside FIT_WINDOW.
+
+    The low-frequency part of a mass-m0 solution carries a coherent
+    oscillation at frequency ~ m0 until stationary-phase spreading
+    decoheres it; sampling at the oscillation extrema measures the decay
+    envelope instead of the phase, which is what the sup-norm bounds
+    control.
+    """
+    lo, hi = FIT_WINDOW
+    k = np.arange(int(np.ceil(lo * m0 / np.pi)), int(np.floor(hi * m0 / np.pi)) + 1)
+    return np.pi * k / m0
+
+
+def standard_data(config: RunConfig) -> CauchyData:
+    """Deterministic bump pair supported in B(0, support_radius) at t0 = 2."""
+    w, s = config.support_radius, SLICE_DATA_SHARPNESS
+    f = bump_field(config.grid, width=w, sharpness=s)
+    g = bump_derivative_field(config.grid, 0, width=w, sharpness=s) * 0.5 + f * 0.25
+    return CauchyData(f, g, 2.0, config.mass)
+
+
+def nyquist_tail(data: CauchyData) -> float:
+    """Largest |f_hat| or |g_hat| on the grid's Nyquist planes, relative to
+    the peak of the same spectrum."""
+    n, d = data.grid.points_per_axis, data.grid.dim
+    tail = 0.0
+    for c in map(np.abs, data.spectra):
+        peak = np.max(c)
+        if peak > 0.0:
+            tail = max(tail, max(np.max(np.take(c, n // 2, axis=a)) for a in range(d)) / peak)
+    return float(tail)
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    config: RunConfig
+
+    @classmethod
+    @lru_cache(maxsize=4)
+    def of(cls, config: RunConfig) -> RunPlan:
+        """One plan per config value, so what it derives is derived once."""
+        return cls(config)
+
+    @cached_property
+    def fit_times(self) -> dict:
+        """mass -> the times localized and lowfreq sample the fit window at,
+        for the configured mass and its half (localized's mass halving)."""
+        m = self.config.mass
+        return {mass: mass_commensurate_times(mass) for mass in (m, m / 2.0)}
+
+    @property
+    def highfreq_scale(self) -> int:
+        """How many times wider and finer than the configured box highfreq's
+        band sweep runs.  The phi bounds saturate only once stationary-phase
+        spreading covers the band (t ~ 2^k / m0^2 with a sizable safety
+        factor), so in d = 1 the sweep runs at HIGHFREQ_LATE_TIMES on a
+        correspondingly longer box; in higher d at the configured times."""
+        return HIGHFREQ_WIDE_FACTOR if self.config.dim == 1 else 1
+
+    @property
+    def highfreq_grid(self) -> Grid:
+        c, s = self.config, self.highfreq_scale
+        return Grid.shared(c.dim, c.grid_n * s, c.box_length * s)
+
+    @property
+    def highfreq_times(self) -> tuple:
+        return HIGHFREQ_LATE_TIMES if self.highfreq_scale > 1 else self.config.times
+
+    @cached_property
+    def horizons(self) -> list:
+        """(box label, box length, horizon label, latest time) of each box the
+        selected time-series suites evolve on; localized and lowfreq sample
+        up to the fit window's end whatever `times` is."""
+        c = self.config
+        horizon, t_max = "max(times)", max(c.times, default=0.0)
+        fixed = [s for s in ("localized", "lowfreq") if s in c.selected_suites]
+        if fixed and FIT_WINDOW[1] > t_max:
+            t_max = FIT_WINDOW[1]
+            horizon = f"{t_max:g} (the fit window's end, sampled by {' and '.join(fixed)})"
+        out = [("box_length", c.box_length, horizon, t_max)]
+        if "highfreq" in c.selected_suites and self.highfreq_scale > 1:
+            wide, t_late = c.box_length * self.highfreq_scale, max(self.highfreq_times)
+            out.append(("highfreq's internal box_length", wide, "max(times)", t_late))
+        return out
+
+    @cached_property
+    def slice_data(self) -> CauchyData:
+        return standard_data(self.config)
+
+    @cached_property
+    def slices(self) -> dict:
+        """tau -> the slice reaching past the slice data's support cone."""
+        return {tau: data_slice(self.slice_data, tau) for tau in self.config.taus}
+
+    @property
+    def deepest_boosts(self) -> list:
+        """The iterated boosts of the slice data of the global Sobolev order,
+        as sobolev and pointwise sample them (kept on the data)."""
+        d, order = self.config.dim, sobolev_order(self.config.dim)
+        return boosted_data(self.slice_data, order)[-(d**order):]
+
+    def slice_problems(self) -> list:
+        """Why the selected slice suites cannot run on this plan: a slice
+        meeting the box, a boost reaching the box edge (checked where each
+        boost is built), or unresolved data."""
+        c = self.config
+        boosted = [s for s in ("sobolev", "pointwise") if s in c.selected_suites]
+        problems, resolved = [], {"slice data": [self.slice_data]}
+        try:
+            self.slices
+        except ConfigurationError as exc:
+            problems.append(f"support_radius {c.support_radius} and taus {list(c.taus)}: {exc}")
+        if boosted:
+            try:
+                resolved["slice data's deepest boosts"] = self.deepest_boosts
+            except ConfigurationError as exc:
+                problems.append(
+                    f"grid_n {c.grid_n} at box_length {c.box_length}, boosting the "
+                    f"slice data for {' and '.join(boosted)}: {exc}"
+                )
+        for what, datas in resolved.items():
+            tail = max(map(nyquist_tail, datas))
+            if tail > MAX_NYQUIST_TAIL:
+                problems.append(
+                    f"grid_n {c.grid_n} at box_length {c.box_length} leaves the {what} "
+                    f"unresolved (Nyquist tail {tail:.1e} > {MAX_NYQUIST_TAIL:g})"
+                )
+        return problems

@@ -164,12 +164,12 @@ def evaluate_at_points(data: CauchyData, times, points):
     return vals[:, 0], vals[:, 1], vals[:, 2:]
 
 
-def support_radius(field: Field, rel_threshold: float = 1e-5) -> float:
-    """Largest |x| where |field| exceeds rel_threshold * max; 0 for zero fields.
+def support_radius(field: Field) -> float:
+    """Largest |x| where |field| exceeds 1e-5 of its max; 0 for zero fields.
 
-    The default threshold sits above typical spectral-leakage floors, so the
-    result tracks the effective support of sampled compactly supported data
-    even after spectral differentiation.
+    The threshold sits above typical spectral-leakage floors, so the result
+    tracks the effective support of sampled compactly supported data even
+    after spectral differentiation.
     """
     v = np.abs(field.values)
     peak = np.max(v)
@@ -178,14 +178,12 @@ def support_radius(field: Field, rel_threshold: float = 1e-5) -> float:
     r2 = np.zeros(field.grid.shape)
     for x in field.grid.coordinate_arrays():
         r2 += x**2
-    mask = v > rel_threshold * peak
+    mask = v > 1e-5 * peak
     return float(np.sqrt(np.max(r2[mask])))
 
 
-def data_support_radius(data: CauchyData, rel_threshold: float = 1e-5) -> float:
-    return max(
-        support_radius(data.f, rel_threshold), support_radius(data.g, rel_threshold)
-    )
+def data_support_radius(data: CauchyData) -> float:
+    return max(support_radius(data.f), support_radius(data.g))
 
 
 def boost_commuted_data(data: CauchyData, axis: int) -> CauchyData:

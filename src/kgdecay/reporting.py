@@ -26,23 +26,11 @@ def write_curve_csv(path, curve: DecayCurve) -> None:
 
 
 def report_to_dict(report: DecayReport) -> dict:
-    out = {
-        "inequality_id": report.inequality_id,
-        "quantity": report.quantity,
-        "dim": report.dim,
-        "mass": report.mass,
-        "band": report.band,
-        "empirical_constant": report.empirical_constant,
-        "unnormalized_constant": report.unnormalized_constant,
-        "status": report.status,
-        "mode": report.mode,
-        "data_norms": dict(sorted(report.curve.data_norms.items())),
-        "fitted_exponent": None,
-        "fit_residual": None,
-    }
-    if report.fit is not None:
-        out["fitted_exponent"] = report.fit.slope
-        out["fit_residual"] = report.fit.residual
+    out = {k: v for k, v in vars(report).items() if k not in ("curve", "fit", "extras")}
+    fit = report.fit
+    out["data_norms"] = dict(sorted(report.curve.data_norms.items()))
+    out["fitted_exponent"] = None if fit is None else fit.slope
+    out["fit_residual"] = None if fit is None else fit.residual
     out.update({k: v for k, v in sorted(report.extras.items())})
     return out
 

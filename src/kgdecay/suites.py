@@ -11,35 +11,27 @@ import numpy as np
 
 from .bands import LittlewoodPaleyBank
 from .bumps import bump_derivative_field, bump_field
-from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
+from .config import FIT_WINDOW, RunConfig
 from .decay import (
     highfreq_check,
     interpolation_check,
     lowfreq_check,
     localized_decay_check,
 )
-from .grid import Field, Grid, l2_norm, linf_norm
+from .grid import Field, l2_norm, linf_norm
 from .hyperboloid import SOBOLEV_ELLS, energy, global_sobolev_check, pointwise_energy_check
 from .partition import build_partition, overlap_bound, w_k1_comparability
+from .plan import RunPlan, standard_data  # standard_data: re-exported
 from .propagator import CauchyData
 
 WAVE_BRANCH_MASS = 0.125  # mass small enough that t in [8, 64] sits in the wave regime
 DATA_SHARPNESS = 4.0  # bump steepness for the decay-harness data family
-# slice suites need steeper data: the commuted-data Laplacian amplifies the
-# grid's Nyquist spectrum tail by xi^2, and s = 8 keeps that leak ~1e-7
-SLICE_DATA_SHARPNESS = 8.0
 
 
 def _check(name: str, value: float, threshold: float, op: str = "<=") -> dict:
     value = float(value)
     passed = value <= threshold if op == "<=" else value >= threshold
-    return {
-        "name": name,
-        "value": value,
-        "threshold": threshold,
-        "op": op,
-        "passed": bool(passed),
-    }
+    return {"name": name, "value": value, "threshold": threshold, "op": op, "passed": bool(passed)}
 
 
 def _spread(values) -> float:
@@ -49,63 +41,28 @@ def _spread(values) -> float:
     return max(values) / min(values)
 
 
-def mass_commensurate_times(m0: float) -> np.ndarray:
-    """Times t = pi k / m0 inside FIT_WINDOW.
-
-    The low-frequency part of a mass-m0 solution carries a coherent
-    oscillation at frequency ~ m0 until stationary-phase spreading
-    decoheres it; sampling at the oscillation extrema measures the decay
-    envelope instead of the phase, which is what the sup-norm bounds
-    control.
-    """
-    lo, hi = FIT_WINDOW
-    k = np.arange(int(np.ceil(lo * m0 / np.pi)), int(np.floor(hi * m0 / np.pi)) + 1)
-    return np.pi * k / m0
-
-
-def standard_data(config: RunConfig) -> CauchyData:
-    """Deterministic bump pair supported in B(0, support_radius) at t0 = 2."""
-    w = config.support_radius
-    f = bump_field(config.grid, width=w, sharpness=SLICE_DATA_SHARPNESS)
-    g = (
-        bump_derivative_field(config.grid, 0, width=w, sharpness=SLICE_DATA_SHARPNESS)
-        * 0.5
-        + f * 0.25
-    )
-    return CauchyData(f, g, 2.0, config.mass)
-
-
 def random_bump_pair(config: RunConfig, rng, translate: float = 2.0):
     """One draw from the randomized test-data family."""
     g_kind = rng.integers(0, 3)
     center = rng.uniform(-translate, translate, size=config.dim)
     width = rng.uniform(0.5, 2.0)
     amp = rng.uniform(0.5, 2.0)
-    f = bump_field(
-        config.grid, center=center, width=width, amplitude=amp, sharpness=DATA_SHARPNESS
-    )
+    f = bump_field(config.grid, center, width, amp, sharpness=DATA_SHARPNESS)
     if g_kind == 0:
         g = Field(config.grid, np.zeros(config.grid.shape))
     elif g_kind == 1:
-        g = bump_field(
-            config.grid, center=rng.uniform(-translate, translate, size=config.dim),
-            width=rng.uniform(0.5, 2.0), amplitude=rng.uniform(0.5, 2.0),
-            sharpness=DATA_SHARPNESS,
-        )
+        g_center = rng.uniform(-translate, translate, size=config.dim)
+        g_width, g_amp = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        g = bump_field(config.grid, g_center, g_width, g_amp, sharpness=DATA_SHARPNESS)
     else:
-        g = bump_derivative_field(
-            config.grid, 0, center=center, width=width, amplitude=amp,
-            sharpness=DATA_SHARPNESS,
-        )
+        g = bump_derivative_field(config.grid, 0, center, width, amp, sharpness=DATA_SHARPNESS)
     return f, g
 
 
 def suite_lp(config: RunConfig, rng) -> dict:
     grid = config.grid
     bank = LittlewoodPaleyBank.for_grid(grid)
-    checks = [
-        _check("completeness_residual", bank.completeness_residual(), 1e-10),
-    ]
+    checks = [_check("completeness_residual", bank.completeness_residual(), 1e-10)]
     sym_lo = min(float(np.min(bank.symbol(k))) for k in bank.bands)
     sym_hi = max(float(np.max(bank.symbol(k))) for k in bank.bands)
     checks.append(_check("symbol_min", sym_lo, 0.0, op=">="))
@@ -159,25 +116,16 @@ def suite_partition(config: RunConfig, rng) -> dict:
     # translation invariance of interior cutoffs
     probes = rng.uniform(-0.9, 0.9, size=(40, dim))
     j = i + 1
-    diff = np.max(
-        np.abs(
-            part.cutoff_values(i, part.centers[i] + probes)
-            - part.cutoff_values(j, part.centers[j] + probes)
-        )
+    diff = part.cutoff_values(i, part.centers[i] + probes) - part.cutoff_values(
+        j, part.centers[j] + probes
     )
-    checks.append(_check("translation_invariance", float(diff), 1e-12))
-    checks.append(
-        _check("derivative_bound_finite", part.derivative_bound, 1e6)
-    )
+    checks.append(_check("translation_invariance", float(np.max(np.abs(diff))), 1e-12))
+    checks.append(_check("derivative_bound_finite", part.derivative_bound, 1e6))
     # W^{k,1} comparability over random translates
     ratios_loc, ratios_ball = [], []
     for _ in range(20):
-        f = bump_field(
-            config.grid,
-            center=rng.uniform(-2.0, 2.0, size=dim),
-            width=rng.uniform(0.5, 1.5),
-            sharpness=DATA_SHARPNESS,
-        )
+        center, width = rng.uniform(-2.0, 2.0, size=dim), rng.uniform(0.5, 1.5)
+        f = bump_field(config.grid, center, width, sharpness=DATA_SHARPNESS)
         rep = w_k1_comparability(part, f, k=1)
         ratios_loc.append(rep.ratio_localized)
         ratios_ball.append(rep.ratio_balls)
@@ -195,11 +143,11 @@ def suite_partition(config: RunConfig, rng) -> dict:
 
 
 def suite_energy(config: RunConfig, rng) -> dict:
-    data = standard_data(config)
+    plan = RunPlan.of(config)
     checks = []
     gaps = {}
-    for tau in config.taus:
-        rep = energy(data, tau)
+    for tau, slc in plan.slices.items():
+        rep = energy(plan.slice_data, tau, slc)
         gaps[tau] = rep.relative_gap
         checks.append(_check(f"equality_gap_tau_{tau:g}", abs(rep.relative_gap), 1e-4))
         checks.append(_check(f"components_min_tau_{tau:g}", min(rep.components), 0.0, op=">="))
@@ -213,10 +161,10 @@ def suite_energy(config: RunConfig, rng) -> dict:
 
 
 def suite_sobolev(config: RunConfig, rng) -> dict:
-    data = standard_data(config)
+    plan = RunPlan.of(config)
     checks = []
     ratio_table = {}
-    per_tau = [global_sobolev_check(data, tau) for tau in config.taus]
+    per_tau = [global_sobolev_check(plan.slice_data, tau, slc) for tau, slc in plan.slices.items()]
     for ell in SOBOLEV_ELLS:
         ratios = [reports[ell].ratio for reports in per_tau]
         ratio_table[f"ell_{ell:g}"] = [float(r) for r in ratios]
@@ -232,8 +180,10 @@ def suite_sobolev(config: RunConfig, rng) -> dict:
 
 
 def suite_pointwise(config: RunConfig, rng) -> dict:
-    data = standard_data(config)
-    ratios = [pointwise_energy_check(data, tau).ratio for tau in config.taus]
+    plan = RunPlan.of(config)
+    ratios = [
+        pointwise_energy_check(plan.slice_data, tau, slc).ratio for tau, slc in plan.slices.items()
+    ]
     checks = [
         _check("ratio_positive", min(ratios), 0.0, op=">="),
         _check("tau_spread", _spread(ratios), 4.0),
@@ -249,13 +199,13 @@ def suite_pointwise(config: RunConfig, rng) -> dict:
 def suite_localized(config: RunConfig, rng) -> dict:
     d = config.dim
     w = config.support_radius
+    plan = RunPlan.of(config)
     # low-frequency-dominated bump: its sup reaches the t^(-d/2) rate inside
     # the fit window (wide-spectrum data has late-dispersing components)
     f = bump_field(config.grid, width=w, sharpness=1.0)
     g = bump_derivative_field(config.grid, 0, width=w, sharpness=1.0) * 0.5 + f * 0.25
     data = CauchyData(f, g, 2.0, config.mass)
-    times = mass_commensurate_times(config.mass)
-    reports = localized_decay_check(data, times, FIT_WINDOW)
+    reports = localized_decay_check(data, plan.fit_times[data.mass], FIT_WINDOW)
     by_q = {r.quantity: r for r in reports}
     phi_fit = by_q["m2_td_phi_sq"].fit
     checks = [
@@ -268,7 +218,7 @@ def suite_localized(config: RunConfig, rng) -> dict:
     ]
     # halving the mass keeps the constant bounded (C depends only on d, m0)
     half = CauchyData(data.f, data.g, data.t0, data.mass / 2.0)
-    reports_half = localized_decay_check(half, mass_commensurate_times(half.mass), FIT_WINDOW)
+    reports_half = localized_decay_check(half, plan.fit_times[half.mass], FIT_WINDOW)
     c_full = by_q["combined"].empirical_constant
     c_half = {r.quantity: r for r in reports_half}["combined"].empirical_constant
     checks.append(_check("mass_halving_spread", _spread([c_full, c_half]), 3.0))
@@ -282,11 +232,11 @@ def suite_localized(config: RunConfig, rng) -> dict:
 
 def suite_lowfreq(config: RunConfig, rng) -> dict:
     d = config.dim
+    plan = RunPlan.of(config)
     # canonical envelope-sampled run measures the decay exponent
     f0 = bump_field(config.grid, width=1.0, sharpness=DATA_SHARPNESS)
     zero = Field(config.grid, np.zeros(config.grid.shape))
-    times = mass_commensurate_times(config.mass)
-    canonical = lowfreq_check(f0, zero, config.mass, times, FIT_WINDOW)
+    canonical = lowfreq_check(f0, zero, config.mass, plan.fit_times[config.mass], FIT_WINDOW)
     exponent = canonical[0].fit.slope if canonical[0].fit else float("inf")
     constants, reports = [], list(canonical)
     for _ in range(10):
@@ -322,24 +272,17 @@ def _slope_vs_band(reports, attr: str = "unnormalized_constant"):
 
 def suite_highfreq(config: RunConfig, rng) -> dict:
     d = config.dim
+    plan = RunPlan.of(config)
     grid = config.grid
     # narrow bump so every swept band is well populated
     f = bump_field(grid, width=0.25, sharpness=DATA_SHARPNESS)
     zero = Field(grid, np.zeros(grid.shape))
     m_wave = min(config.mass, WAVE_BRANCH_MASS)
 
-    # The phi bounds saturate only once stationary-phase spreading covers the
-    # band (t ~ 2^k / m0^2 with a sizable safety factor), so the band-scaling
-    # sweep runs at late times on a correspondingly longer box.  A moderate
-    # mass keeps the low bands on the dyadic line (omega = sqrt(xi^2 + m^2)
-    # bends the k = 0, 1 constants when m ~ 1).
-    if d == 1:
-        scale = HIGHFREQ_WIDE_FACTOR
-        wide = Grid.shared(d, config.grid_n * scale, config.box_length * scale)
-        late_times = HIGHFREQ_LATE_TIMES
-    else:
-        wide = grid
-        late_times = config.times
+    # The band-scaling sweep runs on the plan's highfreq grid and times.  A
+    # moderate mass keeps the low bands on the dyadic line (omega =
+    # sqrt(xi^2 + m^2) bends the k = 0, 1 constants when m ~ 1).
+    wide, late_times = plan.highfreq_grid, plan.highfreq_times
     f_wide = bump_field(wide, width=0.25, sharpness=DATA_SHARPNESS)
     g_wide = bump_field(wide, width=0.25, amplitude=1.5, sharpness=DATA_SHARPNESS)
     zero_wide = Field(wide, np.zeros(wide.shape))
@@ -355,24 +298,20 @@ def suite_highfreq(config: RunConfig, rng) -> dict:
         partial_f.append(rep_w[1])
         reports.extend(rep_f + rep_g + rep_w)
 
+    # each branch's fitted slope against its predicted dyadic exponent
+    predicted = {
+        "phi_f_branch": (phi_f, d / 2.0 + 1.0),
+        "phi_g_branch": (phi_g, d / 2.0),
+        "partial_f_branch": (partial_f, (d - 1.0) / 2.0 + 2.0),
+    }
+    slopes = {name: _slope_vs_band(reps) for name, (reps, _) in predicted.items()}
     checks = [
-        _check(
-            "phi_f_branch_slope_error",
-            abs(_slope_vs_band(phi_f) - (d / 2.0 + 1.0)),
-            0.3,
-        ),
-        _check("phi_g_branch_slope_error", abs(_slope_vs_band(phi_g) - d / 2.0), 0.3),
-        _check(
-            "partial_f_branch_slope_error",
-            abs(_slope_vs_band(partial_f) - ((d - 1.0) / 2.0 + 2.0)),
-            0.3,
-        ),
-        _check(
-            "normalized_k_uniformity",
-            _spread([r.empirical_constant for r in phi_f]),
-            8.0,
-        ),
+        _check(f"{name}_slope_error", abs(slopes[name] - want), 0.3)
+        for name, (_, want) in predicted.items()
     ]
+    checks.append(
+        _check("normalized_k_uniformity", _spread([r.empirical_constant for r in phi_f]), 8.0)
+    )
     # vanishing-mass stability of the wave-type bound at the top band
     k_top = max(config.bands)
     wave_consts = []
@@ -387,11 +326,7 @@ def suite_highfreq(config: RunConfig, rng) -> dict:
         "t^((d-1)/2)|d P_k phi| as 2^(k(d-1)/2+2k); the derivative bound "
         "survives the vanishing-mass limit",
         "checks": checks,
-        "slopes": {
-            "phi_f_branch": _slope_vs_band(phi_f),
-            "phi_g_branch": _slope_vs_band(phi_g),
-            "partial_f_branch": _slope_vs_band(partial_f),
-        },
+        "slopes": slopes,
         "wavedecay_mass_constants": [float(c) for c in wave_consts],
         "reports": reports,
     }

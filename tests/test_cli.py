@@ -7,6 +7,7 @@ from kgdecay.cli import main
 from kgdecay.config import RunConfig, load_config, parse_times
 from kgdecay.decay import DecayCurve
 from kgdecay.errors import ConfigurationError
+from kgdecay.plan import MAX_NYQUIST_TAIL, RunPlan, nyquist_tail
 from kgdecay.reporting import write_curve_csv, write_loglog_svg
 from kgdecay.suites import _spread
 
@@ -223,3 +224,65 @@ def test_report_files_written(tmp_path):
     text = svg_path.read_text()
     assert text.startswith("<svg")
     assert "demo" in text
+
+
+def _never_run_suites(config):
+    raise AssertionError("run_selected_suites entered for a configuration validate() rejects")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "all", "--grid-n", "512", "--box-length", "256", "--bands", "0,1"],
+        ["--suite", "sobolev", "--grid-n", "512", "--box-length", "160"],
+        ["--suite", "sobolev", "--dim", "2", "--grid-n", "128", "--box-length", "32"],
+        ["--suite", "pointwise", "--dim", "2", "--grid-n", "256", "--box-length", "32"],
+    ],
+    ids=["all_512_256", "sobolev_512_160", "sobolev_2d_128_32", "pointwise_2d_256_32"],
+)
+def test_cli_rejects_boosts_at_the_box_edge(tmp_path, capsys, monkeypatch, argv):
+    # the deepest boost of the slice data reaches the box edge (margins 0.000,
+    # 0.000, -0.008, -0.002); sobolev used to exit 2 from inside the suite
+    monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
+    assert main([*argv, "--taus", "2,4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "of the box edge" in err
+    assert "boosting the slice data" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "dim, grid_n, box_length",
+    [(1, 4096, 256.0), (1, 2048, 256.0), (1, 1024, 160.0)],
+)
+def test_resolution_gate_accepts_resolved_slice_data(dim, grid_n, box_length):
+    # Nyquist tails 3.2e-7, 2.5e-4 and 1.6e-3; energy passes on each
+    RunConfig(
+        suite="energy", dim=dim, grid_n=grid_n, box_length=box_length, taus=(2.0, 4.0)
+    ).validate()
+
+
+@pytest.mark.parametrize(
+    "dim, grid_n, box_length, tail",
+    [(2, 128, 32.0, "1.5e-02"), (1, 512, 160.0, "9.2e-02")],
+)
+def test_resolution_gate_rejects_unresolved_slice_data(
+    tmp_path, capsys, monkeypatch, dim, grid_n, box_length, tail
+):
+    # energy fails its gap checks on these grids (5.1e-3 and 2.5e-3 > 1e-4)
+    monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
+    argv = ["--suite", "energy", "--dim", str(dim), "--grid-n", str(grid_n)]
+    argv += ["--box-length", str(box_length), "--taus", "2,4", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"leaves the slice data unresolved (Nyquist tail {tail} > 0.005)" in err
+    assert "Traceback" not in err
+
+
+def test_resolution_gate_reads_the_deepest_boosts():
+    RunConfig(suite="pointwise", taus=(2.0, 4.0)).validate()
+    plan = RunPlan.of(RunConfig(suite="pointwise", taus=(2.0, 4.0)))
+    (boost,) = plan.deepest_boosts
+    assert nyquist_tail(boost) < MAX_NYQUIST_TAIL
+    assert nyquist_tail(plan.slice_data) < nyquist_tail(boost)
