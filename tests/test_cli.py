@@ -242,7 +242,7 @@ def _never_run_suites(config):
 )
 def test_cli_rejects_boosts_at_the_box_edge(tmp_path, capsys, monkeypatch, argv):
     # the deepest boost of the slice data reaches the box edge (margins 0.000,
-    # 0.000, -0.008, -0.002); sobolev used to exit 2 from inside the suite
+    # 0.000, -0.008, -0.002): validate() rejects it before any suite runs
     monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
     assert main([*argv, "--taus", "2,4", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -78,7 +78,7 @@ LOCALIZED_OUTSIDE_UNIT_BALL = (
 
 @settings(max_examples=24, derandomize=True, deadline=None)
 @given(case=small_configs())
-@example(case=LOCALIZED_OUTSIDE_UNIT_BALL)  # used to exit 2 from inside the suite
+@example(case=LOCALIZED_OUTSIDE_UNIT_BALL)  # rejected by validate(), not by the suite
 def test_small_configs_end_in_a_summary_or_a_keyed_rejection(case):
     argv, ini = case
     with tempfile.TemporaryDirectory() as tmp:
