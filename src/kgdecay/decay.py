@@ -20,13 +20,13 @@ takes its data at t = 2 ("data2") and weights by plain t.
 
 A sup curve is one sweep per curve over the nonzero modes: the lattice modes
 where the data spectra are nonzero are found once, and at each time only
-they are evolved.  A sup at one time is the maximum over an
-``OVERSAMPLE``-times upsampled grid (one real inverse FFT for phi, d_t phi
-and grad phi, whose half spectrum only those modes fill), raised where a
-direct evaluation of the same trigonometric polynomials on a small window
-around each upsampled maximizer finds more.  The windows share their
-offsets, so one sum over the same modes serves them all, and band data cost
-in proportion to their band.
+they are evolved.  Each sup is a certified bracket: below, the maximum over
+an F-times upsampled grid (one real inverse FFT per spectrum of phi, d_t phi
+and grad phi, whose half spectrum only those modes fill); above, a bound by
+Szegő's inequality for functions of exponential type (van der Corput and
+Schaake 1935; Boas, Entire Functions, 1954).  F doubles within a curve until
+the brackets are narrow, following the data's top frequency.  The reports
+read the upper ends.
 """
 
 from __future__ import annotations
@@ -37,72 +37,45 @@ import numpy as np
 
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .errors import ConfigurationError
-from .grid import (
-    Field,
-    forward_transform,
-    l1_norm,
-    point_values,
-    sobolev_h_norm,
-    upsample_values,
-)
+from .grid import Field, forward_transform, l1_norm, sobolev_h_norm, upsample_values
 from .propagator import CauchyData, _evolved, _omega
 
 DEGENERATE_NORM = 1e-12
-OVERSAMPLE = 4  # global upsampling factor of the sup search, a power of two
+# the relative width (upper / lower - 1) that the sup brackets' upsampling
+# factor doubles towards, and the fine-grid points per spectrum where it
+# stops doubling (reached only by coarse full-spectrum 2-D data)
+BRACKET_WIDTH = 1e-2
+MAX_FINE_POINTS = 2**18
+
+SUP_FIELDS = ("phi", "dphi_dt", "grad", "partial")
 
 
 @dataclass(frozen=True)
 class SupNorms:
-    """Grid sup-norms at one time, refined near each maximizer."""
+    """Certified upper ends of the sups at one time; ``lower`` holds their
+    lower ends, the maxima over the upsampled grid, in field order."""
 
     phi: float
     dphi_dt: float
     grad: float     # euclidean norm of the spatial gradient
     partial: float  # euclidean norm of the full space-time gradient
+    lower: tuple = (0.0, 0.0, 0.0, 0.0)
 
-
-def _window_points(grid, indices):
-    """The (4 OVERSAMPLE + 1)^d offsets o, within two fine spacings, that
-    every refinement window shares, shape (Q, d), and the window centres c,
-    the points of the given flat indices of the upsampled grid, shape (W, d)."""
-    fine_spacing = grid.spacing / OVERSAMPLE
-    offsets = np.linspace(-2.0, 2.0, 4 * OVERSAMPLE + 1) * fine_spacing
-    mesh = np.meshgrid(*([offsets] * grid.dim), indexing="ij")
-    idx = np.unravel_index(indices, (grid.points_per_axis * OVERSAMPLE,) * grid.dim)
-    centers = -0.5 * grid.box_length + fine_spacing * np.stack(idx, axis=-1)
-    return np.stack([m.ravel() for m in mesh], axis=-1), centers
-
-
-def _window_values(grid, xi, coefficients, indices) -> np.ndarray:
-    """The trigonometric polynomials with ``coefficients`` (shape (M, C)) at
-    the frequencies ``xi`` (shape (M, d)), at the points c + o of the
-    windows around the given upsampled-grid indices; shape (Q, W, C).  Since
-    Re sum e^(i xi.(c + o)) a = Re sum e^(i xi.o) (a e^(i xi.c)), one point
-    sum at the shared offsets o covers every window, with the coefficients
-    shifted to each centre c."""
-    offsets, centers = _window_points(grid, indices)
-    shifted = np.exp(1j * (xi @ centers.T))[:, :, None] * coefficients[:, None, :]
-    vals = point_values(offsets, xi.T, shifted.reshape(len(xi), -1))
-    return vals.reshape(len(offsets), len(centers), -1) / grid.box_length**grid.dim
-
-
-def _sup_quantities(phi, dphi, grad_sq):
-    """(name, values) of |phi|, |d_t phi|, |grad phi|, |d phi| from the
-    sampled fields, one array at a time."""
-    yield "phi", np.abs(phi)
-    yield "dphi_dt", np.abs(dphi)
-    yield "grad", np.sqrt(grad_sq)
-    yield "partial", np.sqrt(dphi**2 + grad_sq)
+    def width(self, name: str) -> float:
+        """The relative width upper / lower - 1 of one field's bracket."""
+        upper, lower = getattr(self, name), self.lower[SUP_FIELDS.index(name)]
+        return upper / lower - 1.0 if lower else (0.0 if upper == 0.0 else float("inf"))
 
 
 def _mode_sweep(data: CauchyData, times):
     """The flat indices of the lattice modes where f_hat or g_hat is nonzero,
-    their frequencies xi, shape (M, d), and an iterator over ``times`` of the
-    coefficients of phi, d_t phi and grad phi (``i xi phi_hat``, Nyquist
-    mode included) at those modes, shape (2 + d, M)."""
+    by ascending |xi|, their frequencies xi, shape (M, d), and an iterator
+    over ``times`` of the coefficients of phi, d_t phi and grad phi
+    (``i xi phi_hat``, Nyquist mode included) at those modes, shape (2 + d, M)."""
     g = data.grid
     f_hat, g_hat = (c.ravel() for c in data.spectra)
     modes = np.flatnonzero((f_hat != 0) | (g_hat != 0))
+    modes = modes[np.argsort(g.frequency_norm.ravel()[modes], kind="stable")]
     xi = g.axis_frequencies[np.stack(np.unravel_index(modes, g.shape), axis=-1)]
     omega = _omega(g, data.mass).ravel()[modes]
     f_hat, g_hat = f_hat[modes], g_hat[modes]
@@ -114,46 +87,64 @@ def _mode_sweep(data: CauchyData, times):
     return modes, xi, map(coefficients, times)
 
 
-def _grid_sups(fine):
-    """The maxima of the sup quantities over the upsampled fields ``fine``
-    (phi, d_t phi, grad phi), by name, and the set of their flat argmax
-    indices."""
-    phi, dphi, *grad = fine
-    sups, windows = {}, set()
-    for name, vals in _sup_quantities(phi, dphi, sum(v**2 for v in grad)):
-        i = int(np.argmax(vals))
-        sups[name] = float(vals.flat[i])
-        windows.add(i)
-    return sups, windows
+def _sample_maxima(grid, modes, coefficients, factor) -> np.ndarray:
+    """The maxima of |phi|, |d_t phi|, |grad phi| and |d phi| over the
+    factor-times upsampled grid, one spectrum upsampled at a time."""
+    fine = (upsample_values(grid, modes, c, factor) for c in coefficients)
+    phi_max = np.max(np.abs(next(fine)))
+    dphi_sq = np.square(next(fine))
+    grad_sq = sum(np.square(v, out=v) for v in fine)
+    squares = [np.max(dphi_sq), np.max(grad_sq), np.max(dphi_sq + grad_sq)]
+    return np.array([phi_max, *np.sqrt(squares)])
+
+
+def _upper_ends(lower, amplitudes, sigma, delta) -> np.ndarray:
+    """Upper ends of the sups with sample maxima ``lower`` (shape (4,)),
+    every point within ``delta`` of a sample, from the ``amplitudes`` (shape
+    (4, M)) of modes with ascending norms ``sigma``.
+
+    The modes up to j have exponential type sigma_j along every line, and
+    the sum T_j of the other amplitudes bounds the rest, so the first part
+    is at most M + T_j on the samples.  By Szegő's inequality
+    f'^2 + sigma^2 f^2 <= sigma^2 ||f||^2, f >= ||f|| cos(sigma |x - x*|)
+    near a maximizer x*, so the sup is at most (M + T_j) / cos(sigma_j delta)
+    + T_j while sigma_j delta < pi/2; the sum of all amplitudes bounds it
+    too.  A vector field projected on its direction at its maximizer is
+    scalar, with amplitudes at most the modes' euclidean norms."""
+    prefix = np.cumsum(amplitudes, axis=-1)
+    tails = prefix[:, -1:] - prefix
+    j = np.searchsorted(sigma, 0.5 * np.pi / delta)
+    bounds = (lower[:, None] + tails[:, :j]) / np.cos(sigma[:j] * delta) + tails[:, :j]
+    return np.minimum(np.sum(amplitudes, axis=-1), np.min(bounds, axis=-1, initial=np.inf))
 
 
 def sup_norms(data: CauchyData, times) -> list:
-    """Sup of |phi|, |d_t phi|, |grad phi|, |d phi|, one ``SupNorms`` per time,
-    from one sweep per curve over the nonzero modes.
+    """Brackets of the sups of |phi|, |d_t phi|, |grad phi|, |d phi|, one
+    ``SupNorms`` per time, from one sweep per curve over the nonzero modes.
 
-    The modes where f_hat or g_hat is nonzero are found once; at each time
-    only they are evolved.  Lattice maxima under-estimate sups of
-    oscillatory fields (a band at the grid Nyquist has ~2 samples per
-    wavelength), so the evolved spectra of phi, d_t phi and grad phi
-    (``i xi phi_hat``, Nyquist mode included) are upsampled by zero-padding
-    (by ``OVERSAMPLE``), all in one real inverse transform.  The same
-    trigonometric polynomials are then evaluated directly on a window around
-    the upsampled maximizer of each quantity, in one sum over the windows'
-    shared offsets and over the same modes, and each sup is the larger of
-    its grid and window maxima.  The upsampled fields are freed before the
-    window sum.
+    The lower ends are the maxima over the F-times upsampled grid, whose
+    points lie within delta = h sqrt(d) / (2F) of every point.  F starts at
+    2 and doubles, for the rest of the curve, while a bracket is wider than
+    ``BRACKET_WIDTH`` and the doubled grid has at most ``MAX_FINE_POINTS``.
     """
     g = data.grid
-    modes, xi, sweep = _mode_sweep(data, times)
-    out = []
+    modes, _, sweep = _mode_sweep(data, times)
+    sigma = g.frequency_norm.ravel()[modes]
+    factor, out = 2, []
     for coefficients in sweep:
-        sups, windows = _grid_sups(upsample_values(g, modes, coefficients, OVERSAMPLE))
-        if any(v > 0 for v in sups.values()):
-            vals = _window_values(g, xi, coefficients.T, sorted(windows))
-            grad_sq = np.sum(vals[..., 2:] ** 2, axis=-1)
-            for name, v in _sup_quantities(vals[..., 0], vals[..., 1], grad_sq):
-                sups[name] = max(sups[name], float(np.max(v)))
-        out.append(SupNorms(**sups))
+        c = np.abs(coefficients) ** 2
+        grad_sq = np.sum(c[2:], axis=0)
+        amplitudes = np.sqrt([c[0], c[1], grad_sq, c[1] + grad_sq]) / g.box_length**g.dim
+        while True:
+            lower = _sample_maxima(g, modes, coefficients, factor)
+            delta = g.spacing * np.sqrt(g.dim) / (2 * factor)
+            upper = _upper_ends(lower, amplitudes, sigma, delta)
+            sups = SupNorms(*map(float, upper), tuple(map(float, lower)))
+            narrow = max(map(sups.width, SUP_FIELDS)) <= BRACKET_WIDTH
+            if narrow or (2 * factor * g.points_per_axis) ** g.dim > MAX_FINE_POINTS:
+                break
+            factor *= 2
+        out.append(sups)
     return out
 
 
@@ -206,6 +197,7 @@ class DecayReport:
     ``empirical_constant`` is max over times of weighted_sup / rhs_norm with
     the inequality's full dyadic normalization; ``unnormalized_constant``
     divides by the plain data norms instead (used for band-scaling fits).
+    Both read the upper ends of the sup brackets.
     """
 
     inequality_id: str
@@ -220,6 +212,7 @@ class DecayReport:
     status: str = "ok"
     mode: str = "origin"
     extras: dict = field(default_factory=dict)
+    sup_bracket_width: float = 0.0  # largest relative width of the sups read
 
 
 def _max_ratio(weighted: np.ndarray, rhs: float) -> float:
@@ -255,10 +248,7 @@ def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, b
         raise ValueError("time grid must be strictly increasing")
     window = fit_window or ((t[0], t[-1]) if len(t) else (1.0, 2.0))
     sups = sup_norms(data, t)
-    series = {
-        name: np.array([getattr(s, name) for s in sups])
-        for name in ("phi", "dphi_dt", "grad", "partial")
-    }
+    series = {name: np.array([getattr(s, name) for s in sups]) for name in SUP_FIELDS}
     weight = 1.0 + t if band == LOW_PASS_BAND else t
     k = band or 0
     plain = n_f + n_g
@@ -274,9 +264,10 @@ def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, b
         curve = DecayCurve(t, weighted, raw, norms)
         constants = (_max_ratio(weighted, rhs), _max_ratio(weighted, plain))
         fit = _try_fit(curve, window)
+        width = max((s.width(n) for s in sups for n, *_ in row.terms), default=0.0)
         reports.append(
             DecayReport(row.inequality_id, row.quantity, data.grid.dim, data.mass, band,
-                        *constants, curve, fit, status, mode, row.extras)
+                        *constants, curve, fit, status, mode, row.extras, width)
         )
     return reports
 

@@ -286,3 +286,36 @@ def test_resolution_gate_reads_the_deepest_boosts():
     (boost,) = plan.deepest_boosts
     assert nyquist_tail(boost) < MAX_NYQUIST_TAIL
     assert nyquist_tail(plan.slice_data) < nyquist_tail(boost)
+
+
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        (["--grid-n", "2048", "--taus", "0.5,2"], "2.5e-04"),
+        (["--grid-n", "128", "--box-length", "12", "--taus", "0.5,2"], "2.6e-05"),
+    ],
+    ids=["2048_256", "128_12"],
+)
+def test_resolution_gate_rejects_unresolved_small_taus(tmp_path, capsys, monkeypatch, argv, tail):
+    # energy's gap at tau = 0.5 is 3.8e-3 and 1.2e-4 on these grids (> 1e-4),
+    # although their tails pass the limit for taus >= 2
+    monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
+    assert main(["--suite", "energy", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"leaves the slice data unresolved for tau 0.5 (Nyquist tail {tail} > 1e-06)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "suite, grid_n, taus",
+    [
+        ("energy", 4096, (0.25, 0.375, 0.5, 0.75, 1.0)),
+        ("energy", 2048, (2.0, 4.0)),
+        ("all", 4096, (2.0, 4.0, 8.0)),
+        ("all", 4096, RunConfig().taus),
+    ],
+    ids=["small_taus", "coarse_large_taus", "benchmark", "defaults"],
+)
+def test_resolution_gate_accepts_resolved_small_taus(suite, grid_n, taus):
+    # the defaults' slice data tail is 3.2e-7; energy's tau = 0.25 gap is 1.7e-7
+    RunConfig(suite=suite, grid_n=grid_n, taus=taus).validate()

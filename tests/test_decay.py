@@ -8,13 +8,12 @@ from kgdecay import grid as grid_module
 from kgdecay.bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from kgdecay.bumps import bump_derivative_field, bump_field
 from kgdecay.decay import (
-    OVERSAMPLE,
+    MAX_FINE_POINTS,
+    SUP_FIELDS,
     DecayCurve,
     SupNorms,
     _band_data,
     _mode_sweep,
-    _window_points,
-    _window_values,
     fit_exponent,
     highfreq_check,
     interpolation_check,
@@ -82,11 +81,7 @@ def test_sup_norms_of_zero_data():
     assert s.phi == 0.0 and s.partial == 0.0
 
 
-def test_sup_norms_of_zero_data_skip_the_window_sum(monkeypatch):
-    def no_window_sum(*args):
-        raise AssertionError("window sum of data without nonzero modes")
-
-    monkeypatch.setattr(decay_module, "_window_values", no_window_sum)
+def test_sup_norms_of_zero_data_skip_the_window_sum():
     data = CauchyData(ZERO, ZERO, 0.0, 1.0)
     modes, xi, _ = _mode_sweep(data, TIMES)
     assert len(modes) == 0 and xi.shape == (0, 1)
@@ -96,13 +91,18 @@ def test_sup_norms_of_zero_data_skip_the_window_sum(monkeypatch):
 
 
 def test_sup_norms_catch_oscillation_peaks():
-    # a pure mode near Nyquist/2 has |phi| = 1 somewhere; the lattice max alone
-    # under-estimates it
+    # a pure mode near Nyquist/2 shifted by half a lattice step: |phi| = 1
+    # only off the lattice, where its max is cos(pi / 128) (unshifted, every
+    # lattice mode has |cos| = 1 at x = -L/2); the upsampled grids hold the
+    # half steps, so the lower end is 1 up to rounding
     x = GRID.axis_coordinates
     xi0 = 2.0 * np.pi * 200 / GRID.box_length
-    f = Field(GRID, np.cos(xi0 * x))
+    f = Field(GRID, np.cos(xi0 * x + np.pi * 200 / 1024))
+    lattice_max = np.max(np.abs(f.values))
+    assert abs(lattice_max - np.cos(np.pi / 128)) <= 1e-12
     s = sup_norms(CauchyData(f, ZERO, 0.0, 1.0), [0.0])[0]
-    assert abs(s.phi - 1.0) <= 1e-6
+    assert lattice_max < s.lower[0] <= 1.0 + 1e-12 and 1.0 <= s.phi
+    assert s.width("phi") <= 1e-2
 
 
 FINE = Grid(1, 2048, 128.0)  # Nyquist 50.3, room for band 4 ([8, 32])
@@ -146,8 +146,9 @@ def test_point_values_match_direct_evaluation(name, chunk, monkeypatch):
 
 
 def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
-    # 2-D bump data keep all 4096 modes; the refinement windows hold several
-    # hundred points, so one points x modes block would be tens of MB per array
+    # 2-D bump data keep all 4096 modes, and their brackets stay wide until
+    # the upsampling factor stops at the fine-grid cap (x8, 512^2 points);
+    # one call peaks at 11 MB, one spectrum upsampled at a time
     grid = Grid(2, 64, 16.0)
     f = bump_field(grid, width=1.0, sharpness=1.0)
     data = CauchyData(f, bump_derivative_field(grid, 0, width=1.0, sharpness=1.0), 2.0, 1.0)
@@ -159,7 +160,7 @@ def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
     finally:
         tracemalloc.stop()
     assert s.phi > 0.0
-    assert peak <= 24 * 2**20  # 14 MB with 2**19-entry blocks, 60 MB unblocked
+    assert peak <= 24 * 2**20
 
 
 def test_sup_norms_memory_is_bounded_on_wide_band_data():
@@ -196,30 +197,6 @@ def test_sup_norms_memory_is_bounded_over_a_whole_sweep():
     assert peak <= 21 * 2**20
 
 
-@pytest.mark.parametrize("name", ["band_-1", "band_2", "band_4", "bump_2d"])
-def test_window_values_match_direct_sum_oracle(name):
-    # windows around an upsampled-grid maximizer, a corner index (its window
-    # reaches past -L/2) and an interior index, against the complex direct
-    # sum at the absolute window points c + o
-    if name == "bump_2d":
-        data, t, _ = oracle_case(name)
-    else:
-        data, t = _band_data(*bump_pair(BRACKET), 1.0, int(name[5:])), 7.3
-    g = data.grid
-    modes, xi, (coefficients,) = _mode_sweep(data, [t])
-    phi_fine = upsample_values(g, modes, coefficients[0], OVERSAMPLE)
-    indices = [int(np.argmax(np.abs(phi_fine))), 0, phi_fine.size // 3]
-    vals = _window_values(g, xi, coefficients.T, indices)
-    offsets, centers = _window_points(g, indices)
-    assert vals.shape == (len(offsets), len(indices), 2 + g.dim)
-    pts = (centers[None, :, :] + offsets[:, None, :]).reshape(-1, g.dim)
-    phi, dphi, grad = direct_sum_oracle(data, np.full(len(pts), t), pts)
-    for got, want in zip(np.moveaxis(vals, -1, 0), [phi, dphi, *grad.T]):
-        got = got.ravel()
-        assert np.max(np.abs(want)) > 0.0
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
 @pytest.mark.parametrize("band", [LOW_PASS_BAND, 0, 4])
 def test_band_data_spectra_vanish_off_band(band):
     f, g = bump_pair(FINE)
@@ -236,23 +213,84 @@ def test_band_data_spectra_vanish_off_band(band):
 BRACKET = Grid(1, 256, 16.0)  # Nyquist 50.3, as FINE
 
 
-@pytest.mark.parametrize("band", [LOW_PASS_BAND, 2, 4])
-def test_sup_norms_bracketed_by_direct_evaluation(band):
-    # the direct-sum oracle on the lattice 4 x OVERSAMPLE times finer than the
-    # grid, which holds every refinement window point; its every fourth point
-    # is the upsampled grid
-    f, g = bump_pair(BRACKET)
-    data = _band_data(f, g, 1.0, band)
-    n = BRACKET.points_per_axis * OVERSAMPLE * 4
-    x = (np.arange(n) / n - 0.5) * BRACKET.box_length
-    for t in (3.7, 20.0):
+def bracket_case(case):
+    """(data, times) for the sup-bracket comparison with the oracle: band
+    data, the full-spectrum bump of the localized suite's type, or a 2-D
+    bump."""
+    if case == "bump_2d":
+        data, t, _ = oracle_case(case)
+        return data, (t,)
+    if case == "bump":
+        f, g = bump_pair(BRACKET, sharpness=1.0)
+        return CauchyData(f, g, 2.0, 1.0), (3.7, 20.0)
+    return _band_data(*bump_pair(BRACKET), 1.0, case), (3.7, 20.0)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """The factor of each ``upsample_values`` call that ``sup_norms`` makes."""
+    factors = []
+
+    def spy(grid, modes, coefficients, factor):
+        factors.append(factor)
+        return upsample_values(grid, modes, coefficients, factor)
+
+    monkeypatch.setattr(decay_module, "upsample_values", spy)
+    return factors
+
+
+def sup_quantities(phi, dphi, grad):
+    """|phi|, |d_t phi|, |grad phi| and |d phi|, in ``SUP_FIELDS`` order,
+    from sampled phi, d_t phi and grad phi (components on the first axis)."""
+    grad = np.sqrt(np.sum(np.square(grad), axis=0))
+    return np.abs(phi), np.abs(dphi), grad, np.sqrt(dphi**2 + grad**2)
+
+
+@pytest.mark.parametrize("case", [LOW_PASS_BAND, 2, 4, "bump", "bump_2d"])
+def test_sup_norms_bracketed_by_direct_evaluation(case, factors):
+    # the direct-sum oracle's maximum on a lattice of spacing h / 64, at
+    # least 4 times finer than the upsampled grid, within two upsampled
+    # spacings of the upsampled maximizer, lies in each bracket (up to
+    # rounding, for a maximizer on the upsampled grid); each
+    # bracket is at most 1e-2 wide unless doubling the factor would pass
+    # the fine-grid cap
+    data, times = bracket_case(case)
+    g = data.grid
+    for t in times:
         s = sup_norms(data, [t])[0]
-        phi, dphi, grad = direct_sum_oracle(data, np.full(n, t), x[:, None])
-        for sup, vals in ((s.phi, phi), (s.dphi_dt, dphi), (s.grad, grad[:, 0])):
-            dense = np.abs(vals)
-            assert sup >= np.max(dense[::4]) * (1.0 - 1e-12)
-            # the grid maximum alone is up to 4e-3 low for band 4
-            assert np.max(dense) * (1.0 - 1e-3) <= sup <= np.max(dense) * (1.0 + 1e-12)
+        factor = factors[-1]
+        assert 4 * factor <= 64
+        steps = np.arange(-128 // factor, 128 // factor + 1) * g.spacing / 64
+        square = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
+        capped = (2 * factor * g.points_per_axis) ** g.dim > MAX_FINE_POINTS
+        modes, _, (coefficients,) = _mode_sweep(data, [t])
+        phi, dphi, *grad = upsample_values(g, modes, coefficients, factor)
+        fine = sup_quantities(phi, dphi, np.array(grad))
+        for i, (name, lower) in enumerate(zip(SUP_FIELDS, s.lower)):
+            index = np.unravel_index(np.argmax(fine[i]), fine[i].shape)
+            x = square - 0.5 * g.box_length + g.spacing / factor * np.array(index)
+            phi, dphi, grad = direct_sum_oracle(data, np.full(len(x), t), x)
+            dense = np.max(sup_quantities(phi, dphi, grad.T)[i])
+            assert lower * (1.0 - 1e-12) <= dense <= getattr(s, name) * (1.0 + 1e-12)
+            assert s.width(name) <= 1e-2 or capped
+
+
+def test_sup_norms_upsampling_factor_follows_the_band(factors):
+    # band 0 of highfreq's wide-grid data needs only x2, band 4 x8, and the
+    # localized suite's full-spectrum data x16
+    wide = Grid(1, 32768, 2048.0)
+    f = bump_field(wide, width=0.25, sharpness=4.0)
+    zero = Field(wide, np.zeros(wide.shape))
+    sup_norms(_band_data(f, zero, 0.5, 0), HIGHFREQ_LATE_TIMES)
+    assert set(factors) == {2}
+    factors.clear()
+    sup_norms(_band_data(f, zero, 0.5, 4), HIGHFREQ_LATE_TIMES)
+    assert max(factors) == 8
+    factors.clear()
+    grid = Grid(1, 4096, 256.0)
+    f, g = bump_pair(grid, sharpness=1.0)
+    sup_norms(CauchyData(f, g, 2.0, 1.0), TIMES)
+    assert max(factors) == 16
 
 
 def test_lowfreq_zero_data_skipped():
