@@ -103,7 +103,7 @@ class RunConfig:
             problems.append(f"seed must be non-negative (got {self.seed})")
         if not self.support_radius > 0:
             problems.append(f"support_radius must be positive (got {self.support_radius})")
-        # the plan's slice data and slices can only be built from valid values
+        # the plan's data and slices can only be built from valid values
         buildable = not problems
 
         active = self.selected_suites
@@ -132,6 +132,8 @@ class RunConfig:
                     f"support_radius must be at most 1 for localized, whose data lie "
                     f"in the unit ball (got {self.support_radius})"
                 )
+            if "localized" in active and buildable:
+                problems.extend(plan.localized_problems())
             for label, box, horizon, t_max in plan.horizons:
                 needed = 2.0 * (self.support_radius + t_max + 2.0)
                 if box < needed:

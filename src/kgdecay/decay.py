@@ -21,12 +21,14 @@ takes its data at t = 2 ("data2") and weights by plain t.
 A sup curve is one sweep per curve over the nonzero modes: the lattice modes
 where the data spectra are nonzero are found once, and at each time only
 they are evolved.  Each sup is a certified bracket: below, the maximum over
-an F-times upsampled grid (one real inverse FFT per spectrum of phi, d_t phi
-and grad phi, whose half spectrum only those modes fill); above, a bound by
-Szegő's inequality for functions of exponential type (van der Corput and
-Schaake 1935; Boas, Entire Functions, 1954).  F doubles within a curve until
-the brackets are narrow, following the data's top frequency.  The reports
-read the upper ends.
+an F-times upsampled grid; above, a bound by Szegő's inequality for
+functions of exponential type (van der Corput and Schaake 1935; Boas,
+Entire Functions, 1954).  The upsampled grid is sampled as shifted
+sub-grids just long enough for the modes (``grid.UpsamplePlan``, one per
+curve and F), a block of them at a time, with short real inverse FFTs of
+phi, d_t phi and grad phi.  F doubles within a curve until the brackets are
+narrow, following the data's top frequency.  The reports read the upper
+ends.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .errors import ConfigurationError
-from .grid import Field, forward_transform, l1_norm, sobolev_h_norm, upsample_values
+from .grid import Field, UpsamplePlan, forward_transform, l1_norm, sobolev_h_norm, upsample_values
 from .propagator import CauchyData, _evolved, _omega
 
 DEGENERATE_NORM = 1e-12
@@ -87,15 +89,17 @@ def _mode_sweep(data: CauchyData, times):
     return modes, xi, map(coefficients, times)
 
 
-def _sample_maxima(grid, modes, coefficients, factor) -> np.ndarray:
+def _sample_maxima(plan: UpsamplePlan, coefficients) -> np.ndarray:
     """The maxima of |phi|, |d_t phi|, |grad phi| and |d phi| over the
-    factor-times upsampled grid, one spectrum upsampled at a time."""
-    fine = (upsample_values(grid, modes, c, factor) for c in coefficients)
-    phi_max = np.max(np.abs(next(fine)))
-    dphi_sq = np.square(next(fine))
-    grad_sq = sum(np.square(v, out=v) for v in fine)
-    squares = [np.max(dphi_sq), np.max(grad_sq), np.max(dphi_sq + grad_sq)]
-    return np.array([phi_max, *np.sqrt(squares)])
+    plan's upsampled grid, reduced per block of sub-grids and merged."""
+    maxima = np.zeros(4)  # |phi| and the three squares
+    for start in range(0, plan.subgrids, plan.block):
+        phi, dphi, *grad = upsample_values(plan, coefficients, start)
+        dphi_sq = np.square(dphi, out=dphi)
+        grad_sq = sum(np.square(v, out=v) for v in grad)
+        block = [np.max(np.abs(phi)), np.max(dphi_sq), np.max(grad_sq), np.max(dphi_sq + grad_sq)]
+        np.maximum(maxima, block, out=maxima)
+    return np.array([maxima[0], *np.sqrt(maxima[1:])])
 
 
 def _upper_ends(lower, amplitudes, sigma, delta) -> np.ndarray:
@@ -125,18 +129,20 @@ def sup_norms(data: CauchyData, times) -> list:
     The lower ends are the maxima over the F-times upsampled grid, whose
     points lie within delta = h sqrt(d) / (2F) of every point.  F starts at
     2 and doubles, for the rest of the curve, while a bracket is wider than
-    ``BRACKET_WIDTH`` and the doubled grid has at most ``MAX_FINE_POINTS``.
+    ``BRACKET_WIDTH`` and the doubled grid has at most ``MAX_FINE_POINTS``;
+    the sampling plan is built once per F.
     """
     g = data.grid
     modes, _, sweep = _mode_sweep(data, times)
     sigma = g.frequency_norm.ravel()[modes]
     factor, out = 2, []
+    plan = UpsamplePlan(g, modes, factor, 2 + g.dim)
     for coefficients in sweep:
         c = np.abs(coefficients) ** 2
         grad_sq = np.sum(c[2:], axis=0)
         amplitudes = np.sqrt([c[0], c[1], grad_sq, c[1] + grad_sq]) / g.box_length**g.dim
         while True:
-            lower = _sample_maxima(g, modes, coefficients, factor)
+            lower = _sample_maxima(plan, coefficients)
             delta = g.spacing * np.sqrt(g.dim) / (2 * factor)
             upper = _upper_ends(lower, amplitudes, sigma, delta)
             sups = SupNorms(*map(float, upper), tuple(map(float, lower)))
@@ -144,6 +150,7 @@ def sup_norms(data: CauchyData, times) -> list:
             if narrow or (2 * factor * g.points_per_axis) ** g.dim > MAX_FINE_POINTS:
                 break
             factor *= 2
+            plan = UpsamplePlan(g, modes, factor, 2 + g.dim)
         out.append(sups)
     return out
 

@@ -27,6 +27,9 @@ from .errors import GridMismatchError
 # points (4 MB per real array); 2**22 ran the slice suites no faster and
 # raised their peak RSS from 101 to 307 MB
 EVAL_CHUNK_ENTRIES = 2**19
+# fine points per spectrum in one block of `upsample_values` sub-grids; 2**16
+# ran no faster and raised the peak RSS of highfreq by 4 MB
+UPSAMPLE_BLOCK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -244,44 +247,92 @@ def gradient(f: Field) -> list:
     return [spatial_derivative(f, a) for a in range(f.grid.dim)]
 
 
-def upsample_values(grid: Grid, modes, coefficients, factor: int) -> np.ndarray:
-    """Real parts of the trigonometric interpolants, on the factor-times finer
-    grid of the same box, of spectra that vanish off the given lattice modes.
+class UpsamplePlan:
+    """How spectra that vanish off the lattice ``modes`` are sampled on the
+    ``factor``-times finer grid of the same box, in blocks of sub-grids.
 
-    ``modes`` holds M flat indices into the grid's FFT layout and
-    ``coefficients`` the spectra at them, shape (C, M) (or (M,) for one
-    spectrum); returns (C,) + fine shape.  Each mode is zero-padded at its
-    signed frequency k (the coarse Nyquist plane at -N/2 only), and the real
-    part of the inverse transform of a padded spectrum X is the inverse
-    transform of its Hermitian part (X_k + conj X_-k) / 2.  Only the half
-    spectrum with last index >= 0 is kept, so a mode writes X_k at k when
-    k_d >= 0 and conj X_k at -k when k_d <= 0 (both on the k_d = 0 plane),
-    into one fresh buffer, with the box phase and the fine normalization
-    folded into its coefficients, and one real inverse FFT over the spatial
-    axes gives every interpolant.
+    Along the last axis the fine grid of F N points is the union of
+    q = F N / m shifted sub-grids of m points, sub-grid r holding the fine
+    points q j + r (decimation in time, Cooley and Tukey 1965), with m the
+    smallest power of two >= 2 max |k_d| over the modes (at least 2).  On
+    sub-grid r a mode k is the lattice mode k_d mod m times the twiddle
+    exp(2 pi i k_d r / (F N)), so its Hermitian part puts X_k at bin
+    k_d mod m and conj X_k at bin -k_d mod m, each where that bin is
+    <= m / 2 (both images of the modes +-m/2 and, at m = N, of the coarse
+    Nyquist mode -N/2).  The first d - 1 axes keep the fine size and wrap.
+
+    The fold of the box phase, the fine normalization and the twiddles,
+    shape (q, M), is kept in ``scatter`` groups: the modes of one image
+    whose bins are distinct, their destinations in the half spectrum (a
+    slice where they are a run), their columns of the fold and whether the
+    image is conjugated.  ``block`` sub-grids of ``spectra`` spectra are
+    transformed at a time, in a buffer allocated here.
     """
-    if factor < 2:
-        raise ValueError("upsampling factor must be >= 2")
-    d, n = grid.dim, grid.points_per_axis
-    m = n * factor
-    coefficients = np.asarray(coefficients)
-    half = np.zeros(coefficients.shape[:-1] + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
-    signed = np.stack(np.unravel_index(modes, grid.shape))
-    signed[signed >= n // 2] -= n
-    # the box phase times 1 / (fine cell volume), halved
-    fold = grid.alternating_phase.ravel()[modes] * (0.5 * (m / grid.box_length) ** d)
-    flat = half.reshape(coefficients.shape[:-1] + (-1,))
-    for sign, keep in ((1, signed[-1] >= 0), (-1, signed[-1] <= 0)):
-        part = coefficients[..., keep] * fold[keep]
-        if sign < 0:
+
+    def __init__(self, grid: Grid, modes, factor: int, spectra: int):
+        if factor < 2:
+            raise ValueError("upsampling factor must be >= 2")
+        d, n = grid.dim, grid.points_per_axis
+        fine = n * factor
+        signed = np.stack(np.unravel_index(modes, grid.shape))
+        signed[signed >= n // 2] -= n
+        top = int(np.max(np.abs(signed[-1]), initial=1))
+        sub = 1 << (2 * top - 1).bit_length()
+        self.grid, self.factor, self.sub, self.subgrids = grid, factor, sub, fine // sub
+        # the box phase times 1 / (fine cell volume), halved
+        base = grid.alternating_phase.ravel()[modes] * (
+            0.5 * (fine / grid.box_length) ** (d - 1) * sub / grid.box_length
+        )
+        shape = (fine,) * (d - 1) + (sub // 2 + 1,)
+        self.scatter = []
+        for sign in (1, -1):
+            k = sign * signed
+            last = np.mod(k[-1], sub)
+            # the bins k_d in [0, m/2], then the wrapped -m/2 onto m/2
+            for wrapped in (False, True):
+                keep = np.flatnonzero((last <= sub // 2) & ((k[-1] < 0) == wrapped))
+                if not len(keep):
+                    continue
+                dest = np.ravel_multi_index((*np.mod(k[:-1, keep], fine), last[keep]), shape)
+                order = np.argsort(dest)
+                keep, dest = keep[order], dest[order]
+                # a band in d = 1 fills a run of bins, written as a slice
+                if dest[-1] - dest[0] == len(dest) - 1:
+                    dest = slice(dest[0], dest[-1] + 1)
+                # the twiddles, their turns k_d r reduced exactly mod F N
+                turns = np.outer(np.arange(self.subgrids), signed[-1, keep]) % fine
+                fold = np.exp(1j * (2 * np.pi / fine) * turns)
+                fold *= base[keep]
+                self.scatter.append((keep, dest, fold, sign < 0))
+        self.block = max(1, min(self.subgrids, UPSAMPLE_BLOCK_POINTS // (fine ** (d - 1) * sub)))
+        self.half = np.empty((spectra, self.block) + shape, dtype=complex)
+
+
+def upsample_values(plan: UpsamplePlan, coefficients, start: int) -> np.ndarray:
+    """Real parts of the trigonometric interpolants of C spectra, given at the
+    plan's modes as ``coefficients`` of shape (C, M), on the ``plan.block``
+    sub-grids from ``start`` on (fewer at the last block); returns
+    (C, b) + (F N,) * (d - 1) + (m,), sub-grid-major.
+
+    Each image is scattered into the plan's half-spectrum buffer, the complex
+    axes are transformed in place in d >= 2, and one real inverse FFT of
+    length m per row gives the values.  ``np.moveaxis(v, 1, -1)`` of the
+    values of all q sub-grids, reshaped to (C,) + (F N,) * d, is the fine
+    grid in natural order.
+    """
+    rows = slice(start, start + plan.block)
+    half = plan.half[:, : min(plan.block, plan.subgrids - start)]
+    half.fill(0.0)
+    flat = half.reshape(half.shape[:2] + (-1,))
+    for source, dest, fold, conj in plan.scatter:
+        part = np.take(coefficients, source, axis=-1)[:, None] * fold[rows]
+        if conj:
             np.conj(part, out=part)
-        dest = np.ravel_multi_index(sign * signed[:, keep], half.shape[-d:], mode="wrap")
         flat[..., dest] += part
-    # irfftn in two steps, the complex axes in place, which saves a copy of
-    # the buffer in d >= 2
+    d = plan.grid.dim
     if d > 1:
         np.fft.ifftn(half, axes=tuple(range(-d, -1)), out=half)
-    return np.fft.irfft(half, n=m, axis=-1)
+    return np.fft.irfft(half, n=plan.sub, axis=-1)
 
 
 def point_values(points, frequencies, coefficients) -> np.ndarray:

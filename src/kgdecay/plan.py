@@ -1,7 +1,8 @@
 """The run plan: every grid, time set and horizon a configuration derives,
-the slice data with its iterated boosts, and its slice per tau, built once
-per config value.  ``validate()`` checks them and the suites read them, and
-the slice samples, kept on the slice data, are taken once per tau."""
+the slice data with its iterated boosts, its slice per tau and the localized
+data, built once per config value.  ``validate()`` checks them and the
+suites read them, and the slice samples, kept on the slice data, are taken
+once per tau."""
 
 from __future__ import annotations
 
@@ -20,9 +21,13 @@ from .propagator import CauchyData
 # slice suites need steeper data: the commuted-data Laplacian amplifies the
 # grid's Nyquist spectrum tail by xi^2, and s = 8 keeps that leak ~1e-7
 SLICE_DATA_SHARPNESS = 8.0
-# largest Nyquist tail of the slice data or its deepest boosts that the slice
-# suites accept: energy passes (gaps < 1e-4) at tails up to 1.6e-3 (N = 1024,
-# L = 160) and fails from 1.5e-2 (d = 2, N = 128, L = 32)
+# localized's bump: low-frequency dominated, so its sup reaches the t^(-d/2)
+# rate inside the fit window (wide-spectrum data has late-dispersing parts)
+LOCALIZED_DATA_SHARPNESS = 1.0
+# largest Nyquist tail of the slice data, its deepest boosts or the localized
+# data that the suites accept: energy passes (gaps < 1e-4) at tails up to
+# 1.6e-3 (N = 1024, L = 160) and fails from 1.5e-2 (d = 2, N = 128, L = 32);
+# localized passes at 1.9e-3 (N = 1024, L = 256) and fails at 0.18 (N = 512)
 MAX_NYQUIST_TAIL = 5e-3
 # the slice data's limit for taus below SMALL_TAU, whose slices pass near the
 # vertex t = tau: energy's tau = 0.5 gap is 3.8e-3 at tail 2.5e-4 (N = 2048,
@@ -120,6 +125,24 @@ class RunPlan:
     @cached_property
     def slice_data(self) -> CauchyData:
         return standard_data(self.config)
+
+    @cached_property
+    def localized_data(self) -> CauchyData:
+        """The localized suite's bump pair in B(0, support_radius) at t0 = 2."""
+        c, s = self.config, LOCALIZED_DATA_SHARPNESS
+        f = bump_field(c.grid, width=c.support_radius, sharpness=s)
+        g = bump_derivative_field(c.grid, 0, width=c.support_radius, sharpness=s)
+        return CauchyData(f, g * 0.5 + f * 0.25, 2.0, c.mass)
+
+    def localized_problems(self) -> list:
+        """Why localized cannot run on this plan: unresolved data."""
+        c, tail = self.config, nyquist_tail(self.localized_data)
+        if tail <= MAX_NYQUIST_TAIL:
+            return []
+        return [
+            f"grid_n {c.grid_n} at box_length {c.box_length} leaves the localized "
+            f"data unresolved (Nyquist tail {tail:.1e} > {MAX_NYQUIST_TAIL:g})"
+        ]
 
     @cached_property
     def slices(self) -> dict:

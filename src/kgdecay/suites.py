@@ -198,13 +198,8 @@ def suite_pointwise(config: RunConfig, rng) -> dict:
 
 def suite_localized(config: RunConfig, rng) -> dict:
     d = config.dim
-    w = config.support_radius
     plan = RunPlan.of(config)
-    # low-frequency-dominated bump: its sup reaches the t^(-d/2) rate inside
-    # the fit window (wide-spectrum data has late-dispersing components)
-    f = bump_field(config.grid, width=w, sharpness=1.0)
-    g = bump_derivative_field(config.grid, 0, width=w, sharpness=1.0) * 0.5 + f * 0.25
-    data = CauchyData(f, g, 2.0, config.mass)
+    data = plan.localized_data
     reports = localized_decay_check(data, plan.fit_times[data.mass], FIT_WINDOW)
     by_q = {r.quantity: r for r in reports}
     phi_fit = by_q["m2_td_phi_sq"].fit

@@ -3,13 +3,23 @@
 These deliberately avoid the library's multiplier/quadrature code paths:
 RK4 time integration per mode, complex direct Fourier summation, complex
 zero-padded upsampling, centered finite differences, adaptive quadrature of closed-form profiles, and
-closed-form single-mode solutions.
+closed-form single-mode solutions.  ``upsampled`` is not an oracle: it lays
+the library's blocked upsampling out on the whole fine grid, for comparison
+with them.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from kgdecay.grid import Field, Grid, SpectralField, forward_transform, inverse_transform
+from kgdecay.grid import (
+    Field,
+    Grid,
+    SpectralField,
+    UpsamplePlan,
+    forward_transform,
+    inverse_transform,
+    upsample_values,
+)
 from kgdecay.propagator import CauchyData
 
 
@@ -86,6 +96,18 @@ def complex_upsample_oracle(spectrum: SpectralField, factor: int) -> np.ndarray:
     padded = np.zeros(fine.shape, dtype=complex)
     padded[np.ix_(*([pos] * g.dim))] = spectrum.coefficients
     return inverse_transform(SpectralField(fine, padded)).values
+
+
+def upsampled(grid: Grid, modes, coefficients, factor: int) -> np.ndarray:
+    """``upsample_values`` over every block of one plan, shape (C,) + the
+    fine shape: the sub-grid axis moved last and merged with the m points of
+    each sub-grid, so point j of sub-grid r lands at fine index q j + r."""
+    coefficients = np.atleast_2d(coefficients)
+    plan = UpsamplePlan(grid, modes, factor, len(coefficients))
+    starts = range(0, plan.subgrids, plan.block)
+    values = np.concatenate([upsample_values(plan, coefficients, s) for s in starts], axis=1)
+    values = np.moveaxis(values, 1, -1)
+    return values.reshape(values.shape[:-2] + (-1,))
 
 
 def centered_difference(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:

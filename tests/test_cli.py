@@ -319,3 +319,32 @@ def test_resolution_gate_rejects_unresolved_small_taus(tmp_path, capsys, monkeyp
 def test_resolution_gate_accepts_resolved_small_taus(suite, grid_n, taus):
     # the defaults' slice data tail is 3.2e-7; energy's tau = 0.25 gap is 1.7e-7
     RunConfig(suite=suite, grid_n=grid_n, taus=taus).validate()
+
+
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        (["--grid-n", "512", "--box-length", "256"], "1.8e-01"),
+        (["--dim", "2", "--grid-n", "128", "--box-length", "160"], "1.0e+00"),
+    ],
+    ids=["512_256", "2d_128_160"],
+)
+def test_resolution_gate_rejects_unresolved_localized_data(
+    tmp_path, capsys, monkeypatch, argv, tail
+):
+    # localized fails phi_exponent_error on the first grid (0.106 > 0.1),
+    # and its sup brackets stay 0.41 wide on the second
+    monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
+    assert main(["--suite", "localized", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"leaves the localized data unresolved (Nyquist tail {tail} > 0.005)" in err
+    assert "grid_n" in err and "box_length" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid_n, tail", [(4096, 1.9e-4), (1024, 1.9e-3)])
+def test_resolution_gate_accepts_resolved_localized_data(grid_n, tail):
+    # localized passes on both grids, with brackets 4.8e-3 wide
+    config = RunConfig(suite="localized", grid_n=grid_n)
+    config.validate()
+    assert nyquist_tail(RunPlan.of(config).localized_data) == pytest.approx(tail, rel=0.05)

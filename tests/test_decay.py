@@ -23,10 +23,10 @@ from kgdecay.decay import (
 )
 from kgdecay.config import HIGHFREQ_LATE_TIMES
 from kgdecay.errors import ConfigurationError
-from kgdecay.grid import Field, Grid, point_values, upsample_values
+from kgdecay.grid import Field, Grid, UpsamplePlan, point_values, upsample_values
 from kgdecay.propagator import CauchyData, evolve_spectra
 
-from oracles import direct_sum_oracle
+from oracles import direct_sum_oracle, upsampled
 
 GRID = Grid(1, 1024, 256.0)
 ZERO = Field(GRID, np.zeros(GRID.shape))
@@ -148,7 +148,7 @@ def test_point_values_match_direct_evaluation(name, chunk, monkeypatch):
 def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
     # 2-D bump data keep all 4096 modes, and their brackets stay wide until
     # the upsampling factor stops at the fine-grid cap (x8, 512^2 points);
-    # one call peaks at 11 MB, one spectrum upsampled at a time
+    # one call peaks at 4.8 MB, a block of sub-grids sampled at a time
     grid = Grid(2, 64, 16.0)
     f = bump_field(grid, width=1.0, sharpness=1.0)
     data = CauchyData(f, bump_derivative_field(grid, 0, width=1.0, sharpness=1.0), 2.0, 1.0)
@@ -164,8 +164,8 @@ def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
 
 
 def test_sup_norms_memory_is_bounded_on_wide_band_data():
-    # band 4 of highfreq's d = 1 sweep on its 8x wider box; one call peaked
-    # at 20.9 MB with a complex fine transform per spectrum
+    # band 4 of highfreq's d = 1 sweep on its 8x wider box; one call peaks
+    # at 8.4 MB, a block of sub-grids sampled at a time
     wide = Grid(1, 32768, 2048.0)
     f = bump_field(wide, width=0.25, sharpness=4.0)
     data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
@@ -231,9 +231,9 @@ def factors(monkeypatch):
     """The factor of each ``upsample_values`` call that ``sup_norms`` makes."""
     factors = []
 
-    def spy(grid, modes, coefficients, factor):
-        factors.append(factor)
-        return upsample_values(grid, modes, coefficients, factor)
+    def spy(plan, coefficients, start):
+        factors.append(plan.factor)
+        return upsample_values(plan, coefficients, start)
 
     monkeypatch.setattr(decay_module, "upsample_values", spy)
     return factors
@@ -264,7 +264,7 @@ def test_sup_norms_bracketed_by_direct_evaluation(case, factors):
         square = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
         capped = (2 * factor * g.points_per_axis) ** g.dim > MAX_FINE_POINTS
         modes, _, (coefficients,) = _mode_sweep(data, [t])
-        phi, dphi, *grad = upsample_values(g, modes, coefficients, factor)
+        phi, dphi, *grad = upsampled(g, modes, coefficients, factor)
         fine = sup_quantities(phi, dphi, np.array(grad))
         for i, (name, lower) in enumerate(zip(SUP_FIELDS, s.lower)):
             index = np.unravel_index(np.argmax(fine[i]), fine[i].shape)
@@ -291,6 +291,52 @@ def test_sup_norms_upsampling_factor_follows_the_band(factors):
     f, g = bump_pair(grid, sharpness=1.0)
     sup_norms(CauchyData(f, g, 2.0, 1.0), TIMES)
     assert max(factors) == 16
+
+
+def wide_band_data(band):
+    """Band ``band`` of highfreq's d = 1 sweep data on its 8x wider box."""
+    wide = Grid(1, 32768, 2048.0)
+    f = bump_field(wide, width=0.25, sharpness=4.0)
+    return _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, band)
+
+
+def test_sup_norms_do_not_depend_on_the_block_size(monkeypatch):
+    # the maxima of each block merge exactly, so one sub-grid per block
+    # gives the same brackets to the last bit: band 0 (32 sub-grids of 2048
+    # points at x2), the localized suite's full-spectrum bump (16 of 4096 at
+    # x16) and a 2-D bump
+    data_2d, t, _ = oracle_case("bump_2d")
+    f, g = bump_pair(Grid(1, 4096, 256.0), sharpness=1.0)
+    cases = [
+        (wide_band_data(0), HIGHFREQ_LATE_TIMES[:3]),
+        (CauchyData(f, g, 2.0, 1.0), TIMES[:3]),
+        (data_2d, (t, 2 * t)),
+    ]
+    want = [sup_norms(data, times) for data, times in cases]
+    monkeypatch.setattr(grid_module, "UPSAMPLE_BLOCK_POINTS", 1)
+    blocks = []
+
+    def spy(plan, coefficients, start):
+        blocks.append(plan.block)
+        return upsample_values(plan, coefficients, start)
+
+    monkeypatch.setattr(decay_module, "upsample_values", spy)
+    assert [sup_norms(data, times) for data, times in cases] == want
+    assert set(blocks) == {1}
+
+
+def test_sup_norms_build_one_plan_per_curve_and_factor(monkeypatch):
+    # band 4 of highfreq's sweep doubles its factor 2 -> 4 -> 8 at the first
+    # time and keeps the x8 plan for the other twelve
+    plans = []
+
+    def spy(grid, modes, factor, spectra):
+        plans.append(factor)
+        return UpsamplePlan(grid, modes, factor, spectra)
+
+    monkeypatch.setattr(decay_module, "UpsamplePlan", spy)
+    sup_norms(wide_band_data(4), HIGHFREQ_LATE_TIMES)
+    assert plans == [2, 4, 8]
 
 
 def test_lowfreq_zero_data_skipped():
