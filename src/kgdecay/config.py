@@ -193,15 +193,18 @@ def _assign(cfg: RunConfig, key: str, raw: str) -> RunConfig:
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional INI-style file plus overrides."""
+    """Build a RunConfig from an optional INI-style file plus overrides; a
+    file that cannot be read or parsed is a ConfigurationError."""
     cfg = RunConfig()
     if path is not None:
         parser = configparser.ConfigParser()
-        text = Path(path).read_text()
-        parser.read_string(text)
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                cfg = _assign(cfg, key, raw)
+        try:
+            parser.read_string(Path(path).read_text(), source=str(path))
+            entries = [item for section in parser.sections() for item in parser.items(section)]
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
+        for key, raw in entries:
+            cfg = _assign(cfg, key, raw)
     for key, raw in (overrides or {}).items():
         if raw is not None:
             cfg = _assign(cfg, key, raw)

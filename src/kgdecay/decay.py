@@ -40,7 +40,7 @@ import numpy as np
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .errors import ConfigurationError
 from .grid import Field, UpsamplePlan, forward_transform, l1_norm, sobolev_h_norm, upsample_values
-from .propagator import CauchyData, _evolved, _omega
+from .propagator import CauchyData, _evolved, nonzero_modes
 
 DEGENERATE_NORM = 1e-12
 # the relative width (upper / lower - 1) that the sup brackets' upsampling
@@ -52,41 +52,11 @@ MAX_FINE_POINTS = 2**18
 SUP_FIELDS = ("phi", "dphi_dt", "grad", "partial")
 
 
-@dataclass(frozen=True)
-class SupNorms:
-    """Certified upper ends of the sups at one time; ``lower`` holds their
-    lower ends, the maxima over the upsampled grid, in field order."""
-
-    phi: float
-    dphi_dt: float
-    grad: float     # euclidean norm of the spatial gradient
-    partial: float  # euclidean norm of the full space-time gradient
-    lower: tuple = (0.0, 0.0, 0.0, 0.0)
-
-    def width(self, name: str) -> float:
-        """The relative width upper / lower - 1 of one field's bracket."""
-        upper, lower = getattr(self, name), self.lower[SUP_FIELDS.index(name)]
-        return upper / lower - 1.0 if lower else (0.0 if upper == 0.0 else float("inf"))
-
-
-def _mode_sweep(data: CauchyData, times):
-    """The flat indices of the lattice modes where f_hat or g_hat is nonzero,
-    by ascending |xi|, their frequencies xi, shape (M, d), and an iterator
-    over ``times`` of the coefficients of phi, d_t phi and grad phi
-    (``i xi phi_hat``, Nyquist mode included) at those modes, shape (2 + d, M)."""
-    g = data.grid
-    f_hat, g_hat = (c.ravel() for c in data.spectra)
-    modes = np.flatnonzero((f_hat != 0) | (g_hat != 0))
-    modes = modes[np.argsort(g.frequency_norm.ravel()[modes], kind="stable")]
-    xi = g.axis_frequencies[np.stack(np.unravel_index(modes, g.shape), axis=-1)]
-    omega = _omega(g, data.mass).ravel()[modes]
-    f_hat, g_hat = f_hat[modes], g_hat[modes]
-
-    def coefficients(t):
-        phi_hat, dphi_hat = _evolved(t - data.t0, omega, f_hat, g_hat)
-        return np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
-
-    return modes, xi, map(coefficients, times)
+def widths(upper, lower) -> np.ndarray:
+    """The relative widths upper / lower - 1 of sup brackets; 0 where both
+    ends are 0, inf where only the lower end is."""
+    empty = np.where(upper == 0.0, 1.0, np.inf)
+    return np.divide(upper, lower, out=empty, where=lower != 0.0) - 1.0
 
 
 def _sample_maxima(plan: UpsamplePlan, coefficients) -> np.ndarray:
@@ -122,9 +92,10 @@ def _upper_ends(lower, amplitudes, sigma, delta) -> np.ndarray:
     return np.minimum(np.sum(amplitudes, axis=-1), np.min(bounds, axis=-1, initial=np.inf))
 
 
-def sup_norms(data: CauchyData, times) -> list:
-    """Brackets of the sups of |phi|, |d_t phi|, |grad phi|, |d phi|, one
-    ``SupNorms`` per time, from one sweep per curve over the nonzero modes.
+def sup_norms(data: CauchyData, times) -> tuple:
+    """Brackets of the sups of |phi|, |d_t phi|, |grad phi| and |d phi|:
+    arrays (upper, lower) of shape (T, 4), columns in ``SUP_FIELDS`` order,
+    from one sweep over the data's ``nonzero_modes`` by ascending |xi|.
 
     The lower ends are the maxima over the F-times upsampled grid, whose
     points lie within delta = h sqrt(d) / (2F) of every point.  F starts at
@@ -133,26 +104,33 @@ def sup_norms(data: CauchyData, times) -> list:
     the sampling plan is built once per F.
     """
     g = data.grid
-    modes, _, sweep = _mode_sweep(data, times)
+    modes, xi, omega, f_hat, g_hat = table = nonzero_modes(data)
+    order = np.argsort(g.frequency_norm.ravel()[modes], kind="stable")
+    # sorted in place, the order and each time's evolved spectra freed at
+    # once: the sweep holds one copy of the per-mode arrays while it samples
+    for a in table:
+        a[...] = a[order]
+    del order
     sigma = g.frequency_norm.ravel()[modes]
-    factor, out = 2, []
+    factor, upper, lower = 2, np.zeros((len(times), 4)), np.zeros((len(times), 4))
     plan = UpsamplePlan(g, modes, factor, 2 + g.dim)
-    for coefficients in sweep:
+    for i, t in enumerate(times):
+        phi_hat, dphi_hat = _evolved(t - data.t0, omega, f_hat, g_hat)
+        coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
+        del phi_hat, dphi_hat
         c = np.abs(coefficients) ** 2
         grad_sq = np.sum(c[2:], axis=0)
         amplitudes = np.sqrt([c[0], c[1], grad_sq, c[1] + grad_sq]) / g.box_length**g.dim
         while True:
-            lower = _sample_maxima(plan, coefficients)
+            lower[i] = _sample_maxima(plan, coefficients)
             delta = g.spacing * np.sqrt(g.dim) / (2 * factor)
-            upper = _upper_ends(lower, amplitudes, sigma, delta)
-            sups = SupNorms(*map(float, upper), tuple(map(float, lower)))
-            narrow = max(map(sups.width, SUP_FIELDS)) <= BRACKET_WIDTH
+            upper[i] = _upper_ends(lower[i], amplitudes, sigma, delta)
+            narrow = np.max(widths(upper[i], lower[i])) <= BRACKET_WIDTH
             if narrow or (2 * factor * g.points_per_axis) ** g.dim > MAX_FINE_POINTS:
                 break
             factor *= 2
             plan = UpsamplePlan(g, modes, factor, 2 + g.dim)
-        out.append(sups)
-    return out
+    return upper, lower
 
 
 @dataclass(frozen=True)
@@ -168,10 +146,12 @@ class DecayCurve:
         t = np.asarray(self.times, dtype=float)
         if len(t) and np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
+        object.__setattr__(self, "times", t)
         for name in ("weighted_sup", "raw_sup"):
             v = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(v)) or np.any(v < 0):
                 raise ValueError(f"{name} must be finite and nonnegative")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -243,7 +223,7 @@ class _Row:
 
     inequality_id: str
     quantity: str
-    terms: tuple  # ((SupNorms field, q, e, p), ...)
+    terms: tuple  # ((SUP_FIELDS name, q, e, p), ...)
     rhs_exponents: tuple = (0, 0, 0)
     extras: dict = field(default_factory=dict)
 
@@ -254,8 +234,8 @@ def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, b
     if np.any(np.diff(t) <= 0):
         raise ValueError("time grid must be strictly increasing")
     window = fit_window or ((t[0], t[-1]) if len(t) else (1.0, 2.0))
-    sups = sup_norms(data, t)
-    series = {name: np.array([getattr(s, name) for s in sups]) for name in SUP_FIELDS}
+    upper, lower = sup_norms(data, t)
+    series, width = dict(zip(SUP_FIELDS, upper.T)), widths(upper, lower)
     weight = 1.0 + t if band == LOW_PASS_BAND else t
     k = band or 0
     plain = n_f + n_g
@@ -271,25 +251,23 @@ def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, b
         curve = DecayCurve(t, weighted, raw, norms)
         constants = (_max_ratio(weighted, rhs), _max_ratio(weighted, plain))
         fit = _try_fit(curve, window)
-        width = max((s.width(n) for s in sups for n, *_ in row.terms), default=0.0)
+        columns = [SUP_FIELDS.index(n) for n, *_ in row.terms]
         reports.append(
             DecayReport(row.inequality_id, row.quantity, data.grid.dim, data.mass, band,
-                        *constants, curve, fit, status, mode, row.extras, width)
+                        *constants, curve, fit, status, mode, row.extras,
+                        float(max(width[:, columns].flat, default=0.0)))
         )
     return reports
 
 
-def mass_outside_fraction(data: CauchyData, radius: float = 1.0) -> float:
-    """Fraction of the combined |f|+|g| mass lying outside |x| <= radius."""
-    g = data.grid
-    r2 = np.zeros(g.shape)
-    for x in g.coordinate_arrays():
-        r2 += x**2
+def mass_outside_fraction(data: CauchyData) -> float:
+    """Fraction of the combined |f|+|g| mass lying outside the unit ball."""
+    r2 = np.sum(data.grid.lattice_points() ** 2, axis=-1).reshape(data.grid.shape)
     combined = np.abs(data.f.values) + np.abs(data.g.values)
     total = np.sum(combined)
     if total == 0.0:
         return 0.0
-    return float(np.sum(combined[r2 > radius**2]) / total)
+    return float(np.sum(combined[r2 > 1.0]) / total)
 
 
 def localized_decay_check(data: CauchyData, times, fit_window=None) -> list:
@@ -300,7 +278,7 @@ def localized_decay_check(data: CauchyData, times, fit_window=None) -> list:
     """
     if data.t0 != 2.0:
         raise ConfigurationError("localized decay check prescribes data at t0 = 2")
-    if mass_outside_fraction(data, 1.0) > 1e-8:
+    if mass_outside_fraction(data) > 1e-8:
         raise ConfigurationError("data mass outside the unit ball exceeds 1e-8")
     d = data.grid.dim
     n_f = sobolev_h_norm(data.f, d // 2 + 2) ** 2

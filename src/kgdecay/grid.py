@@ -23,10 +23,6 @@ import numpy as np
 
 from .errors import GridMismatchError
 
-# cap on points*modes per block of a direct Fourier evaluation at arbitrary
-# points (4 MB per real array); 2**22 ran the slice suites no faster and
-# raised their peak RSS from 101 to 307 MB
-EVAL_CHUNK_ENTRIES = 2**19
 # fine points per spectrum in one block of `upsample_values` sub-grids; 2**16
 # ran no faster and raised the peak RSS of highfreq by 4 MB
 UPSAMPLE_BLOCK_POINTS = 2**15
@@ -95,6 +91,10 @@ class Grid:
     def coordinate_arrays(self) -> list:
         """Meshgrid coordinate component arrays, 'ij' indexing."""
         return list(np.meshgrid(*([self.axis_coordinates] * self.dim), indexing="ij"))
+
+    def lattice_points(self) -> np.ndarray:
+        """The lattice points as rows, shape (N^d, d), in flat lattice order."""
+        return np.stack([x.ravel() for x in self.coordinate_arrays()], axis=-1)
 
     def frequency_arrays(self) -> list:
         return list(np.meshgrid(*([self.axis_frequencies] * self.dim), indexing="ij"))
@@ -333,31 +333,6 @@ def upsample_values(plan: UpsamplePlan, coefficients, start: int) -> np.ndarray:
     if d > 1:
         np.fft.ifftn(half, axes=tuple(range(-d, -1)), out=half)
     return np.fft.irfft(half, n=plan.sub, axis=-1)
-
-
-def point_values(points, frequencies, coefficients) -> np.ndarray:
-    """``Re sum_k exp(i xi_k.x) c_k`` at arbitrary points x of shape (P, D),
-    for each column of ``coefficients``; returns (P, C).
-
-    ``frequencies`` holds the D components of the xi_k as arrays of one
-    shape S, and ``coefficients`` has shape S + (C,).  The sum runs only over
-    the modes where some column is nonzero, so band-limited spectra cost in
-    proportion to their band, and ``cos(theta) Re c - sin(theta) Im c`` keeps
-    it in real arithmetic.  Points go in blocks of at most
-    ``EVAL_CHUNK_ENTRIES`` points x modes.
-    """
-    coeff = np.asarray(coefficients)
-    coeff = coeff.reshape(-1, coeff.shape[-1])
-    keep = np.any(coeff != 0, axis=-1)
-    xi = np.stack([np.ravel(x)[keep] for x in frequencies], axis=-1)
-    c = coeff[keep]
-    points = np.asarray(points, dtype=float)
-    out = np.empty((len(points), c.shape[-1]))
-    rows = max(1, EVAL_CHUNK_ENTRIES // max(1, len(xi)))
-    for lo in range(0, len(points), rows):
-        theta = points[lo : lo + rows] @ xi.T
-        out[lo : lo + rows] = np.cos(theta) @ c.real - np.sin(theta, out=theta) @ c.imag
-    return out
 
 
 def multi_indices(dim: int, max_order: int) -> list:

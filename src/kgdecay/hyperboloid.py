@@ -81,7 +81,7 @@ def build_slice(
             f"tau {tau:g} puts the solution support edge at |x| = {edge:.1f}, "
             f"beyond the slice's truncation radius {truncation_radius:g}"
         )
-    pts = np.stack([x.ravel() for x in grid.coordinate_arrays()], axis=-1)
+    pts = grid.lattice_points()
     r = np.linalg.norm(pts, axis=-1)
     keep = r <= truncation_radius
     pts = pts[keep]

@@ -130,9 +130,6 @@ class UnitBallPartition:
             counts += np.linalg.norm(points - c, axis=-1) < 1.0
         return counts
 
-    def _grid_points(self, grid: Grid) -> np.ndarray:
-        return np.stack([x.ravel() for x in grid.coordinate_arrays()], axis=-1)
-
     def _check_grid(self, grid: Grid):
         if grid.box_length / 2.0 < self.active_radius:
             raise ConfigurationError(
@@ -142,18 +139,18 @@ class UnitBallPartition:
 
     def cutoff_field(self, i: int, grid: Grid) -> Field:
         self._check_grid(grid)
-        vals = self.cutoff_values(i, self._grid_points(grid))
+        vals = self.cutoff_values(i, grid.lattice_points())
         return Field(grid, vals.reshape(grid.shape))
 
     def apply_cutoff(self, i: int, f: Field) -> Field:
         """The localized piece chi_i * f, supported in B(c_i, 1)."""
         return self.cutoff_field(i, f.grid) * f
 
-    def touching(self, f: Field, threshold: float = 0.0) -> list:
-        """Indices whose ball meets the essential support of f."""
-        g = f.grid
-        cut = threshold * np.max(np.abs(f.values))
-        pts = self._grid_points(g)[np.abs(f.values).ravel() > cut]
+    def touching(self, f: Field) -> list:
+        """Indices whose ball meets the essential support of f, the points
+        where |f| exceeds 1e-14 of its max."""
+        cut = 1e-14 * np.max(np.abs(f.values))
+        pts = f.grid.lattice_points()[np.abs(f.values).ravel() > cut]
         out = []
         for i, c in enumerate(self.centers):
             if len(pts) and np.min(np.linalg.norm(pts - c, axis=-1)) < 1.0:
@@ -168,8 +165,8 @@ def build_partition(dim: int, active_radius: float) -> UnitBallPartition:
 def ball_restricted_w_k1(f: Field, center: np.ndarray, k: int) -> float:
     """W^{k,1} norm of f with integrals restricted to the unit ball at center."""
     g = f.grid
-    pts = np.stack([x.ravel() for x in g.coordinate_arrays()], axis=-1)
-    mask = (np.linalg.norm(pts - np.asarray(center, float), axis=-1) < 1.0).reshape(g.shape)
+    r = np.linalg.norm(g.lattice_points() - np.asarray(center, float), axis=-1)
+    mask = (r < 1.0).reshape(g.shape)
     total = 0.0
     for alpha in multi_indices(g.dim, k):
         total += g.cell_volume * np.sum(np.abs(partial_derivative(f, alpha).values[mask]))
@@ -206,7 +203,7 @@ def w_k1_comparability(p: UnitBallPartition, f: Field, k: int) -> ComparabilityR
     whole = sobolev_w_k1_norm(f, k)
     localized = 0.0
     balls = 0.0
-    for i in p.touching(f, threshold=1e-14):
+    for i in p.touching(f):
         localized += sobolev_w_k1_norm(p.apply_cutoff(i, f), k)
         balls += ball_restricted_w_k1(f, p.centers[i], k)
     return ComparabilityReport(k, whole, localized, balls)

@@ -50,11 +50,11 @@ def mass_commensurate_times(m0: float) -> np.ndarray:
     return np.pi * k / m0
 
 
-def standard_data(config: RunConfig) -> CauchyData:
+def bump_pair_data(config: RunConfig, sharpness: float) -> CauchyData:
     """Deterministic bump pair supported in B(0, support_radius) at t0 = 2."""
-    w, s = config.support_radius, SLICE_DATA_SHARPNESS
-    f = bump_field(config.grid, width=w, sharpness=s)
-    g = bump_derivative_field(config.grid, 0, width=w, sharpness=s) * 0.5 + f * 0.25
+    w = config.support_radius
+    f = bump_field(config.grid, width=w, sharpness=sharpness)
+    g = bump_derivative_field(config.grid, 0, width=w, sharpness=sharpness) * 0.5 + f * 0.25
     return CauchyData(f, g, 2.0, config.mass)
 
 
@@ -124,15 +124,12 @@ class RunPlan:
 
     @cached_property
     def slice_data(self) -> CauchyData:
-        return standard_data(self.config)
+        return bump_pair_data(self.config, SLICE_DATA_SHARPNESS)
 
     @cached_property
     def localized_data(self) -> CauchyData:
-        """The localized suite's bump pair in B(0, support_radius) at t0 = 2."""
-        c, s = self.config, LOCALIZED_DATA_SHARPNESS
-        f = bump_field(c.grid, width=c.support_radius, sharpness=s)
-        g = bump_derivative_field(c.grid, 0, width=c.support_radius, sharpness=s)
-        return CauchyData(f, g * 0.5 + f * 0.25, 2.0, c.mass)
+        """The localized suite's bump pair."""
+        return bump_pair_data(self.config, LOCALIZED_DATA_SHARPNESS)
 
     def localized_problems(self) -> list:
         """Why localized cannot run on this plan: unresolved data."""

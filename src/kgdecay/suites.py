@@ -21,7 +21,7 @@ from .decay import (
 from .grid import Field, l2_norm, linf_norm
 from .hyperboloid import SOBOLEV_ELLS, energy, global_sobolev_check, pointwise_energy_check
 from .partition import build_partition, overlap_bound, w_k1_comparability
-from .plan import RunPlan, standard_data  # standard_data: re-exported
+from .plan import RunPlan
 from .propagator import CauchyData
 
 WAVE_BRANCH_MASS = 0.125  # mass small enough that t in [8, 64] sits in the wave regime
@@ -41,17 +41,17 @@ def _spread(values) -> float:
     return max(values) / min(values)
 
 
-def random_bump_pair(config: RunConfig, rng, translate: float = 2.0):
-    """One draw from the randomized test-data family."""
+def random_bump_pair(config: RunConfig, rng):
+    """One draw from the randomized test-data family, centered in [-2, 2]^d."""
     g_kind = rng.integers(0, 3)
-    center = rng.uniform(-translate, translate, size=config.dim)
+    center = rng.uniform(-2.0, 2.0, size=config.dim)
     width = rng.uniform(0.5, 2.0)
     amp = rng.uniform(0.5, 2.0)
     f = bump_field(config.grid, center, width, amp, sharpness=DATA_SHARPNESS)
     if g_kind == 0:
         g = Field(config.grid, np.zeros(config.grid.shape))
     elif g_kind == 1:
-        g_center = rng.uniform(-translate, translate, size=config.dim)
+        g_center = rng.uniform(-2.0, 2.0, size=config.dim)
         g_width, g_amp = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
         g = bump_field(config.grid, g_center, g_width, g_amp, sharpness=DATA_SHARPNESS)
     else:

@@ -14,9 +14,9 @@ from kgdecay.cli import main
 from kgdecay.config import RunConfig
 from kgdecay.grid import Field, Grid, linf_norm
 from kgdecay.hyperboloid import energy, global_sobolev_check
+from kgdecay.plan import SLICE_DATA_SHARPNESS, bump_pair_data
 from kgdecay.propagator import CauchyData, boost_commuted_data, evolve
 from kgdecay.suites import (
-    standard_data,
     suite_highfreq,
     suite_interpolation,
     suite_lowfreq,
@@ -46,7 +46,7 @@ def highfreq_result():
 
 def test_criterion_1_energy_equality():
     start = time.time()
-    data = standard_data(CONFIG)
+    data = bump_pair_data(CONFIG, SLICE_DATA_SHARPNESS)
     gaps = [abs(energy(data, tau).relative_gap) for tau in (2.0, 4.0, 8.0, 16.0)]
     elapsed = time.time() - start
     record(
@@ -103,7 +103,7 @@ def test_criterion_3_boost_commutation():
 
 
 def test_criterion_4_global_sobolev_tau_uniformity():
-    data = standard_data(CONFIG)
+    data = bump_pair_data(CONFIG, SLICE_DATA_SHARPNESS)
     per_tau = [global_sobolev_check(data, tau) for tau in (2.0, 4.0, 8.0, 16.0)]
     spreads = []
     for ell in (0.0, 1.0):

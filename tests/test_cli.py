@@ -185,6 +185,29 @@ def test_cli_configuration_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"grid_n = 1024\n",
+        b"[run]\nmass = 0.5\nmass = 0.25\n",
+        None,
+        b"[run]\nout_dir = a%b\n",
+        b"[run]\ngrid_n = 1024\n\xff\n",
+    ],
+    ids=["no_section_header", "repeated_key", "missing_file", "bad_interpolation", "not_utf8"],
+)
+def test_cli_unreadable_config_file_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "run.ini"
+    if content is not None:
+        path.write_bytes(content)
+    rc = main(["--config", str(path), "--suite", "lp", "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert str(path) in err
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_cli_lp_suite_run(tmp_path, capsys):
     rc = main(small_overrides(tmp_path / "out"))
     assert rc == 0

@@ -5,26 +5,26 @@ import pytest
 
 from kgdecay import decay as decay_module
 from kgdecay import grid as grid_module
+from kgdecay import propagator as propagator_module
 from kgdecay.bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from kgdecay.bumps import bump_derivative_field, bump_field
 from kgdecay.decay import (
     MAX_FINE_POINTS,
     SUP_FIELDS,
     DecayCurve,
-    SupNorms,
     _band_data,
-    _mode_sweep,
     fit_exponent,
     highfreq_check,
     interpolation_check,
     lowfreq_check,
     localized_decay_check,
     sup_norms,
+    widths,
 )
 from kgdecay.config import HIGHFREQ_LATE_TIMES
 from kgdecay.errors import ConfigurationError
-from kgdecay.grid import Field, Grid, UpsamplePlan, point_values, upsample_values
-from kgdecay.propagator import CauchyData, evolve_spectra
+from kgdecay.grid import Field, Grid, UpsamplePlan, upsample_values
+from kgdecay.propagator import CauchyData, evaluate_at_points, evolve_spectra, nonzero_modes
 
 from oracles import direct_sum_oracle, upsampled
 
@@ -76,18 +76,28 @@ def test_curve_validation():
         DecayCurve(np.array([1.0, 2.0]), np.array([1.0, -1.0]), np.zeros(2), {})
 
 
+def test_curve_built_from_lists_keeps_float_arrays():
+    t = np.geomspace(4.0, 128.0, 25).tolist()
+    v = [3.0 * s ** (-0.75) for s in t]
+    curve = DecayCurve(t, v, v, {})
+    for a in (curve.times, curve.weighted_sup, curve.raw_sup):
+        assert isinstance(a, np.ndarray) and a.dtype == float
+    fit = fit_exponent(curve, (4.0, 128.0))
+    assert abs(fit.slope + 0.75) <= 1e-10
+
+
 def test_sup_norms_of_zero_data():
-    s = sup_norms(CauchyData(ZERO, ZERO, 0.0, 1.0), [5.0])[0]
-    assert s.phi == 0.0 and s.partial == 0.0
+    upper, _ = sup_norms(CauchyData(ZERO, ZERO, 0.0, 1.0), [5.0])
+    assert upper[0, 0] == 0.0 and upper[0, 3] == 0.0
 
 
 def test_sup_norms_of_zero_data_skip_the_window_sum():
     data = CauchyData(ZERO, ZERO, 0.0, 1.0)
-    modes, xi, _ = _mode_sweep(data, TIMES)
+    modes, xi, *_ = nonzero_modes(data)
     assert len(modes) == 0 and xi.shape == (0, 1)
-    sups = sup_norms(data, TIMES)
-    assert len(sups) == len(TIMES)
-    assert all(s == SupNorms(0.0, 0.0, 0.0, 0.0) for s in sups)
+    upper, lower = sup_norms(data, TIMES)
+    assert upper.shape == lower.shape == (len(TIMES), len(SUP_FIELDS))
+    assert np.all(upper == 0.0) and np.all(lower == 0.0)
 
 
 def test_sup_norms_catch_oscillation_peaks():
@@ -100,9 +110,9 @@ def test_sup_norms_catch_oscillation_peaks():
     f = Field(GRID, np.cos(xi0 * x + np.pi * 200 / 1024))
     lattice_max = np.max(np.abs(f.values))
     assert abs(lattice_max - np.cos(np.pi / 128)) <= 1e-12
-    s = sup_norms(CauchyData(f, ZERO, 0.0, 1.0), [0.0])[0]
-    assert lattice_max < s.lower[0] <= 1.0 + 1e-12 and 1.0 <= s.phi
-    assert s.width("phi") <= 1e-2
+    upper, lower = sup_norms(CauchyData(f, ZERO, 0.0, 1.0), [0.0])
+    assert lattice_max < lower[0, 0] <= 1.0 + 1e-12 and 1.0 <= upper[0, 0]
+    assert widths(upper, lower)[0, 0] <= 1e-2
 
 
 FINE = Grid(1, 2048, 128.0)  # Nyquist 50.3, room for band 4 ([8, 32])
@@ -130,19 +140,38 @@ def oracle_case(name):
 
 @pytest.mark.parametrize("chunk", [None, 100])
 @pytest.mark.parametrize("name", ["low_pass", "band_4", "bump", "bump_2d"])
-def test_point_values_match_direct_evaluation(name, chunk, monkeypatch):
+def test_evaluate_at_points_matches_direct_evaluation(name, chunk, monkeypatch):
     if chunk is not None:  # many blocks of a few points each
-        monkeypatch.setattr(grid_module, "EVAL_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(propagator_module, "EVAL_CHUNK_ENTRIES", chunk)
     data, t, pts = oracle_case(name)
-    g = data.grid
-    phi_hat, dphi_hat = (F.coefficients for F in evolve_spectra(data, t))
-    xis = g.frequency_arrays()
-    coeff = np.stack([phi_hat, dphi_hat, *(1j * xi * phi_hat for xi in xis)], axis=-1)
-    vals = point_values(pts, xis, coeff) / g.box_length**g.dim
+    phi, dphi, grad = evaluate_at_points(data, np.full(len(pts), t), pts)
+    vals = np.column_stack([phi, dphi, grad])
     phi, dphi, grad = direct_sum_oracle(data, np.full(len(pts), t), pts)
     for got, want in zip(vals.T, [phi, dphi, *grad.T]):
         assert np.max(np.abs(want)) > 0.0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_nonzero_modes_hold_exactly_the_band():
+    # band-limited data cost in proportion to their band: the table holds
+    # the modes where the band's symbol is nonzero, in lattice order, and
+    # zero data hold none and evaluate to zero
+    bank = LittlewoodPaleyBank.for_grid(FINE)
+    for band in (LOW_PASS_BAND, 4):
+        data = _band_data(*bump_pair(FINE), 1.0, band)
+        modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
+        assert np.array_equal(modes, np.flatnonzero(bank.symbol(band)))
+        assert len(modes) < FINE.points_per_axis // 2
+        assert np.array_equal(xi[:, 0], FINE.axis_frequencies[modes])
+        assert np.array_equal(omega, np.sqrt(FINE.frequency_norm.ravel()[modes] ** 2 + 1.0))
+        for got, spectrum in zip((f_hat, g_hat), data.spectra):
+            assert np.array_equal(got, spectrum.ravel()[modes])
+    zero = CauchyData(ZERO, ZERO, 0.0, 1.0)
+    modes, xi, omega, f_hat, g_hat = nonzero_modes(zero)
+    assert xi.shape == (0, 1) and all(len(a) == 0 for a in (modes, omega, f_hat, g_hat))
+    phi, dphi, grad = evaluate_at_points(zero, [1.0, 3.0], [[0.5], [-2.0]])
+    assert phi.shape == dphi.shape == (2,) and grad.shape == (2, 1)
+    assert not (phi.any() or dphi.any() or grad.any())
 
 
 def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
@@ -155,11 +184,11 @@ def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
     data.spectra  # transformed before the measured call
     tracemalloc.start()
     try:
-        s = sup_norms(data, [3.0])[0]
+        upper, _ = sup_norms(data, [3.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert s.phi > 0.0
+    assert upper[0, 0] > 0.0
     assert peak <= 24 * 2**20
 
 
@@ -171,11 +200,11 @@ def test_sup_norms_memory_is_bounded_on_wide_band_data():
     data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
     tracemalloc.start()
     try:
-        s = sup_norms(data, [64.0])[0]
+        upper, _ = sup_norms(data, [64.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert s.phi > 0.0
+    assert upper[0, 0] > 0.0
     assert peak <= 21 * 2**20
 
 
@@ -188,12 +217,12 @@ def test_sup_norms_memory_is_bounded_over_a_whole_sweep():
     data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
     tracemalloc.start()
     try:
-        sups = sup_norms(data, HIGHFREQ_LATE_TIMES)
+        upper, _ = sup_norms(data, HIGHFREQ_LATE_TIMES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sups) == len(HIGHFREQ_LATE_TIMES)
-    assert all(s.phi > 0.0 for s in sups)
+    assert len(upper) == len(HIGHFREQ_LATE_TIMES)
+    assert np.all(upper[:, 0] > 0.0)
     assert peak <= 21 * 2**20
 
 
@@ -257,22 +286,24 @@ def test_sup_norms_bracketed_by_direct_evaluation(case, factors):
     data, times = bracket_case(case)
     g = data.grid
     for t in times:
-        s = sup_norms(data, [t])[0]
+        upper, lower = sup_norms(data, [t])
         factor = factors[-1]
         assert 4 * factor <= 64
         steps = np.arange(-128 // factor, 128 // factor + 1) * g.spacing / 64
         square = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
         capped = (2 * factor * g.points_per_axis) ** g.dim > MAX_FINE_POINTS
-        modes, _, (coefficients,) = _mode_sweep(data, [t])
+        modes, xi, *_ = nonzero_modes(data)
+        phi_hat, dphi_hat = (F.coefficients.ravel()[modes] for F in evolve_spectra(data, t))
+        coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
         phi, dphi, *grad = upsampled(g, modes, coefficients, factor)
         fine = sup_quantities(phi, dphi, np.array(grad))
-        for i, (name, lower) in enumerate(zip(SUP_FIELDS, s.lower)):
+        for i in range(len(SUP_FIELDS)):
             index = np.unravel_index(np.argmax(fine[i]), fine[i].shape)
             x = square - 0.5 * g.box_length + g.spacing / factor * np.array(index)
             phi, dphi, grad = direct_sum_oracle(data, np.full(len(x), t), x)
             dense = np.max(sup_quantities(phi, dphi, grad.T)[i])
-            assert lower * (1.0 - 1e-12) <= dense <= getattr(s, name) * (1.0 + 1e-12)
-            assert s.width(name) <= 1e-2 or capped
+            assert lower[0, i] * (1.0 - 1e-12) <= dense <= upper[0, i] * (1.0 + 1e-12)
+            assert widths(upper, lower)[0, i] <= 1e-2 or capped
 
 
 def test_sup_norms_upsampling_factor_follows_the_band(factors):
@@ -321,7 +352,8 @@ def test_sup_norms_do_not_depend_on_the_block_size(monkeypatch):
         return upsample_values(plan, coefficients, start)
 
     monkeypatch.setattr(decay_module, "upsample_values", spy)
-    assert [sup_norms(data, times) for data, times in cases] == want
+    got = [sup_norms(data, times) for data, times in cases]
+    assert all(np.array_equal(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
     assert set(blocks) == {1}
 
 
