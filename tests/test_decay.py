@@ -463,6 +463,28 @@ def test_localized_zero_data_zero_curves():
         assert np.all(r.curve.weighted_sup == 0.0)
 
 
+def test_localized_rows_weight_the_upper_sup_ends():
+    # each row's series by hand from the brackets' upper ends (d = 1):
+    # m^2 t^d phi^2, t^(d-1) (d_t phi)^2, t^(d-1) |grad phi|^2 and their sum
+    f = bump_field(GRID, width=1.0, sharpness=4.0)
+    g = bump_derivative_field(GRID, 0, width=1.0, sharpness=4.0) * 0.5
+    data = CauchyData(f, g, 2.0, 0.7)
+    t = np.asarray(TIMES)
+    upper, _ = sup_norms(data, t)
+    phi, dphi, grad = (upper[:, SUP_FIELDS.index(n)] for n in ("phi", "dphi_dt", "grad"))
+    d = GRID.dim
+    want = {
+        "m2_td_phi_sq": data.mass**2 * t**d * phi**2,
+        "td1_dt_phi_sq": t ** (d - 1) * dphi**2,
+        "td1_grad_phi_sq": t ** (d - 1) * grad**2,
+    }
+    want["combined"] = sum(want.values())
+    got = {r.quantity: r.curve.weighted_sup for r in localized_decay_check(data, TIMES)}
+    assert got.keys() == want.keys()
+    for quantity, series in want.items():
+        assert np.allclose(got[quantity], series, rtol=1e-12, atol=0.0), quantity
+
+
 def test_localized_constant_scale_invariance():
     f = bump_field(GRID, width=1.0, sharpness=4.0)
     d1 = CauchyData(f, ZERO, 2.0, 1.0)

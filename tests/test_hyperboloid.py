@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kgdecay.bumps import bump_derivative_field, bump_field, bump_profile
+from kgdecay.config import RunConfig
 from kgdecay.errors import ConfigurationError
 from kgdecay.grid import Field, Grid
 from kgdecay.hyperboloid import (
@@ -14,7 +15,8 @@ from kgdecay.hyperboloid import (
     slice_integral,
     support_edge_radius,
 )
-from kgdecay.propagator import CauchyData, evolve
+from kgdecay.plan import RunPlan
+from kgdecay.propagator import CauchyData, boost_commuted_data, evolve, flat_energy
 
 from oracles import single_mode_solution, slice_integral_radial_oracle
 
@@ -163,3 +165,115 @@ def test_finite_speed_support_containment():
         outside = np.abs(x) > (t - 1.0)
         leak = np.max(np.abs(st.phi.values[outside]))
         assert leak <= 1e-6 * np.max(np.abs(st.phi.values))
+
+
+# Each side of each slice inequality, computed independently of the checks on
+# the CLI-default grid (d = 1, N = 4096, L = 256), which the gates accept: the
+# first-order boost from boost_values of the data's own sample (not from the
+# commuted data the checks sample), E(phi) from flat_energy by the energy
+# identity, and each lhs term from its formula on the raw sample.
+GATED = RunConfig(suite="pointwise", taus=(2.0, 4.0))
+
+
+def gated_slices():
+    """(data, tau, slice, sample, t, L phi) for each tau of GATED."""
+    GATED.validate()
+    plan = RunPlan.of(GATED)
+    data = plan.slice_data
+    for tau, slc in plan.slices.items():
+        s = sample_on_slice(data, slc)
+        yield data, tau, slc, s, slc.t, boost_values(s, 0)
+
+
+def test_energy_sides_from_the_raw_sample_and_the_flat_energy():
+    for data, tau, slc, s, t, boost in gated_slices():
+        lhs = (
+            slice_integral(slc, boost**2 / (t * tau))
+            + slice_integral(slc, (tau / t) * s.dphi_dt**2)
+            + slice_integral(slc, (t / tau) * (data.mass * s.phi) ** 2)
+        )
+        flat = flat_energy(data)
+        assert abs(energy(data, tau, slc).relative_gap - (lhs - flat) / flat) <= 1e-12
+        assert abs(lhs - flat) <= 1e-4 * flat
+
+
+@pytest.mark.parametrize("ell", [0.0, 1.0])
+def test_sobolev_lhs_weight(ell):
+    for data, tau, slc, s, t, _ in gated_slices():
+        lhs = np.max(tau ** (1.0 - ell) * t**ell * s.phi**2)
+        assert abs(global_sobolev_check(data, tau, slc)[ell].lhs - lhs) <= 1e-12 * lhs
+
+
+def sobolev_rhs(slc, s, t, boost, ell):
+    weight = (t / slc.tau) ** ell
+    return slice_integral(slc, weight * s.phi**2) + slice_integral(slc, weight * boost**2)
+
+
+@pytest.mark.parametrize("ell", [0.0, 1.0])
+def test_sobolev_rhs_sums_the_boost_integrals(ell):
+    for data, tau, slc, s, t, boost in gated_slices():
+        rhs = sobolev_rhs(slc, s, t, boost, ell)
+        # the boost carries most of the sum, so dropping it is seen
+        assert slice_integral(slc, boost**2) >= 0.5 * rhs
+        report = global_sobolev_check(data, tau, slc)[ell]
+        assert abs(report.rhs - rhs) <= 1e-10 * rhs
+        assert abs(report.ratio - report.lhs / rhs) <= 1e-10 * report.ratio
+
+
+def test_sobolev_rhs_weight_t_over_tau_to_the_ell():
+    for data, tau, slc, s, t, boost in gated_slices():
+        weighted = sobolev_rhs(slc, s, t, boost, 1.0)
+        unweighted = sobolev_rhs(slc, s, t, boost, 0.0)
+        assert weighted >= 1.01 * unweighted  # the weight is >= 1 and not ~1
+        assert abs(global_sobolev_check(data, tau, slc)[1.0].rhs - weighted) <= 1e-10 * weighted
+
+
+def pointwise_lhs_terms(data, tau, s, t, boost):
+    return (
+        data.mass**2 * np.max(t * s.phi**2),
+        np.max(tau**2 / t * s.dphi_dt**2),
+        np.max(boost**2 / t),
+    )
+
+
+def test_pointwise_lhs_mass_term():
+    for data, tau, slc, s, t, boost in gated_slices():
+        want = pointwise_lhs_terms(data, tau, s, t, boost)[0]
+        assert data.mass > 0.0 and want > 0.0
+        got = pointwise_energy_check(data, tau, slc).lhs_terms[0]
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_pointwise_lhs_time_derivative_term():
+    for data, tau, slc, s, t, boost in gated_slices():
+        want = pointwise_lhs_terms(data, tau, s, t, boost)[1]
+        got = pointwise_energy_check(data, tau, slc).lhs_terms[1]
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_pointwise_lhs_boost_term():
+    for data, tau, slc, s, t, boost in gated_slices():
+        want = pointwise_lhs_terms(data, tau, s, t, boost)[2]
+        assert want > 0.0
+        got = pointwise_energy_check(data, tau, slc).lhs_terms[2]
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_pointwise_rhs_sums_the_boost_energies():
+    # by the energy identity each slice energy is the flat energy of its data
+    for data, tau, slc, s, t, boost in gated_slices():
+        lhs = sum(pointwise_lhs_terms(data, tau, s, t, boost))
+        rhs = flat_energy(data) + flat_energy(boost_commuted_data(data, 0))
+        assert flat_energy(data) <= 0.5 * rhs
+        ratio = pointwise_energy_check(data, tau, slc).ratio
+        assert abs(ratio - lhs / rhs) <= 1e-5 * ratio
+
+
+def test_slice_reaches_past_the_solution_support():
+    # the slice integrals stand for integrals over the whole slice, so the
+    # solution must have vanished where the slice is cut off
+    for data, tau, slc, s, t, boost in gated_slices():
+        r = np.linalg.norm(slc.points, axis=-1)
+        outer = r >= np.max(r) - data.grid.spacing
+        for column in (s.phi, s.dphi_dt, boost):
+            assert np.max(np.abs(column[outer])) <= 1e-5 * np.max(np.abs(column))
