@@ -18,7 +18,7 @@ from .grid import (
     spatial_derivative,
 )
 from .hyperboloid import (
-    EnergyReport, HyperboloidSlice, build_slice, boost_values, energy,
+    HyperboloidSlice, SliceBound, build_slice, boost_values, energy,
     global_sobolev_check, pointwise_energy_check, sample_on_slice, slice_integral,
 )
 from .partition import UnitBallPartition, build_partition, overlap_bound, w_k1_comparability

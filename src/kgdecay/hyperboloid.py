@@ -5,6 +5,13 @@ controls.
 A slice is parametrized by its spatial projection: t(x) = sqrt(tau^2 + |x|^2)
 and the induced volume element in that chart is (tau / t(x)) dx, so slice
 integrals are plain lattice sums against per-point weights.
+
+Each slice inequality is a row of ``SLICE_ROWS``: lhs terms read on the
+data's sample, and rhs terms summed over the samples of the data and its
+boosts up to the Sobolev order (the energy's rhs is the flat energy).  A
+term squares a sample column (phi, m phi, d_t phi, each L^i phi or their
+sum), weights it in (t, tau) and reduces it by a max over the slice points
+or a slice integral.  One reader turns a row into a ``SliceBound``.
 """
 
 from __future__ import annotations
@@ -116,84 +123,70 @@ def slice_integral(slc: HyperboloidSlice, values: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class EnergyReport:
-    """Weighted slice energy next to its flat-slice counterpart.
-
-    components = (boost term, time-derivative term, mass term); the energy is
-    their sum and is bounded by (equal to, for compactly supported data) the
-    flat integral of g^2 + |grad f|^2 + m^2 f^2.
-    """
+class SliceBound:
+    """One slice inequality at one tau: lhs = sum(lhs_terms) against rhs."""
 
     tau: float
-    energy: float
-    flat_energy: float
-    components: tuple
+    lhs_terms: tuple
+    rhs: float
 
     def __post_init__(self):
-        if min(self.components) < -1e-14:
-            raise InvariantError("energy components must be nonnegative")
+        if min(self.lhs_terms) < -1e-14 or (self.rhs == 0.0 and self.lhs > 0.0):
+            raise InvariantError("negative term or positive lhs over zero rhs: slice sampling bug")
 
     @property
-    def relative_gap(self) -> float:
-        if self.flat_energy == 0.0:
-            return 0.0
-        return (self.energy - self.flat_energy) / self.flat_energy
-
-
-def _energy_components(s: SliceSample, mass: float) -> tuple:
-    """(boost, time-derivative, mass) terms of the weighted slice energy."""
-    slc = s.slice
-    t, tau = slc.t, slc.tau
-    boost_sq = np.zeros_like(t)
-    for a in range(slc.grid.dim):
-        boost_sq += boost_values(s, a) ** 2
-    return (
-        slice_integral(slc, boost_sq / (t * tau)),
-        slice_integral(slc, (tau / t) * s.dphi_dt**2),
-        slice_integral(slc, (t / tau) * (mass * s.phi) ** 2),
-    )
-
-
-def energy(
-    data: CauchyData, tau: float, slc: HyperboloidSlice | None = None
-) -> EnergyReport:
-    """Quadrature of the weighted energy density on the tau-slice.
-
-    Density: (1/(t tau)) sum_i (L^i phi)^2 + (tau/t) (d_t phi)^2
-    + (t/tau) m^2 phi^2, integrated against the induced volume weights.
-    """
-    (sample,) = _boost_samples(data, tau, slc, 0)
-    comp = _energy_components(sample, data.mass)
-    return EnergyReport(tau, sum(comp), flat_energy(data), comp)
-
-
-def boost_tuples(dim: int, max_order: int) -> list:
-    """All ordered boost index tuples of length 0..max_order."""
-    out = []
-    for k in range(max_order + 1):
-        out.extend(itertools.product(range(dim), repeat=k))
-    return out
-
-
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs == 0.0:
-        if lhs > 0.0:
-            raise InvariantError("zero right-hand side with positive sup: slice sampling bug")
-        return 0.0
-    return lhs / rhs
-
-
-@dataclass(frozen=True)
-class SupBoundReport:
-    """One weighted sup-norm against an iterated-boost integral sum."""
-
-    tau: float
-    lhs: float
-    rhs: float
+    def lhs(self) -> float:
+        return sum(self.lhs_terms)
 
     @property
     def ratio(self) -> float:
-        return _ratio(self.lhs, self.rhs)
+        return self.lhs / self.rhs if self.rhs != 0.0 else 0.0
+
+    @property
+    def relative_gap(self) -> float:
+        return (self.lhs - self.rhs) / self.rhs if self.rhs != 0.0 else 0.0
+
+
+def _sup(slc: HyperboloidSlice, values: np.ndarray) -> float:
+    return float(np.max(values))
+
+
+# squared sample columns; "L^i phi" is one per axis, each reduced on its own
+COLUMNS = {
+    "phi": lambda s, m: [s.phi**2],
+    "m phi": lambda s, m: [(m * s.phi) ** 2],
+    "d_t phi": lambda s, m: [s.dphi_dt**2],
+    "L^i phi": lambda s, m: [boost_values(s, a) ** 2 for a in range(s.slice.grid.dim)],
+    "L phi": lambda s, m: [sum(boost_values(s, a) ** 2 for a in range(s.slice.grid.dim))],
+}
+
+# row terms (column, weight, reduction): the weight maps (column, t, tau, d)
+# to the weighted column, in the formulas' arithmetic order
+ENERGY_DENSITY = (
+    ("L phi", lambda c, t, tau, d: c / (t * tau), slice_integral),
+    ("d_t phi", lambda c, t, tau, d: (tau / t) * c, slice_integral),
+    ("m phi", lambda c, t, tau, d: (t / tau) * c, slice_integral),
+)
+POINTWISE_SUPS = (
+    ("m phi", lambda c, t, tau, d: t**d * c, _sup),
+    ("d_t phi", lambda c, t, tau, d: tau**2 * t ** (d - 2.0) * c, _sup),
+    ("L^i phi", lambda c, t, tau, d: t ** (d - 2.0) * c, _sup),
+)
+
+
+def _sobolev_row(ell: float) -> tuple:
+    return (
+        (("phi", lambda c, t, tau, d: tau ** (1.0 - ell) * t ** (d + ell - 1.0) * c, _sup),),
+        (("phi", lambda c, t, tau, d: (t / tau) ** ell * c, slice_integral),),
+    )
+
+
+# inequality -> (lhs terms, rhs terms or None for the flat energy E(phi))
+SLICE_ROWS = {
+    "energy": (ENERGY_DENSITY, None),
+    **{f"sobolev_ell_{ell:g}": _sobolev_row(ell) for ell in SOBOLEV_ELLS},
+    "pointwise": (POINTWISE_SUPS, ENERGY_DENSITY),
+}
 
 
 def _kept(data: CauchyData, key, build):
@@ -212,86 +205,51 @@ def data_slice(data: CauchyData, tau: float) -> HyperboloidSlice:
 
 
 def boosted_data(data: CauchyData, max_order: int) -> list:
-    """The data and its iterated boosts of order <= max_order, in
-    boost_tuples order; each is built once, from the one below it."""
+    """The data and its iterated boosts L^{i_1}..L^{i_k}, k <= max_order, by
+    k and then axes; each is built once, from the one below it."""
     out = {(): data}
-    for axes in boost_tuples(data.grid.dim, max_order)[1:]:
-        out[axes] = _kept(data, axes, lambda: iterated_boost_data(out[axes[1:]], axes[:1]))
+    for k in range(1, max_order + 1):
+        for axes in itertools.product(range(data.grid.dim), repeat=k):
+            out[axes] = _kept(data, axes, lambda: iterated_boost_data(out[axes[1:]], axes[:1]))
     return list(out.values())
 
 
-def _boost_samples(
-    data: CauchyData, tau: float, slc: HyperboloidSlice | None, max_order: int
-) -> list:
-    """Samples on the tau-slice of the data and of each iterated boost of
-    order <= max_order, in boost_tuples order, each taken once per slice.
-    The slice defaults to one reaching past the data's support cone."""
+def _terms(table: tuple, s: SliceSample, mass: float) -> tuple:
+    slc = s.slice
+    return tuple(
+        sum(reduce(slc, weight(c, slc.t, slc.tau, slc.grid.dim)) for c in COLUMNS[name](s, mass))
+        for name, weight, reduce in table
+    )
+
+
+def _read_row(data: CauchyData, tau: float, slc: HyperboloidSlice | None, row: str) -> SliceBound:
+    """The row's SliceBound on ``slc``, by default ``data_slice(data, tau)``."""
     if slc is None:
         slc = data_slice(data, tau)
     elif slc.tau != tau:
         raise ValueError("slice tau does not match requested tau")
-    return [
-        _kept(b, slc, lambda: sample_on_slice(b, slc))
-        for b in boosted_data(data, max_order)
-    ]
+    lhs, rhs = SLICE_ROWS[row]
+    order = sobolev_order(data.grid.dim) if rhs else 0
+    samples = [_kept(b, slc, lambda: sample_on_slice(b, slc)) for b in boosted_data(data, order)]
+    total = sum(sum(_terms(rhs, s, data.mass)) for s in samples) if rhs else flat_energy(data)
+    return SliceBound(tau, _terms(lhs, samples[0], data.mass), total)
 
 
-def global_sobolev_check(
-    data: CauchyData, tau: float, slc: HyperboloidSlice | None = None
-) -> dict:
-    """Weighted sup of phi^2 against iterated-boost slice integrals, for
-    each ell in SOBOLEV_ELLS (the dict keys).
-
-    lhs = sup tau^(1-ell) t^(d+ell-1) phi^2; rhs sums the integrals
-    (t/tau)^ell |L^{i_1}..L^{i_k} phi|^2 over all boost tuples with
-    k <= floor(d/2)+1.  The ratio should be bounded uniformly in tau.
-    """
-    d = data.grid.dim
-    samples = _boost_samples(data, tau, slc, sobolev_order(d))
-    slc = samples[0].slice
-    reports = {}
-    for ell in SOBOLEV_ELLS:
-        lhs = float(np.max(tau ** (1.0 - ell) * slc.t ** (d + ell - 1.0) * samples[0].phi**2))
-        weight = (slc.t / tau) ** ell
-        rhs = sum(slice_integral(slc, weight * s.phi**2) for s in samples)
-        reports[ell] = SupBoundReport(tau, lhs, rhs)
-    return reports
+def energy(data: CauchyData, tau: float, slc: HyperboloidSlice | None = None) -> SliceBound:
+    """The weighted slice energy, ENERGY_DENSITY's (boost, time-derivative,
+    mass) terms, against the flat energy E(phi): equal for compact data."""
+    return _read_row(data, tau, slc, "energy")
 
 
-@dataclass(frozen=True)
-class PointwiseEnergyReport:
-    """The three weighted sup-norms against the summed boost energies."""
-
-    tau: float
-    lhs_terms: tuple  # (mass term, time-derivative term, boost term)
-    rhs_energy_sum: float
-
-    @property
-    def lhs_total(self) -> float:
-        return sum(self.lhs_terms)
-
-    @property
-    def ratio(self) -> float:
-        return _ratio(self.lhs_total, self.rhs_energy_sum)
+def global_sobolev_check(data: CauchyData, tau: float, slc: HyperboloidSlice | None = None) -> dict:
+    """Per ell in SOBOLEV_ELLS: sup tau^(1-ell) t^(d+ell-1) phi^2 against the
+    summed integrals of (t/tau)^ell |L^{i_1}..L^{i_k} phi|^2, k <= floor(d/2)+1."""
+    return {ell: _read_row(data, tau, slc, f"sobolev_ell_{ell:g}") for ell in SOBOLEV_ELLS}
 
 
 def pointwise_energy_check(
     data: CauchyData, tau: float, slc: HyperboloidSlice | None = None
-) -> PointwiseEnergyReport:
-    """sup-norm decay terms controlled by energies of iterated boosts.
-
-    lhs = (m^2 sup t^d phi^2, sup tau^2 t^(d-2) (d_t phi)^2,
-    sum_i sup t^(d-2) (L^i phi)^2); rhs = sum of slice energies of
-    L^{i_1}..L^{i_k} phi over tuples with k <= floor(d/2)+1.
-    """
-    d = data.grid.dim
-    samples = _boost_samples(data, tau, slc, sobolev_order(d))
-    s = samples[0]
-    t = s.slice.t
-    lhs_mass = data.mass**2 * float(np.max(t**d * s.phi**2))
-    lhs_time = float(np.max(tau**2 * t ** (d - 2.0) * s.dphi_dt**2))
-    lhs_boost = 0.0
-    for a in range(d):
-        lhs_boost += float(np.max(t ** (d - 2.0) * boost_values(s, a) ** 2))
-    rhs = sum(sum(_energy_components(b, data.mass)) for b in samples)
-    return PointwiseEnergyReport(tau, (lhs_mass, lhs_time, lhs_boost), rhs)
+) -> SliceBound:
+    """(m^2 sup t^d phi^2, sup tau^2 t^(d-2) (d_t phi)^2, sum_i sup t^(d-2)
+    (L^i phi)^2) against the summed slice energies of the boosts, as above."""
+    return _read_row(data, tau, slc, "pointwise")

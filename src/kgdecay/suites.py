@@ -142,31 +142,33 @@ def suite_partition(config: RunConfig, rng) -> dict:
     }
 
 
-def suite_energy(config: RunConfig, rng) -> dict:
+def _per_tau(config: RunConfig, check) -> dict:
+    """tau -> check(slice data, tau, slice) over the plan's slices."""
     plan = RunPlan.of(config)
+    return {tau: check(plan.slice_data, tau, slc) for tau, slc in plan.slices.items()}
+
+
+def suite_energy(config: RunConfig, rng) -> dict:
     checks = []
-    gaps = {}
-    for tau, slc in plan.slices.items():
-        rep = energy(plan.slice_data, tau, slc)
-        gaps[tau] = rep.relative_gap
-        checks.append(_check(f"equality_gap_tau_{tau:g}", abs(rep.relative_gap), 1e-4))
-        checks.append(_check(f"components_min_tau_{tau:g}", min(rep.components), 0.0, op=">="))
+    per_tau = _per_tau(config, energy)
+    for tau, bound in per_tau.items():
+        checks.append(_check(f"equality_gap_tau_{tau:g}", abs(bound.relative_gap), 1e-4))
+        checks.append(_check(f"components_min_tau_{tau:g}", min(bound.lhs_terms), 0.0, op=">="))
     return {
         "citation": "weighted energy identity on hyperboloidal slices: "
         "E_m(phi, tau) = int g^2 + |grad f|^2 + m^2 f^2 dx for compactly "
         "supported data",
         "checks": checks,
-        "relative_gaps": {f"{tau:g}": float(gap) for tau, gap in gaps.items()},
+        "relative_gaps": {f"{tau:g}": float(b.relative_gap) for tau, b in per_tau.items()},
     }
 
 
 def suite_sobolev(config: RunConfig, rng) -> dict:
-    plan = RunPlan.of(config)
     checks = []
     ratio_table = {}
-    per_tau = [global_sobolev_check(plan.slice_data, tau, slc) for tau, slc in plan.slices.items()]
+    per_tau = _per_tau(config, global_sobolev_check).values()
     for ell in SOBOLEV_ELLS:
-        ratios = [reports[ell].ratio for reports in per_tau]
+        ratios = [bounds[ell].ratio for bounds in per_tau]
         ratio_table[f"ell_{ell:g}"] = [float(r) for r in ratios]
         checks.append(_check(f"ratio_positive_ell_{ell:g}", min(ratios), 0.0, op=">="))
         checks.append(_check(f"tau_spread_ell_{ell:g}", _spread(ratios), 4.0))
@@ -180,10 +182,7 @@ def suite_sobolev(config: RunConfig, rng) -> dict:
 
 
 def suite_pointwise(config: RunConfig, rng) -> dict:
-    plan = RunPlan.of(config)
-    ratios = [
-        pointwise_energy_check(plan.slice_data, tau, slc).ratio for tau, slc in plan.slices.items()
-    ]
+    ratios = [b.ratio for b in _per_tau(config, pointwise_energy_check).values()]
     checks = [
         _check("ratio_positive", min(ratios), 0.0, op=">="),
         _check("tau_spread", _spread(ratios), 4.0),
