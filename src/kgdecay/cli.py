@@ -43,7 +43,10 @@ def _mass_tag(mass: float) -> str:
 def run(config: RunConfig) -> int:
     config.validate()
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"out_dir {out} cannot be made a directory: {exc}") from exc
     results = run_selected_suites(config)
 
     summary = {"config": config.summary_dict(), "suites": {}}

@@ -185,6 +185,18 @@ def test_cli_configuration_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("where", ["file", "below_a_file"])
+def test_cli_rejects_an_out_path_that_cannot_be_a_directory(tmp_path, capsys, where):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if where == "file" else taken / "out"
+    assert main(small_overrides(out)) == 2
+    err = capsys.readouterr().err
+    assert f"out_dir {out} cannot be made a directory" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == ""
+
+
 @pytest.mark.parametrize(
     "content",
     [
