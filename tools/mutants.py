@@ -1,0 +1,111 @@
+"""Mutation check of the tier-1 tests, run by hand (it takes several minutes):
+
+    python tools/mutants.py [scratch_dir]
+
+Each mutant is one exact string replacement in one file of ``src/``, a
+fault the tests should see.  The script copies the repository into the
+scratch directory (a new temporary one by default), runs tier-1 on the
+unmutated copy, which must pass, then on one fresh copy per mutant, and
+asserts that every mutant makes tier-1 fail.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__",
+                                ".bench_out", "out")
+
+# (name, file, exact text, replacement)
+MUTANTS = [
+    # slice checks
+    ("sobolev rhs without boosts", "src/kgdecay/hyperboloid.py",
+     "for s in samples) if rhs",
+     'for s in (samples if row == "pointwise" else samples[:1])) if rhs'),
+    ("sobolev weight (t/tau)^ell set to 1", "src/kgdecay/hyperboloid.py",
+     "lambda c, t, tau, d: (t / tau) ** ell * c", "lambda c, t, tau, d: c"),
+    ("sobolev lhs weight t^(d+ell-1) raised to t^(d+ell)", "src/kgdecay/hyperboloid.py",
+     "t ** (d + ell - 1.0) * c", "t ** (d + ell) * c"),
+    ("pointwise mass term dropped", "src/kgdecay/hyperboloid.py",
+     '("m phi", lambda c, t, tau, d: t**d * c, _sup)',
+     '("m phi", lambda c, t, tau, d: 0.0 * c, _sup)'),
+    ("pointwise boost term dropped", "src/kgdecay/hyperboloid.py",
+     '("L^i phi", lambda c, t, tau, d: t ** (d - 2.0) * c, _sup)',
+     '("L^i phi", lambda c, t, tau, d: 0.0 * c, _sup)'),
+    ("pointwise time-derivative weight tau^2 lowered to tau", "src/kgdecay/hyperboloid.py",
+     "tau**2 * t ** (d - 2.0) * c", "tau * t ** (d - 2.0) * c"),
+    ("pointwise rhs without boosts", "src/kgdecay/hyperboloid.py",
+     "for s in samples) if rhs",
+     'for s in (samples if row != "pointwise" else samples[:1])) if rhs'),
+    ("energy boost weight 1/(t tau) set to 1/t", "src/kgdecay/hyperboloid.py",
+     "c / (t * tau)", "c / t"),
+    ("energy time-derivative weight tau/t dropped", "src/kgdecay/hyperboloid.py",
+     "(tau / t) * c", "c"),
+    ("mass left out of the m phi column", "src/kgdecay/hyperboloid.py",
+     "[(m * s.phi) ** 2]", "[s.phi**2]"),
+    ("boost values with tau in place of t", "src/kgdecay/hyperboloid.py",
+     "slc.t * sample.grad[:, axis]", "slc.tau * sample.grad[:, axis]"),
+    ("slice weight tau/t dropped", "src/kgdecay/hyperboloid.py",
+     "weights = (tau / t) * grid.cell_volume", "weights = grid.cell_volume + 0.0 * t"),
+    ("SLICE_PADDING set to 0", "src/kgdecay/hyperboloid.py",
+     "SLICE_PADDING = 2.0", "SLICE_PADDING = 0.0"),
+    ("boost mass term sign flipped", "src/kgdecay/propagator.py",
+     "- x * data.f * data.mass**2", "+ x * data.f * data.mass**2"),
+    # decay side
+    ("localized td1_grad_phi_sq weighted by t^(d-2)", "src/kgdecay/decay.py",
+     '("grad", 0, d - 1.0, 2))', '("grad", 0, d - 2.0, 2))'),
+    ("Szego cosine factor set to 1", "src/kgdecay/decay.py",
+     "/ np.cos(sigma[:j] * delta)", "/ 1.0"),
+    ("mass-0 zero-mode term dropped", "src/kgdecay/propagator.py",
+     "vals[:, 0] += dt * np.sum(gh[zero].real)", "pass"),
+    ("lowfreq weight 1 + t replaced by t", "src/kgdecay/decay.py",
+     "weight = 1.0 + t if band == LOW_PASS_BAND else t", "weight = t"),
+    # resolution gates
+    ("slice resolution gate switched off", "src/kgdecay/plan.py",
+     "if tail > limit:", "if False:"),
+    ("localized resolution gate switched off", "src/kgdecay/plan.py",
+     "if tail <= MAX_NYQUIST_TAIL:", "if True:"),
+]
+
+
+def tier1_passes(copy: Path) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    run = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
+    return run.returncode == 0
+
+
+def fresh_copy(scratch: Path) -> Path:
+    copy = scratch / "copy"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(ROOT, copy, ignore=IGNORE)
+    return copy
+
+
+def main() -> int:
+    scratch = Path(sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="mutants-"))
+    assert tier1_passes(fresh_copy(scratch)), "tier-1 fails on the unmutated copy"
+    survivors = []
+    for name, path, old, new in MUTANTS:
+        copy = fresh_copy(scratch)
+        target = copy / path
+        text = target.read_text()
+        assert text.count(old) == 1, f"{name}: {old!r} is not one exact match in {path}"
+        target.write_text(text.replace(old, new))
+        killed = not tier1_passes(copy)
+        print(f"{'killed  ' if killed else 'SURVIVED'} {name}", flush=True)
+        if not killed:
+            survivors.append(name)
+    shutil.rmtree(scratch / "copy", ignore_errors=True)
+    assert not survivors, f"mutants tier-1 does not see: {survivors}"
+    print(f"all {len(MUTANTS)} mutants make tier-1 fail")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
