@@ -85,7 +85,7 @@ class Grid:
 
     @cached_property
     def axis_frequencies(self) -> np.ndarray:
-        """Dual lattice xi_j = 2*pi*j/L in FFT layout (closed under negation)."""
+        """Dual lattice xi_j = 2*pi*j/L in FFT layout; it lists j = -N/2 but not +N/2."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
     def coordinate_arrays(self) -> list:

@@ -55,18 +55,18 @@ class HyperboloidSlice:
 def support_edge_radius(tau: float, t0: float, support_radius_at_t0: float) -> float:
     """Spatial radius where the slice meets the solution's support cone.
 
-    Unit propagation speed puts the support inside |x| <= r0 + (t - t0); on
-    the slice this means |x| <= (tau^2 - a^2)/(2a) with a = t0 - r0.
+    Unit propagation speed puts the support inside |x| <= r0 + |t - t0|.  On
+    the slice the forward cone reaches |x| = (tau^2 - a^2)/(2a), a = t0 - r0,
+    when tau > a, and the backward cone |x| = (b^2 - tau^2)/(2b), b = t0 + r0,
+    when tau < b; the edge is the larger (the forward one for tau^2 >= ab).
     """
-    a = t0 - support_radius_at_t0
+    a, b = t0 - support_radius_at_t0, t0 + support_radius_at_t0
     if a <= 0:
         raise ConfigurationError(
             f"support radius {support_radius_at_t0:g} must stay below the "
             f"prescription time {t0:g} for a well-defined support cone on the slice"
         )
-    if tau <= a:
-        return 0.0
-    return (tau**2 - a**2) / (2.0 * a)
+    return max((tau**2 - a**2) / (2.0 * a), (b**2 - tau**2) / (2.0 * b))
 
 
 def build_slice(

@@ -9,7 +9,10 @@ xi evolves as a harmonic oscillator with omega = sqrt(|xi|^2 + m^2):
 with dt = t - t0 and sin(dt*omega)/omega -> dt as omega -> 0.  The grid
 propagator applies these multipliers.  The pointwise evaluator used for
 sampling on curved slices splits each nonzero mode into its two half-waves
-exp(+-i dt omega) and sums them directly at space-time points.
+exp(+-i dt omega) and sums them directly at space-time points.  Real data
+have Hermitian spectra, so the half-wave (-xi, -omega) has the same real
+term as (xi, +omega): the sum runs over the + half-waves, doubled, plus both
+half-waves of the modes on a Nyquist plane, whose negation is not listed.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from .grid import (
     spatial_derivative,
 )
 
-# cap on points*modes per block of a direct Fourier evaluation at arbitrary
-# points (4 MB per real array); 2**22 ran the slice suites no faster and
-# raised their peak RSS from 101 to 307 MB
+# cap on points*half-waves per block of a direct Fourier evaluation at
+# arbitrary points (4 MB per real array), which keeps the slice suites near
+# a 47 MB peak; with about one half-wave per mode a block holds twice the
+# points it held when both half-waves of every mode were summed
 EVAL_CHUNK_ENTRIES = 2**19
 
 
@@ -152,11 +156,15 @@ def evaluate_at_points(data: CauchyData, times, points):
     ``nonzero_modes`` is split into its half-waves, phi_hat = exp(+i dt w) c+
     + exp(-i dt w) c- with c+- = (f_hat -+ i g_hat / w) / 2, whose d_t phi
     coefficients are (g_hat +- i w f_hat) / 2 and gradient coefficients
-    i xi c+-.  The three quantities are one real sum cos(theta) Re c -
-    sin(theta) Im c, theta = x.xi + dt (+-w), over the + half-waves, then
-    the - ones, in blocks of at most ``EVAL_CHUNK_ENTRIES`` points x terms.
-    A mode with w = 0 (the zero mode at mass 0) takes c+- = f_hat / 2 plus
-    the linear growth dt g_hat.
+    i xi c+-.  Hermitian spectra (as ``inverse_transform`` assumes) give
+    c-(-xi) = conj c+(xi), so the half-wave (-xi, -w) adds the real term of
+    (xi, +w): the sum runs over the + half-waves with doubled coefficients,
+    plus both half-waves of each mode on a Nyquist plane (a component at the
+    -N/2 entry of ``fftfreq``), whose negation is not a listed mode.  It is
+    one real sum cos(theta) Re c - sin(theta) Im c, theta = x.xi + dt (+-w),
+    in blocks of at most ``EVAL_CHUNK_ENTRIES`` points x half-waves.  A mode
+    with w = 0 (the zero mode at mass 0) takes 2 c+ = f_hat plus the linear
+    growth dt g_hat.
 
     Returns (phi, dphi_dt, grad) with shapes (P,), (P,), (P, d).
     """
@@ -167,12 +175,14 @@ def evaluate_at_points(data: CauchyData, times, points):
     _, xi, omega, fh, gh = nonzero_modes(data)
     zero = omega == 0.0
     g_over_w = np.divide(gh, omega, out=np.zeros_like(gh), where=~zero)
+    nyquist = np.any(xi == g.axis_frequencies[g.points_per_axis // 2], axis=-1)
+    half = np.where(nyquist, 0.5, 1.0)
     half_waves, frequencies = [], []
-    for sign in (1.0, -1.0):
-        c = 0.5 * (fh - sign * 1j * g_over_w)
-        dc = 0.5 * (gh + sign * 1j * omega * fh)
-        half_waves.append(np.stack([c, dc, *(1j * x * c for x in xi.T)], axis=-1))
-        frequencies.append(np.column_stack([xi, sign * omega]))
+    for sign, keep in ((1.0, slice(None)), (-1.0, nyquist)):
+        c = (half * (fh - sign * 1j * g_over_w))[keep]
+        dc = (half * (gh + sign * 1j * omega * fh))[keep]
+        half_waves.append(np.stack([c, dc, *(1j * x * c for x in xi[keep].T)], axis=-1))
+        frequencies.append(np.column_stack([xi[keep], sign * omega[keep]]))
     coeff, frequencies = np.concatenate(half_waves), np.concatenate(frequencies)
     x = np.column_stack([points, dt])
     vals = np.empty((len(x), coeff.shape[-1]))

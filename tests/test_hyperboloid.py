@@ -16,7 +16,13 @@ from kgdecay.hyperboloid import (
     support_edge_radius,
 )
 from kgdecay.plan import RunPlan
-from kgdecay.propagator import CauchyData, boost_commuted_data, evolve, flat_energy
+from kgdecay.propagator import (
+    CauchyData,
+    boost_commuted_data,
+    data_support_radius,
+    evolve,
+    flat_energy,
+)
 
 from oracles import single_mode_solution, slice_integral_radial_oracle
 
@@ -63,6 +69,16 @@ def test_slice_rejects_bad_tau_and_truncation():
         build_slice(8.0, GRID, 1.0, truncation_radius=4.0)
     with pytest.raises(ConfigurationError):
         support_edge_radius(2.0, 2.0, 2.5)
+
+
+def test_support_edge_takes_the_larger_cone_edge():
+    # r0 = 0.75 at t0 = 2: a = 1.25, b = 2.75, and the two edges meet at
+    # tau^2 = ab, where the slice crosses t0 on the support sphere
+    a, b = 1.25, 2.75
+    assert support_edge_radius(0.5, 2.0, 0.75) == (b**2 - 0.25) / (2.0 * b)
+    assert support_edge_radius(a, 2.0, 0.75) == (b**2 - a**2) / (2.0 * b)
+    assert support_edge_radius(4.0, 2.0, 0.75) == (16.0 - a**2) / (2.0 * a)
+    assert abs(support_edge_radius(np.sqrt(a * b), 2.0, 0.75) - 0.75) <= 1e-12
 
 
 def test_slice_quadrature_matches_radial_oracle():
@@ -277,3 +293,20 @@ def test_slice_reaches_past_the_solution_support():
         outer = r >= np.max(r) - data.grid.spacing
         for column in (s.phi, s.dphi_dt, boost):
             assert np.max(np.abs(column[outer])) <= 1e-5 * np.max(np.abs(column))
+
+
+def test_small_tau_slice_reaches_past_the_backward_cone():
+    # below tau^2 = t0^2 - r0^2 the slice runs under t0, where the support
+    # reaches out to r0 + (t0 - t): one unit past that edge, the solution
+    # has vanished on the slice's truncation sphere
+    GATED.validate()
+    data = RunPlan.of(GATED).slice_data
+    r0 = data_support_radius(data)
+    edge = support_edge_radius(0.5, data.t0, r0)
+    assert edge > r0
+    slc = build_slice(0.5, data.grid, r0, data.t0, truncation_radius=edge + 1.0)
+    s = sample_on_slice(data, slc)
+    r = np.linalg.norm(slc.points, axis=-1)
+    outer = r >= np.max(r) - data.grid.spacing
+    for column in (s.phi, s.dphi_dt, s.grad[:, 0]):
+        assert np.max(np.abs(column[outer])) <= 1e-5 * np.max(np.abs(column))

@@ -163,18 +163,42 @@ def test_evaluate_at_points_off_grid_closed_form(target, mass):
     assert np.max(np.abs(grad[:, 0] - dx_exact(ts - 2.0, xs[:, 0]))) <= 1e-10
 
 
-@pytest.mark.parametrize("mass", [0.0, 1.0])
-@pytest.mark.parametrize(
-    "grid, tau", [(GRID, 6.0), (Grid(2, 32, 16.0), 3.0)], ids=["1d", "2d"]
-)
-def test_evaluate_at_points_matches_direct_sum_oracle(grid, tau, mass):
-    # bump data on a slice; at mass 0 the zero mode of g grows linearly
+# data that are large on a Nyquist plane: the lattice lists only the -N/2
+# entry there, so these modes keep both half-waves in the paired sum
+NYQUIST_TERMS = {
+    "1d_nyquist": lambda j, n: (-1.0) ** j[0],
+    "2d_nyquist": lambda j, n: (-1.0) ** (j[0] + j[1]),
+    # modes (-N/2, +-3), on the Nyquist plane of axis 0 only
+    "2d_nyquist_one_axis": lambda j, n: (-1.0) ** j[0] * np.cos(6.0 * np.pi * j[1] / n),
+}
+
+
+def oracle_case(case, mass):
+    """(data, slice) for the direct-sum oracle comparison: bump data on a
+    slice, plus a large Nyquist term for the *_nyquist* cases."""
+    grid, tau = (GRID, 6.0) if case.startswith("1d") else (Grid(2, 32, 16.0), 3.0)
     f = bump_field(grid, width=1.0, sharpness=4.0)
     g = bump_derivative_field(grid, 0, width=1.0, sharpness=4.0) * 0.5 + f * 0.25
-    data = CauchyData(f, g, 2.0, mass)
-    slc = build_slice(tau, grid, 1.0, 2.0)
-    got = evaluate_at_points(data, slc.t, slc.points)
-    want = direct_sum_oracle(data, slc.t, slc.points)
+    if case in NYQUIST_TERMS:
+        term = Field(grid, NYQUIST_TERMS[case](np.indices(grid.shape), grid.points_per_axis))
+        f, g = f + term * 0.5, g + term * -0.3
+    return CauchyData(f, g, 2.0, mass), build_slice(tau, grid, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize("case", ["1d", "2d", *NYQUIST_TERMS])
+def test_evaluate_at_points_matches_direct_sum_oracle(case, mass):
+    # the evaluator pairs the half-waves (xi, +w) and (-xi, -w), which
+    # assumes Hermitian spectra (real data), as inverse_transform does; the
+    # oracle sums every lattice mode on its own.  At mass 0 the zero mode of
+    # g grows linearly.  The slice points are lattice points, where a Nyquist
+    # mode's sin(x.xi) vanishes, so every third point is also evaluated a
+    # third of a cell off the lattice.
+    data, slc = oracle_case(case, mass)
+    times = np.concatenate([slc.t, slc.t[::3]])
+    points = np.concatenate([slc.points, slc.points[::3] + data.grid.spacing / 3.0])
+    got = evaluate_at_points(data, times, points)
+    want = direct_sum_oracle(data, times, points)
     for a, b in zip(got, want):
         assert np.max(np.abs(b)) > 0.0
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))

@@ -64,6 +64,15 @@ MUTANTS = [
      "/ np.cos(sigma[:j] * delta)", "/ 1.0"),
     ("mass-0 zero-mode term dropped", "src/kgdecay/propagator.py",
      "vals[:, 0] += dt * np.sum(gh[zero].real)", "pass"),
+    # Hermitian pairing of the point evaluator's half-waves
+    ("Nyquist-plane modes doubled too, their - half-waves dropped",
+     "src/kgdecay/propagator.py",
+     "np.any(xi == g.axis_frequencies[g.points_per_axis // 2], axis=-1)",
+     "np.zeros(len(xi), dtype=bool)"),
+    ("Nyquist - half-waves dropped", "src/kgdecay/propagator.py",
+     "(-1.0, nyquist)", "(-1.0, nyquist & False)"),
+    ("+ half-waves not doubled", "src/kgdecay/propagator.py",
+     "half = np.where(nyquist, 0.5, 1.0)", "half = 0.5"),
     ("lowfreq weight 1 + t replaced by t", "src/kgdecay/decay.py",
      "weight = 1.0 + t if band == LOW_PASS_BAND else t", "weight = t"),
     # resolution gates
