@@ -39,7 +39,7 @@ import numpy as np
 
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .errors import ConfigurationError
-from .grid import Field, UpsamplePlan, forward_transform, l1_norm, sobolev_h_norm, upsample_values
+from .grid import Field, UpsamplePlan, l1_norm, sobolev_h_norm, upsample_values
 from .propagator import CauchyData, _evolved, nonzero_modes
 
 DEGENERATE_NORM = 1e-12
@@ -61,13 +61,18 @@ def widths(upper, lower) -> np.ndarray:
 
 def _sample_maxima(plan: UpsamplePlan, coefficients) -> np.ndarray:
     """The maxima of |phi|, |d_t phi|, |grad phi| and |d phi| over the
-    plan's upsampled grid, reduced per block of sub-grids and merged."""
+    plan's upsampled grid, reduced per block of sub-grids and merged.  Each
+    block is reduced in place in the plan's values buffer."""
     maxima = np.zeros(4)  # |phi| and the three squares
     for start in range(0, plan.subgrids, plan.block):
         phi, dphi, *grad = upsample_values(plan, coefficients, start)
         dphi_sq = np.square(dphi, out=dphi)
-        grad_sq = sum(np.square(v, out=v) for v in grad)
-        block = [np.max(np.abs(phi)), np.max(dphi_sq), np.max(grad_sq), np.max(dphi_sq + grad_sq)]
+        grad_sq = np.square(grad[0], out=grad[0])
+        for v in grad[1:]:
+            grad_sq += np.square(v, out=v)
+        block = [np.max(np.abs(phi, out=phi)), np.max(dphi_sq), np.max(grad_sq)]
+        grad_sq += dphi_sq  # now |d phi|^2
+        block.append(np.max(grad_sq))
         np.maximum(maxima, block, out=maxima)
     return np.array([maxima[0], *np.sqrt(maxima[1:])])
 
@@ -129,6 +134,7 @@ def sup_norms(data: CauchyData, times) -> tuple:
             if narrow or (2 * factor * g.points_per_axis) ** g.dim > MAX_FINE_POINTS:
                 break
             factor *= 2
+            del plan  # freed before the finer plan's twiddles are made
             plan = UpsamplePlan(g, modes, factor, 2 + g.dim)
     return upper, lower
 
@@ -297,9 +303,10 @@ def localized_decay_check(data: CauchyData, times, fit_window=None) -> list:
 def _band_data(f: Field, g: Field, m0: float, band: int) -> CauchyData:
     """The band-``band`` pieces of (f, g) at t = 0.  Their spectra are the
     projected spectra themselves, exactly zero off the band's support, and
-    their fields are the ``LittlewoodPaleyBank.project`` values."""
+    their fields are the ``LittlewoodPaleyBank.project`` values.  Each
+    field is transformed once (``Field.spectrum``), whatever its bands."""
     bank = LittlewoodPaleyBank.for_grid(f.grid)
-    f_hat, g_hat = (bank.project_spectrum(forward_transform(h), band) for h in (f, g))
+    f_hat, g_hat = (bank.project_spectrum(h.spectrum, band) for h in (f, g))
     return CauchyData.from_spectra(f_hat, g_hat, 0.0, m0)
 
 

@@ -23,8 +23,10 @@ import numpy as np
 
 from .errors import GridMismatchError
 
-# fine points per spectrum in one block of `upsample_values` sub-grids; 2**16
-# ran no faster and raised the peak RSS of highfreq by 4 MB
+# fine points per spectrum in one block of `upsample_values` sub-grids, which
+# sizes the plan's reused buffers (0.75 MB each of half spectra and of values
+# for the three spectra of a d = 1 curve); 2**16 ran no faster and raised the
+# peak RSS of highfreq by 4 MB
 UPSAMPLE_BLOCK_POINTS = 2**15
 
 
@@ -133,6 +135,13 @@ class Field:
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def spectrum(self) -> SpectralField:
+        """``forward_transform`` of the field, computed once; read-only."""
+        F = forward_transform(self)
+        F.coefficients.setflags(write=False)
+        return F
 
     def _binary(self, other, op):
         if isinstance(other, Field):
@@ -266,7 +275,9 @@ class UpsamplePlan:
     whose bins are distinct, their destinations in the half spectrum (a
     slice where they are a run), their columns of the fold and whether the
     image is conjugated.  ``block`` sub-grids of ``spectra`` spectra are
-    transformed at a time, in a buffer allocated here.
+    transformed at a time, in two buffers allocated here and reused by every
+    call of :func:`upsample_values`: the half spectra ``half`` and the
+    real ``values``, which each call overwrites.
     """
 
     def __init__(self, grid: Grid, modes, factor: int, spectra: int):
@@ -306,6 +317,7 @@ class UpsamplePlan:
                 self.scatter.append((keep, dest, fold, sign < 0))
         self.block = max(1, min(self.subgrids, UPSAMPLE_BLOCK_POINTS // (fine ** (d - 1) * sub)))
         self.half = np.empty((spectra, self.block) + shape, dtype=complex)
+        self.values = np.empty((spectra, self.block) + shape[:-1] + (sub,))
 
 
 def upsample_values(plan: UpsamplePlan, coefficients, start: int) -> np.ndarray:
@@ -319,9 +331,13 @@ def upsample_values(plan: UpsamplePlan, coefficients, start: int) -> np.ndarray:
     length m per row gives the values.  ``np.moveaxis(v, 1, -1)`` of the
     values of all q sub-grids, reshaped to (C,) + (F N,) * d, is the fine
     grid in natural order.
+
+    The values are a view of ``plan.values``, which the next call with the
+    same plan overwrites: a caller that keeps them across calls copies them.
     """
     rows = slice(start, start + plan.block)
-    half = plan.half[:, : min(plan.block, plan.subgrids - start)]
+    count = min(plan.block, plan.subgrids - start)
+    half = plan.half[:, :count]
     half.fill(0.0)
     flat = half.reshape(half.shape[:2] + (-1,))
     for source, dest, fold, conj in plan.scatter:
@@ -329,10 +345,11 @@ def upsample_values(plan: UpsamplePlan, coefficients, start: int) -> np.ndarray:
         if conj:
             np.conj(part, out=part)
         flat[..., dest] += part
+        del part  # freed before the next group's product is made
     d = plan.grid.dim
     if d > 1:
         np.fft.ifftn(half, axes=tuple(range(-d, -1)), out=half)
-    return np.fft.irfft(half, n=plan.sub, axis=-1)
+    return np.fft.irfft(half, n=plan.sub, axis=-1, out=plan.values[:, :count])
 
 
 def multi_indices(dim: int, max_order: int) -> list:

@@ -27,7 +27,6 @@ from .grid import (
     Grid,
     SpectralField,
     coordinate_field,
-    forward_transform,
     gradient,
     inverse_transform,
     l2_norm,
@@ -69,24 +68,19 @@ class CauchyData:
         ``g_hat``, which become its ``spectra`` as they are, so modes that are
         exactly zero stay exactly zero."""
         data = cls(inverse_transform(f_hat), inverse_transform(g_hat), t0, mass)
-        data._keep_spectra(f_hat.coefficients, g_hat.coefficients)
+        kept = f_hat.coefficients, g_hat.coefficients
+        for c in kept:
+            c.setflags(write=False)
+        data.__dict__["_spectra"] = kept
         return data
 
     @property
     def spectra(self) -> tuple:
-        """(f_hat, g_hat), transformed once per data; read-only."""
-        kept = self.__dict__.get("_spectra")
-        if kept is None:
-            kept = self._keep_spectra(
-                forward_transform(self.f).coefficients, forward_transform(self.g).coefficients
-            )
-        return kept
-
-    def _keep_spectra(self, f_hat: np.ndarray, g_hat: np.ndarray) -> tuple:
-        for c in (f_hat, g_hat):
-            c.setflags(write=False)
-        self.__dict__["_spectra"] = f_hat, g_hat
-        return f_hat, g_hat
+        """(f_hat, g_hat), the fields' spectra (``Field.spectrum``) unless
+        given to ``from_spectra``; read-only."""
+        return self.__dict__.get("_spectra") or (
+            self.f.spectrum.coefficients, self.g.spectrum.coefficients
+        )
 
 
 @dataclass(frozen=True)

@@ -101,11 +101,13 @@ def complex_upsample_oracle(spectrum: SpectralField, factor: int) -> np.ndarray:
 def upsampled(grid: Grid, modes, coefficients, factor: int) -> np.ndarray:
     """``upsample_values`` over every block of one plan, shape (C,) + the
     fine shape: the sub-grid axis moved last and merged with the m points of
-    each sub-grid, so point j of sub-grid r lands at fine index q j + r."""
+    each sub-grid, so point j of sub-grid r lands at fine index q j + r.
+    Each block is copied, as the next call overwrites the plan's buffer."""
     coefficients = np.atleast_2d(coefficients)
     plan = UpsamplePlan(grid, modes, factor, len(coefficients))
     starts = range(0, plan.subgrids, plan.block)
-    values = np.concatenate([upsample_values(plan, coefficients, s) for s in starts], axis=1)
+    blocks = [upsample_values(plan, coefficients, s).copy() for s in starts]
+    values = np.concatenate(blocks, axis=1)
     values = np.moveaxis(values, 1, -1)
     return values.reshape(values.shape[:-2] + (-1,))
 

@@ -75,6 +75,12 @@ MUTANTS = [
      "half = np.where(nyquist, 0.5, 1.0)", "half = 0.5"),
     ("lowfreq weight 1 + t replaced by t", "src/kgdecay/decay.py",
      "weight = 1.0 + t if band == LOW_PASS_BAND else t", "weight = t"),
+    # the sup sampler's reused buffers
+    ("half spectra not cleared between blocks", "src/kgdecay/grid.py",
+     "    half.fill(0.0)\n", ""),
+    ("grad maximum read after |d phi|^2 is added into its buffer", "src/kgdecay/decay.py",
+     "np.max(grad_sq)]\n        grad_sq += dphi_sq  # now |d phi|^2\n",
+     "0.0]\n        grad_sq += dphi_sq  # now |d phi|^2\n        block[2] = np.max(grad_sq)\n"),
     # resolution gates
     ("slice resolution gate switched off", "src/kgdecay/plan.py",
      "if tail > limit:", "if False:"),
