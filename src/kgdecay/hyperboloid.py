@@ -107,9 +107,10 @@ class SliceSample:
     grad: np.ndarray  # (M, d)
 
 
-def sample_on_slice(data: CauchyData, slc: HyperboloidSlice) -> SliceSample:
-    phi, dphi, grad = evaluate_at_points(data, slc.t, slc.points)
-    return SliceSample(slc, phi, dphi, grad)
+def sample_on_slice(data: CauchyData, slc: HyperboloidSlice, *others) -> SliceSample:
+    """The data's sample; with ``others``, one ``evaluate_at_points`` pass
+    whose arrays gain a leading axis over (data, *others)."""
+    return SliceSample(slc, *evaluate_at_points(data, slc.t, slc.points, *others))
 
 
 def boost_values(sample: SliceSample, axis: int) -> np.ndarray:
@@ -189,9 +190,14 @@ SLICE_ROWS = {
 }
 
 
+def _work(data: CauchyData) -> dict:
+    """The slices, boosts and samples kept on the data, as its spectra are."""
+    return data.__dict__.setdefault("_slice_work", {})
+
+
 def _kept(data: CauchyData, key, build):
-    """build() once per key, kept on the data object as its spectra are."""
-    kept = data.__dict__.setdefault("_slice_work", {})
+    """build() once per key, kept in ``_work(data)``."""
+    kept = _work(data)
     if key not in kept:
         kept[key] = build()
     return kept[key]
@@ -214,6 +220,18 @@ def boosted_data(data: CauchyData, max_order: int) -> list:
     return list(out.values())
 
 
+def slice_samples(datas: list, slc: HyperboloidSlice) -> list:
+    """The samples of ``datas`` on ``slc``, kept on each data; those not kept
+    yet are taken together in one ``sample_on_slice`` pass."""
+    todo = [b for b in datas if slc not in _work(b)]
+    if todo:
+        s, shape = sample_on_slice(todo[0], slc, *todo[1:]), (len(todo), slc.n_points)
+        columns = s.phi.reshape(shape), s.dphi_dt.reshape(shape), s.grad.reshape(*shape, -1)
+        for b, *cols in zip(todo, *columns):
+            _work(b)[slc] = SliceSample(slc, *cols)
+    return [_work(b)[slc] for b in datas]
+
+
 def _terms(table: tuple, s: SliceSample, mass: float) -> tuple:
     slc = s.slice
     return tuple(
@@ -230,7 +248,7 @@ def _read_row(data: CauchyData, tau: float, slc: HyperboloidSlice | None, row: s
         raise ValueError("slice tau does not match requested tau")
     lhs, rhs = SLICE_ROWS[row]
     order = sobolev_order(data.grid.dim) if rhs else 0
-    samples = [_kept(b, slc, lambda: sample_on_slice(b, slc)) for b in boosted_data(data, order)]
+    samples = slice_samples(boosted_data(data, order), slc)
     total = sum(sum(_terms(rhs, s, data.mass)) for s in samples) if rhs else flat_energy(data)
     return SliceBound(tau, _terms(lhs, samples[0], data.mass), total)
 

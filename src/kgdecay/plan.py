@@ -15,7 +15,7 @@ from .bumps import bump_derivative_field, bump_field
 from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
 from .errors import ConfigurationError
 from .grid import Grid, sobolev_order
-from .hyperboloid import boosted_data, data_slice
+from .hyperboloid import boosted_data, data_slice, slice_samples
 from .propagator import CauchyData
 
 # slice suites need steeper data: the commuted-data Laplacian amplifies the
@@ -34,6 +34,8 @@ MAX_NYQUIST_TAIL = 5e-3
 # L = 256), 1.2e-4 at 2.6e-5 (N = 128, L = 12) and 4.5e-7 at 3.2e-7 (defaults)
 SMALL_TAU = 2.0
 SMALL_TAU_NYQUIST_TAIL = 1e-6
+# the slice suites whose rows sum over the slice data's boosts
+BOOSTED_SUITES = ("sobolev", "pointwise")
 
 
 def mass_commensurate_times(m0: float) -> np.ndarray:
@@ -146,6 +148,17 @@ class RunPlan:
         """tau -> the slice reaching past the slice data's support cone."""
         return {tau: data_slice(self.slice_data, tau) for tau in self.config.taus}
 
+    @cached_property
+    def sampled_slices(self) -> dict:
+        """``slices``, each sampled in one pass for the slice data and the
+        boosts the selected slice suites read: up to the Sobolev order for
+        sobolev or pointwise, none for energy alone."""
+        boosted = set(BOOSTED_SUITES) & set(self.config.selected_suites)
+        datas = boosted_data(self.slice_data, sobolev_order(self.config.dim) if boosted else 0)
+        for slc in self.slices.values():
+            slice_samples(datas, slc)
+        return self.slices
+
     @property
     def deepest_boosts(self) -> list:
         """The iterated boosts of the slice data of the global Sobolev order,
@@ -158,7 +171,7 @@ class RunPlan:
         meeting the box, a boost reaching the box edge (checked where each
         boost is built), or unresolved data."""
         c = self.config
-        boosted = [s for s in ("sobolev", "pointwise") if s in c.selected_suites]
+        boosted = [s for s in BOOSTED_SUITES if s in c.selected_suites]
         small = min(c.taus) < SMALL_TAU
         limit = SMALL_TAU_NYQUIST_TAIL if small else MAX_NYQUIST_TAIL
         at = f" for tau {min(c.taus):g}" if small else ""

@@ -13,10 +13,13 @@ exp(+-i dt omega) and sums them directly at space-time points.  Real data
 have Hermitian spectra, so the half-wave (-xi, -omega) has the same real
 term as (xi, +omega): the sum runs over the + half-waves, doubled, plus both
 half-waves of the modes on a Nyquist plane, whose negation is not listed.
+Data sharing grid, t0 and mass share these phases, so a stack of them (a
+slice's data and its boosts) is summed in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +38,10 @@ from .grid import (
 )
 
 # cap on points*half-waves per block of a direct Fourier evaluation at
-# arbitrary points (4 MB per real array), which keeps the slice suites near
-# a 47 MB peak; with about one half-wave per mode a block holds twice the
-# points it held when both half-waves of every mode were summed
+# arbitrary points (4 MB per real phase array), which keeps the slice suites
+# near a 47 MB peak; with about one half-wave per mode a block holds twice
+# the points it held when both half-waves of every mode were summed.  The
+# rows of a block scale with the modes only: stacked data add columns.
 EVAL_CHUNK_ENTRIES = 2**19
 
 
@@ -132,18 +136,27 @@ def evolve(data: CauchyData, t: float) -> EvolvedState:
     return EvolvedState(data, t, phi, dphi, grad)
 
 
-def nonzero_modes(data: CauchyData) -> tuple:
-    """The flat indices of the lattice modes where f_hat or g_hat is nonzero,
-    in lattice order, with their xi, shape (M, d), omega, f_hat and g_hat."""
+def nonzero_modes(data: CauchyData, *others) -> tuple:
+    """The flat indices of the lattice modes where f_hat or g_hat of the data
+    or of one of ``others`` (on its grid, with its t0 and mass) is nonzero, in
+    lattice order, with their xi, shape (M, d), omega, f_hat and g_hat, the
+    last two with a leading axis over (data, *others) if ``others`` are given."""
     g = data.grid
-    f_hat, g_hat = (c.ravel() for c in data.spectra)
-    modes = np.flatnonzero((f_hat != 0) | (g_hat != 0))
+    if any(o.grid != g for o in others):
+        raise GridMismatchError("stacked data must share one grid")
+    if any((o.t0, o.mass) != (data.t0, data.mass) for o in others):
+        raise ValueError("stacked data must share t0 and mass")
+    spectra = [c.ravel() for d in (data, *others) for c in d.spectra]  # f_hat, g_hat, ...
+    modes = np.flatnonzero(functools.reduce(np.logical_or, (c != 0 for c in spectra)))
     xi = g.axis_frequencies[np.stack(np.unravel_index(modes, g.shape), axis=-1)]
     omega = _omega(g, data.mass).ravel()[modes]
-    return modes, xi, omega, f_hat[modes], g_hat[modes]
+    f_hat, g_hat = ([c[modes] for c in spectra[k::2]] for k in (0, 1))
+    if others:
+        return modes, xi, omega, np.stack(f_hat), np.stack(g_hat)
+    return modes, xi, omega, f_hat[0], g_hat[0]
 
 
-def evaluate_at_points(data: CauchyData, times, points):
+def evaluate_at_points(data: CauchyData, times, points, *others):
     """Evaluate (phi, dphi_dt, grad phi) at arbitrary space-time points.
 
     ``times`` has shape (P,), ``points`` shape (P, d).  Each of the
@@ -160,33 +173,43 @@ def evaluate_at_points(data: CauchyData, times, points):
     with w = 0 (the zero mode at mass 0) takes 2 c+ = f_hat plus the linear
     growth dt g_hat.
 
-    Returns (phi, dphi_dt, grad) with shapes (P,), (P,), (P, d).
+    Further data ``others`` share theta and its cos and sin: one sum over the
+    union of their ``nonzero_modes`` holds each data's columns side by side.
+
+    Returns (phi, dphi_dt, grad) with shapes (P,), (P,), (P, d), each with a
+    leading axis over (data, *others) if ``others`` are given.
     """
     g = data.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
     points = np.asarray(points, dtype=float).reshape(len(times), g.dim)
     dt = times - data.t0
-    _, xi, omega, fh, gh = nonzero_modes(data)
+    _, xi, omega, fh, gh = nonzero_modes(data, *others)
+    fh, gh = np.atleast_2d(fh), np.atleast_2d(gh)  # (data, mode)
+    n, cols = len(fh), 2 + g.dim
     zero = omega == 0.0
     g_over_w = np.divide(gh, omega, out=np.zeros_like(gh), where=~zero)
     nyquist = np.any(xi == g.axis_frequencies[g.points_per_axis // 2], axis=-1)
     half = np.where(nyquist, 0.5, 1.0)
     half_waves, frequencies = [], []
     for sign, keep in ((1.0, slice(None)), (-1.0, nyquist)):
-        c = (half * (fh - sign * 1j * g_over_w))[keep]
-        dc = (half * (gh + sign * 1j * omega * fh))[keep]
+        c = (half * (fh - sign * 1j * g_over_w))[:, keep]
+        dc = (half * (gh + sign * 1j * omega * fh))[:, keep]
         half_waves.append(np.stack([c, dc, *(1j * x * c for x in xi[keep].T)], axis=-1))
         frequencies.append(np.column_stack([xi[keep], sign * omega[keep]]))
-    coeff, frequencies = np.concatenate(half_waves), np.concatenate(frequencies)
+    # (half-wave, data x column): each data's columns side by side
+    coeff = np.concatenate(half_waves, axis=1).transpose(1, 0, 2).reshape(-1, n * cols)
+    frequencies = np.concatenate(frequencies)
     x = np.column_stack([points, dt])
-    vals = np.empty((len(x), coeff.shape[-1]))
+    vals = np.empty((len(x), n * cols))
     rows = max(1, EVAL_CHUNK_ENTRIES // max(1, len(coeff)))
     for lo in range(0, len(x), rows):
         theta = x[lo : lo + rows] @ frequencies.T
         vals[lo : lo + rows] = np.cos(theta) @ coeff.real - np.sin(theta, out=theta) @ coeff.imag
-    vals[:, 0] += dt * np.sum(gh[zero].real)
+    vals = vals.reshape(len(x), n, cols)
+    vals[:, :, 0] += dt[:, None] * np.sum(gh[:, zero].real, axis=-1)
     vals /= g.box_length**g.dim
-    return vals[:, 0], vals[:, 1], vals[:, 2:]
+    out = vals[:, :, 0].T, vals[:, :, 1].T, vals[:, :, 2:].swapaxes(0, 1)
+    return out if others else tuple(a[0] for a in out)
 
 
 def support_radius(field: Field) -> float:

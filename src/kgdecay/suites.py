@@ -143,9 +143,9 @@ def suite_partition(config: RunConfig, rng) -> dict:
 
 
 def _per_tau(config: RunConfig, check) -> dict:
-    """tau -> check(slice data, tau, slice) over the plan's slices."""
+    """tau -> check(slice data, tau, slice) over the plan's sampled slices."""
     plan = RunPlan.of(config)
-    return {tau: check(plan.slice_data, tau, slc) for tau, slc in plan.slices.items()}
+    return {tau: check(plan.slice_data, tau, slc) for tau, slc in plan.sampled_slices.items()}
 
 
 def suite_energy(config: RunConfig, rng) -> dict:

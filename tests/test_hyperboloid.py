@@ -7,12 +7,14 @@ from kgdecay.errors import ConfigurationError
 from kgdecay.grid import Field, Grid
 from kgdecay.hyperboloid import (
     boost_values,
+    boosted_data,
     build_slice,
     energy,
     global_sobolev_check,
     pointwise_energy_check,
     sample_on_slice,
     slice_integral,
+    slice_samples,
     support_edge_radius,
 )
 from kgdecay.plan import RunPlan
@@ -111,6 +113,24 @@ def test_boost_values_single_mode_closed_form():
     xs = slc.points[:, 0]
     expect = xs * dphi_dt(slc.t - 2.0, xs) + slc.t * dphi_dx(slc.t - 2.0, xs)
     assert np.max(np.abs(boost_values(s, 0) - expect)) <= 1e-8 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("kept", [(), (0,), (1,)], ids=["none", "data", "boost"])
+def test_slice_samples_give_each_data_its_own_sample(kept):
+    # the data and boosts with no kept sample are sampled in one pass, and
+    # each keeps its own columns, whichever of them was sampled before
+    data = bump_pair()
+    datas = boosted_data(data, 1)
+    slc = build_slice(4.0, GRID, data_support_radius(data))
+    for k in kept:
+        slice_samples([datas[k]], slc)
+    got = slice_samples(datas, slc)
+    assert all(a is b for a, b in zip(got, slice_samples(datas, slc)))
+    for b, s in zip(datas, got):
+        want = sample_on_slice(b, slc)
+        for a, w in zip((s.phi, s.dphi_dt, s.grad), (want.phi, want.dphi_dt, want.grad)):
+            assert a.shape == w.shape
+            assert np.max(np.abs(a - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_energy_zero_data():

@@ -1,6 +1,6 @@
-"""The run plan: slice samples computed once per (data, tau) across the
-slice suites, and small random configurations that end either in a
-rejection naming a key or in a summary."""
+"""The run plan: one evaluator pass per tau for the slice data and its
+boosts across the slice suites, and small random configurations that end
+either in a rejection naming a key or in a summary."""
 
 import contextlib
 import io
@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kgdecay.hyperboloid as hyperboloid
@@ -26,8 +27,7 @@ def _run(suite, config):
     return suite(config, np.random.default_rng(config.seed))
 
 
-def test_slice_samples_and_boosts_are_computed_once(monkeypatch):
-    config = RunConfig(taus=(2.0, 4.0))
+def _count_calls(monkeypatch) -> dict:
     calls = {"evaluate_at_points": 0, "iterated_boost_data": 0}
     for name in calls:
         original = getattr(hyperboloid, name)
@@ -37,13 +37,36 @@ def test_slice_samples_and_boosts_are_computed_once(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(hyperboloid, name, counted)
+    return calls
+
+
+def test_slice_samples_and_boosts_are_computed_once(monkeypatch):
+    config = RunConfig(taus=(2.0, 4.0))
+    calls = _count_calls(monkeypatch)
     RunPlan.of.cache_clear()
     shared = [_run(suite, config) for suite in SLICE_SUITES]
-    # two taus, each sampling the slice data and its one boost
-    assert calls == {"evaluate_at_points": 4, "iterated_boost_data": 1}
+    # two taus, each sampled in one pass for the slice data and its one boost
+    assert calls == {"evaluate_at_points": 2, "iterated_boost_data": 1}
     for suite, result in zip(SLICE_SUITES, shared):
         RunPlan.of.cache_clear()
         assert _run(suite, config) == result
+
+
+@pytest.mark.parametrize(
+    "suite, boosts", [("all", 1), ("sobolev", 1), ("energy", 0)], ids=["all", "sobolev", "energy"]
+)
+def test_one_evaluator_pass_per_tau_after_validation(monkeypatch, suite, boosts):
+    # as the CLI runs them: validate() builds the boosts the selected suites
+    # read, then the slice suites run in `--suite all` order in one process;
+    # energy run alone samples the data only and builds no boost
+    config = RunConfig(suite=suite, taus=(2.0, 4.0))
+    calls = _count_calls(monkeypatch)
+    RunPlan.of.cache_clear()
+    config.validate()
+    for run in SLICE_SUITES:
+        if suite in ("all", run.__name__.removeprefix("suite_")):
+            _run(run, config)
+    assert calls == {"evaluate_at_points": 2, "iterated_boost_data": boosts}
 
 
 def test_plan_is_shared_per_config_value():

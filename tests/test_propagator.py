@@ -3,10 +3,11 @@ import pytest
 
 from kgdecay.bands import LittlewoodPaleyBank
 from kgdecay.bumps import bump_derivative_field, bump_field
-from kgdecay.errors import ConfigurationError
+from kgdecay.errors import ConfigurationError, GridMismatchError
 from kgdecay.grid import (
     Field,
     Grid,
+    SpectralField,
     coordinate_field,
     linf_norm,
     spatial_derivative,
@@ -202,6 +203,55 @@ def test_evaluate_at_points_matches_direct_sum_oracle(case, mass):
     for a, b in zip(got, want):
         assert np.max(np.abs(b)) > 0.0
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def stacked_case(dim, mass):
+    """(stack, slice): a band-limited piece of bump data (its spectrum cut to
+    |xi| <= 3, so its nonzero modes are a strict subset of the union the
+    stack is summed over), Nyquist-heavy data, zero data and bump data."""
+    heavy, slc = oracle_case("1d_nyquist" if dim == 1 else "2d_nyquist", mass)
+    bump, _ = oracle_case(f"{dim}d", mass)
+    grid = bump.grid
+    low = grid.frequency_norm <= 3.0
+    band = CauchyData.from_spectra(
+        *(SpectralField(grid, c * low) for c in bump.spectra), bump.t0, mass
+    )
+    zero = CauchyData(*(Field(grid, np.zeros(grid.shape)),) * 2, 2.0, mass)
+    return [band, heavy, zero, bump], slc
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_evaluation_matches_direct_sum_oracle(dim, mass):
+    # one pass over the union of the stack's nonzero modes gives each data
+    # the values of its own single-data call and of the oracle, at lattice
+    # points and a third of a cell off them (where Nyquist modes' sines do
+    # not vanish); at mass 0 each data adds its own zero-mode growth, and the
+    # zero data's columns stay exactly zero
+    stack, slc = stacked_case(dim, mass)
+    times = np.concatenate([slc.t[::2], slc.t[1::6]])
+    points = np.concatenate([slc.points[::2], slc.points[1::6] + stack[0].grid.spacing / 3.0])
+    got = evaluate_at_points(stack[0], times, points, *stack[1:])
+    assert [a.shape for a in got] == [(4, len(times)), (4, len(times)), (4, len(times), dim)]
+    assert not any(a[2].any() for a in got)
+    for k in (0, 1, 3):
+        single = evaluate_at_points(stack[k], times, points)
+        want = direct_sum_oracle(stack[k], times, points)
+        for a, b, c in zip(got, single, want):
+            scale = np.max(np.abs(c))
+            assert scale > 0.0
+            assert np.max(np.abs(a[k] - b)) <= 1e-12 * scale
+            assert np.max(np.abs(a[k] - c)) <= 1e-12 * scale
+
+
+def test_stacked_evaluation_rejects_mismatched_data():
+    data = bump_pair(GRID)
+    other_grid = bump_pair(Grid(1, 512, 64.0))
+    with pytest.raises(GridMismatchError):
+        evaluate_at_points(data, [3.0], [[0.0]], data, other_grid)
+    for t0, mass in ((3.0, 1.0), (2.0, 0.5)):
+        with pytest.raises(ValueError, match="t0 and mass"):
+            evaluate_at_points(data, [3.0], [[0.0]], CauchyData(data.f, data.g, t0, mass))
 
 
 def test_evaluate_at_points_at_t0_returns_data():

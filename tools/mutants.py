@@ -63,7 +63,7 @@ MUTANTS = [
     ("Szego cosine factor set to 1", "src/kgdecay/decay.py",
      "/ np.cos(sigma[:j] * delta)", "/ 1.0"),
     ("mass-0 zero-mode term dropped", "src/kgdecay/propagator.py",
-     "vals[:, 0] += dt * np.sum(gh[zero].real)", "pass"),
+     "vals[:, :, 0] += dt[:, None] * np.sum(gh[:, zero].real, axis=-1)", "pass"),
     # Hermitian pairing of the point evaluator's half-waves
     ("Nyquist-plane modes doubled too, their - half-waves dropped",
      "src/kgdecay/propagator.py",
@@ -73,6 +73,18 @@ MUTANTS = [
      "(-1.0, nyquist)", "(-1.0, nyquist & False)"),
     ("+ half-waves not doubled", "src/kgdecay/propagator.py",
      "half = np.where(nyquist, 0.5, 1.0)", "half = 0.5"),
+    # one pass for a stack of data
+    ("zero-mode term of the first data added to every data", "src/kgdecay/propagator.py",
+     "np.sum(gh[:, zero].real, axis=-1)", "np.sum(gh[:1, zero].real, axis=-1)"),
+    ("the first data's modes summed instead of the union", "src/kgdecay/propagator.py",
+     "(c != 0 for c in spectra)", "(c != 0 for c in spectra[:2])"),
+    ("output columns offset by one", "src/kgdecay/propagator.py",
+     "vals = vals.reshape(len(x), n, cols)",
+     "vals = np.roll(vals, 1, axis=1).reshape(len(x), n, cols)"),
+    ("coefficient columns laid out data-major in the half-waves", "src/kgdecay/propagator.py",
+     ".transpose(1, 0, 2).reshape(-1, n * cols)", ".reshape(-1, n * cols)"),
+    ("stacked slice samples kept on the data in reverse order", "src/kgdecay/hyperboloid.py",
+     "zip(todo, *columns)", "zip(todo[::-1], *columns)"),
     ("lowfreq weight 1 + t replaced by t", "src/kgdecay/decay.py",
      "weight = 1.0 + t if band == LOW_PASS_BAND else t", "weight = t"),
     # the sup sampler's reused buffers
