@@ -12,7 +12,7 @@ from .decay import (
 )
 from .errors import ConfigurationError, GridMismatchError, InvariantError
 from .grid import (
-    Field, Grid, SpectralField, coordinate_field, forward_transform, gradient,
+    Field, Grid, SpectralField, coordinate_field, forward_transform,
     inverse_transform, l1_norm, l2_norm, laplacian, linf_norm, multi_indices,
     partial_derivative, sobolev_h_norm, sobolev_order, sobolev_w_k1_norm,
     spatial_derivative,
@@ -24,9 +24,8 @@ from .hyperboloid import (
 from .partition import UnitBallPartition, build_partition, overlap_bound, w_k1_comparability
 from .plan import RunPlan
 from .propagator import (
-    CauchyData, EvolvedState, boost_commuted_data, data_support_radius,
-    evaluate_at_points, evolve, flat_energy, flat_energy_at, iterated_boost_data,
-    support_radius,
+    CauchyData, boost_commuted_data, data_support_radius, evaluate_at_points,
+    flat_energy, iterated_boost_data, support_radius,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

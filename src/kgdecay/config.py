@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decay import MIN_FIT_SAMPLES
 from .errors import ConfigurationError
 from .grid import Grid
 
@@ -23,6 +24,8 @@ HIGHFREQ_LATE_TIMES = tuple(np.geomspace(64.0, 960.0, 13))
 # decay exponents are fitted on t in this window; localized and lowfreq's
 # canonical run sample it at mass-commensurate times whatever `times` says
 FIT_WINDOW = (8.0, 64.0)
+# the partition suite's cutoffs sum to one on [-4, 4]^d, which the box must hold
+PARTITION_ACTIVE_RADIUS = 4.0
 
 
 def _finite(raw: str) -> float:
@@ -120,10 +123,18 @@ class RunConfig:
                         f"the grid Nyquist frequency {nyquist:.1f}"
                     )
         if any(s in active for s in TIME_SUITES):
+            fitted = [s for s in ("localized", "lowfreq") if s in active]
+            n_fit = len(plan.fit_times[self.mass]) if fitted and self.mass > 0.0 else None
             if self.mass == 0.0:
                 problems.append(
                     f"mass must be positive for the time-series suites {TIME_SUITES} "
                     "(sample times pi k / m0, mass-weighted constants)"
+                )
+            elif n_fit is not None and n_fit < MIN_FIT_SAMPLES:
+                problems.append(
+                    f"mass {self.mass} puts {n_fit} sample times pi k / mass in the fit "
+                    f"window {FIT_WINDOW}, fewer than the {MIN_FIT_SAMPLES} the "
+                    f"decay-exponent fit of {' and '.join(fitted)} needs"
                 )
             if not self.times:
                 problems.append(f"times is empty; the time-series suites {TIME_SUITES} need times")
@@ -141,6 +152,11 @@ class RunConfig:
                         f"{label} {box} below the anti-wraparound bound "
                         f"2*(support_radius + {horizon} + 2) = {needed}"
                     )
+        if "partition" in active and 0.0 < self.box_length < 2.0 * PARTITION_ACTIVE_RADIUS:
+            problems.append(
+                f"box_length {self.box_length} below twice the partition's active "
+                f"radius {PARTITION_ACTIVE_RADIUS:g}, whose cutoff fields the box must hold"
+            )
         if any(s in active for s in SLICE_SUITES) and self.taus and buildable:
             problems.extend(plan.slice_problems())
         # the uniformity checks compare constants across taus and across bands

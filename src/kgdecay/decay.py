@@ -43,6 +43,7 @@ from .grid import Field, UpsamplePlan, l1_norm, sobolev_h_norm, upsample_values
 from .propagator import CauchyData, _evolved, nonzero_modes
 
 DEGENERATE_NORM = 1e-12
+MIN_FIT_SAMPLES = 5  # fewest times in the fit window a decay exponent is fitted on
 # the relative width (upper / lower - 1) that the sup brackets' upsampling
 # factor doubles towards, and the fine-grid points per spectrum where it
 # stops doubling (reached only by coarse full-spectrum 2-D data)
@@ -172,8 +173,8 @@ def fit_exponent(curve: DecayCurve, window) -> FitResult:
     values = curve.raw_sup
     lo, hi = window
     mask = (curve.times >= lo) & (curve.times <= hi)
-    if np.count_nonzero(mask) < 5:
-        raise ValueError(f"need at least 5 samples in the fit window {window}")
+    if np.count_nonzero(mask) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples in the fit window {window}")
     if np.any(values[mask] <= 0):
         raise ValueError("nonpositive values in fit window")
     x = np.log(curve.times[mask])

@@ -252,10 +252,6 @@ def laplacian(f: Field) -> Field:
     return inverse_transform(SpectralField(f.grid, -(f.grid.frequency_norm**2) * F.coefficients))
 
 
-def gradient(f: Field) -> list:
-    return [spatial_derivative(f, a) for a in range(f.grid.dim)]
-
-
 class UpsamplePlan:
     """How spectra that vanish off the lattice ``modes`` are sampled on the
     ``factor``-times finer grid of the same box, in blocks of sub-grids.

@@ -11,7 +11,9 @@ data's sample, and rhs terms summed over the samples of the data and its
 boosts up to the Sobolev order (the energy's rhs is the flat energy).  A
 term squares a sample column (phi, m phi, d_t phi, each L^i phi or their
 sum), weights it in (t, tau) and reduces it by a max over the slice points
-or a slice integral.  One reader turns a row into a ``SliceBound``.
+or a slice integral.  One reader turns a row into a ``SliceBound``.  The
+checks read only the data and its samples on one slice, which the caller
+takes with ``slice_samples(boosted_data(data, order), slc)``.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvariantError
 from .grid import Grid, sobolev_order
-from .propagator import (
-    CauchyData,
-    data_support_radius,
-    evaluate_at_points,
-    flat_energy,
-    iterated_boost_data,
-)
+from .propagator import CauchyData, evaluate_at_points, flat_energy, iterated_boost_data
 
 SLICE_PADDING = 2.0  # sampling margin beyond the solution support radius
 SOBOLEV_ELLS = (0.0, 1.0)  # the weights (t/tau)^ell of the global Sobolev check
@@ -37,8 +33,7 @@ SOBOLEV_ELLS = (0.0, 1.0)  # the weights (t/tau)^ell of the global Sobolev check
 
 @dataclass(frozen=True, eq=False)
 class HyperboloidSlice:
-    """Sample points of one tau-slice with induced volume weights; hashed by
-    identity, so samples can be kept per slice."""
+    """Sample points of one tau-slice with induced volume weights."""
 
     tau: float
     grid: Grid
@@ -190,46 +185,22 @@ SLICE_ROWS = {
 }
 
 
-def _work(data: CauchyData) -> dict:
-    """The slices, boosts and samples kept on the data, as its spectra are."""
-    return data.__dict__.setdefault("_slice_work", {})
-
-
-def _kept(data: CauchyData, key, build):
-    """build() once per key, kept in ``_work(data)``."""
-    kept = _work(data)
-    if key not in kept:
-        kept[key] = build()
-    return kept[key]
-
-
-def data_slice(data: CauchyData, tau: float) -> HyperboloidSlice:
-    """The tau-slice reaching past the data's support cone, built once."""
-    return _kept(
-        data, tau, lambda: build_slice(tau, data.grid, data_support_radius(data), data.t0)
-    )
-
-
 def boosted_data(data: CauchyData, max_order: int) -> list:
     """The data and its iterated boosts L^{i_1}..L^{i_k}, k <= max_order, by
-    k and then axes; each is built once, from the one below it."""
+    k and then axes; each is built from the one below it."""
     out = {(): data}
     for k in range(1, max_order + 1):
         for axes in itertools.product(range(data.grid.dim), repeat=k):
-            out[axes] = _kept(data, axes, lambda: iterated_boost_data(out[axes[1:]], axes[:1]))
+            out[axes] = iterated_boost_data(out[axes[1:]], axes[:1])
     return list(out.values())
 
 
 def slice_samples(datas: list, slc: HyperboloidSlice) -> list:
-    """The samples of ``datas`` on ``slc``, kept on each data; those not kept
-    yet are taken together in one ``sample_on_slice`` pass."""
-    todo = [b for b in datas if slc not in _work(b)]
-    if todo:
-        s, shape = sample_on_slice(todo[0], slc, *todo[1:]), (len(todo), slc.n_points)
-        columns = s.phi.reshape(shape), s.dphi_dt.reshape(shape), s.grad.reshape(*shape, -1)
-        for b, *cols in zip(todo, *columns):
-            _work(b)[slc] = SliceSample(slc, *cols)
-    return [_work(b)[slc] for b in datas]
+    """One ``SliceSample`` per data of ``datas`` on ``slc``, in order, all
+    taken in one ``sample_on_slice`` pass."""
+    s, shape = sample_on_slice(datas[0], slc, *datas[1:]), (len(datas), slc.n_points)
+    columns = s.phi.reshape(shape), s.dphi_dt.reshape(shape), s.grad.reshape(*shape, -1)
+    return [SliceSample(slc, *cols) for cols in zip(*columns)]
 
 
 def _terms(table: tuple, s: SliceSample, mass: float) -> tuple:
@@ -240,34 +211,31 @@ def _terms(table: tuple, s: SliceSample, mass: float) -> tuple:
     )
 
 
-def _read_row(data: CauchyData, tau: float, slc: HyperboloidSlice | None, row: str) -> SliceBound:
-    """The row's SliceBound on ``slc``, by default ``data_slice(data, tau)``."""
-    if slc is None:
-        slc = data_slice(data, tau)
-    elif slc.tau != tau:
-        raise ValueError("slice tau does not match requested tau")
+def _read_row(data: CauchyData, samples: list, row: str) -> SliceBound:
+    """The row's SliceBound on the slice of ``samples``: the data's sample,
+    then, if the row sums them, its boosts' up to the Sobolev order in
+    ``boosted_data`` order."""
     lhs, rhs = SLICE_ROWS[row]
-    order = sobolev_order(data.grid.dim) if rhs else 0
-    samples = slice_samples(boosted_data(data, order), slc)
+    d, order = data.grid.dim, sobolev_order(data.grid.dim)
+    if rhs and len(samples) != sum(d**k for k in range(order + 1)):
+        raise ValueError(f"row {row} reads the data and its boosts up to order {order}")
     total = sum(sum(_terms(rhs, s, data.mass)) for s in samples) if rhs else flat_energy(data)
-    return SliceBound(tau, _terms(lhs, samples[0], data.mass), total)
+    return SliceBound(samples[0].slice.tau, _terms(lhs, samples[0], data.mass), total)
 
 
-def energy(data: CauchyData, tau: float, slc: HyperboloidSlice | None = None) -> SliceBound:
+def energy(data: CauchyData, samples: list) -> SliceBound:
     """The weighted slice energy, ENERGY_DENSITY's (boost, time-derivative,
-    mass) terms, against the flat energy E(phi): equal for compact data."""
-    return _read_row(data, tau, slc, "energy")
+    mass) terms on the data's sample, against E(phi): equal for compact data."""
+    return _read_row(data, samples, "energy")
 
 
-def global_sobolev_check(data: CauchyData, tau: float, slc: HyperboloidSlice | None = None) -> dict:
+def global_sobolev_check(data: CauchyData, samples: list) -> dict:
     """Per ell in SOBOLEV_ELLS: sup tau^(1-ell) t^(d+ell-1) phi^2 against the
     summed integrals of (t/tau)^ell |L^{i_1}..L^{i_k} phi|^2, k <= floor(d/2)+1."""
-    return {ell: _read_row(data, tau, slc, f"sobolev_ell_{ell:g}") for ell in SOBOLEV_ELLS}
+    return {ell: _read_row(data, samples, f"sobolev_ell_{ell:g}") for ell in SOBOLEV_ELLS}
 
 
-def pointwise_energy_check(
-    data: CauchyData, tau: float, slc: HyperboloidSlice | None = None
-) -> SliceBound:
+def pointwise_energy_check(data: CauchyData, samples: list) -> SliceBound:
     """(m^2 sup t^d phi^2, sup tau^2 t^(d-2) (d_t phi)^2, sum_i sup t^(d-2)
     (L^i phi)^2) against the summed slice energies of the boosts, as above."""
-    return _read_row(data, tau, slc, "pointwise")
+    return _read_row(data, samples, "pointwise")

@@ -1,8 +1,7 @@
 """The run plan: every grid, time set and horizon a configuration derives,
-the slice data with its iterated boosts, its slice per tau and the localized
-data, built once per config value.  ``validate()`` checks them and the
-suites read them, and the slice samples, kept on the slice data, are taken
-once per tau."""
+the slice data with the boosts the selected suites read, its slice and
+samples per tau (one evaluator pass each) and the localized data, built
+once per config value.  ``validate()`` checks them and the suites read them."""
 
 from __future__ import annotations
 
@@ -15,8 +14,8 @@ from .bumps import bump_derivative_field, bump_field
 from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
 from .errors import ConfigurationError
 from .grid import Grid, sobolev_order
-from .hyperboloid import boosted_data, data_slice, slice_samples
-from .propagator import CauchyData
+from .hyperboloid import boosted_data, build_slice, slice_samples
+from .propagator import CauchyData, data_support_radius
 
 # slice suites need steeper data: the commuted-data Laplacian amplifies the
 # grid's Nyquist spectrum tail by xi^2, and s = 8 keeps that leak ~1e-7
@@ -146,25 +145,28 @@ class RunPlan:
     @cached_property
     def slices(self) -> dict:
         """tau -> the slice reaching past the slice data's support cone."""
-        return {tau: data_slice(self.slice_data, tau) for tau in self.config.taus}
+        data, r0 = self.slice_data, data_support_radius(self.slice_data)
+        return {tau: build_slice(tau, data.grid, r0, data.t0) for tau in self.config.taus}
 
     @cached_property
-    def sampled_slices(self) -> dict:
-        """``slices``, each sampled in one pass for the slice data and the
-        boosts the selected slice suites read: up to the Sobolev order for
-        sobolev or pointwise, none for energy alone."""
+    def boosts(self) -> list:
+        """The slice data and, if sobolev or pointwise is selected, its
+        iterated boosts up to the Sobolev order, as ``boosted_data`` lists
+        them; energy reads the data alone."""
         boosted = set(BOOSTED_SUITES) & set(self.config.selected_suites)
-        datas = boosted_data(self.slice_data, sobolev_order(self.config.dim) if boosted else 0)
-        for slc in self.slices.values():
-            slice_samples(datas, slc)
-        return self.slices
+        return boosted_data(self.slice_data, sobolev_order(self.config.dim) if boosted else 0)
+
+    @cached_property
+    def samples(self) -> dict:
+        """tau -> the samples of ``boosts`` on the tau-slice, one pass each."""
+        return {tau: slice_samples(self.boosts, slc) for tau, slc in self.slices.items()}
 
     @property
     def deepest_boosts(self) -> list:
-        """The iterated boosts of the slice data of the global Sobolev order,
-        as sobolev and pointwise sample them (kept on the data)."""
+        """The boosts of the global Sobolev order, the tail of ``boosts``
+        when sobolev or pointwise is selected."""
         d, order = self.config.dim, sobolev_order(self.config.dim)
-        return boosted_data(self.slice_data, order)[-(d**order):]
+        return self.boosts[-(d**order):]
 
     def slice_problems(self) -> list:
         """Why the selected slice suites cannot run on this plan: a slice

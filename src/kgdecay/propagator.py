@@ -30,7 +30,6 @@ from .grid import (
     Grid,
     SpectralField,
     coordinate_field,
-    gradient,
     inverse_transform,
     l2_norm,
     laplacian,
@@ -87,17 +86,6 @@ class CauchyData:
         )
 
 
-@dataclass(frozen=True)
-class EvolvedState:
-    """Solution snapshot: phi, its time derivative, and its gradient."""
-
-    data: CauchyData
-    t: float
-    phi: Field
-    dphi_dt: Field
-    grad_phi: tuple
-
-
 def _omega(grid: Grid, mass: float) -> np.ndarray:
     return np.sqrt(grid.frequency_norm**2 + mass**2)
 
@@ -125,15 +113,6 @@ def evolve_spectra(data: CauchyData, t: float) -> tuple:
     g = data.grid
     phi_hat, dphi_hat = _evolved(t - data.t0, _omega(g, data.mass), *data.spectra)
     return SpectralField(g, phi_hat), SpectralField(g, dphi_hat)
-
-
-def evolve(data: CauchyData, t: float) -> EvolvedState:
-    """Propagate the data to time t on its own grid."""
-    phi_hat, dphi_hat = evolve_spectra(data, t)
-    phi = inverse_transform(phi_hat)
-    dphi = inverse_transform(dphi_hat)
-    grad = tuple(gradient(phi))
-    return EvolvedState(data, t, phi, dphi, grad)
 
 
 def nonzero_modes(data: CauchyData, *others) -> tuple:
@@ -273,11 +252,4 @@ def flat_energy(data: CauchyData) -> float:
     total = l2_norm(data.g) ** 2 + (data.mass * l2_norm(data.f)) ** 2
     for a in range(data.grid.dim):
         total += l2_norm(spatial_derivative(data.f, a)) ** 2
-    return total
-
-
-def flat_energy_at(state: EvolvedState) -> float:
-    total = l2_norm(state.dphi_dt) ** 2 + (state.data.mass * l2_norm(state.phi)) ** 2
-    for df in state.grad_phi:
-        total += l2_norm(df) ** 2
     return total

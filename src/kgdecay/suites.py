@@ -11,7 +11,7 @@ import numpy as np
 
 from .bands import LittlewoodPaleyBank
 from .bumps import bump_derivative_field, bump_field
-from .config import FIT_WINDOW, RunConfig
+from .config import FIT_WINDOW, PARTITION_ACTIVE_RADIUS, RunConfig
 from .decay import (
     highfreq_check,
     interpolation_check,
@@ -100,8 +100,8 @@ def suite_lp(config: RunConfig, rng) -> dict:
 
 def suite_partition(config: RunConfig, rng) -> dict:
     dim = config.dim
-    part = build_partition(dim, active_radius=4.0)
-    pts = rng.uniform(-4.0, 4.0, size=(200, dim))
+    part = build_partition(dim, active_radius=PARTITION_ACTIVE_RADIUS)
+    pts = rng.uniform(-PARTITION_ACTIVE_RADIUS, PARTITION_ACTIVE_RADIUS, size=(200, dim))
     sums = part.partition_sum(pts)
     checks = [
         _check("partition_sum_residual", float(np.max(np.abs(sums - 1.0))), 1e-12),
@@ -143,9 +143,9 @@ def suite_partition(config: RunConfig, rng) -> dict:
 
 
 def _per_tau(config: RunConfig, check) -> dict:
-    """tau -> check(slice data, tau, slice) over the plan's sampled slices."""
+    """tau -> check(slice data, its samples) over the plan's slice samples."""
     plan = RunPlan.of(config)
-    return {tau: check(plan.slice_data, tau, slc) for tau, slc in plan.sampled_slices.items()}
+    return {tau: check(plan.slice_data, samples) for tau, samples in plan.samples.items()}
 
 
 def suite_energy(config: RunConfig, rng) -> dict:

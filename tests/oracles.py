@@ -5,8 +5,13 @@ RK4 time integration per mode, complex direct Fourier summation, complex
 zero-padded upsampling, centered finite differences, adaptive quadrature of closed-form profiles, and
 closed-form single-mode solutions.  ``upsampled`` is not an oracle: it lays
 the library's blocked upsampling out on the whole fine grid, for comparison
-with them.
+with them.  Nor is ``evolve``: it turns the library's ``evolve_spectra`` into
+a snapshot of phi, d_t phi and grad phi on the grid, for the tests to read.
+Nor is ``data_slice_samples``: it samples data on a slice as the run plan
+does, for the slice checks to read.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -18,9 +23,46 @@ from kgdecay.grid import (
     UpsamplePlan,
     forward_transform,
     inverse_transform,
+    l2_norm,
+    spatial_derivative,
     upsample_values,
 )
-from kgdecay.propagator import CauchyData
+from kgdecay.hyperboloid import boosted_data, build_slice, slice_samples
+from kgdecay.propagator import CauchyData, data_support_radius, evolve_spectra
+
+
+@dataclass(frozen=True)
+class EvolvedState:
+    """Solution snapshot: phi, its time derivative, and its gradient."""
+
+    data: CauchyData
+    t: float
+    phi: Field
+    dphi_dt: Field
+    grad_phi: tuple
+
+
+def evolve(data: CauchyData, t: float) -> EvolvedState:
+    """Propagate the data to time t on its own grid."""
+    phi_hat, dphi_hat = evolve_spectra(data, t)
+    phi = inverse_transform(phi_hat)
+    grad = tuple(spatial_derivative(phi, a) for a in range(phi.grid.dim))
+    return EvolvedState(data, t, phi, inverse_transform(dphi_hat), grad)
+
+
+def data_slice_samples(data: CauchyData, tau: float, order: int = 0) -> list:
+    """The samples of the data and its boosts up to ``order`` on the tau-slice
+    reaching past the data's support cone, as ``RunPlan.samples`` takes them."""
+    slc = build_slice(tau, data.grid, data_support_radius(data), data.t0)
+    return slice_samples(boosted_data(data, order), slc)
+
+
+def flat_energy_at(state: EvolvedState) -> float:
+    """The constant-time energy integral of a snapshot."""
+    total = l2_norm(state.dphi_dt) ** 2 + (state.data.mass * l2_norm(state.phi)) ** 2
+    for df in state.grad_phi:
+        total += l2_norm(df) ** 2
+    return total
 
 
 def rk4_mode_oracle(data: CauchyData, t: float, target_local_error: float = 1e-9):

@@ -15,7 +15,7 @@ from kgdecay.config import RunConfig
 from kgdecay.grid import Field, Grid, linf_norm
 from kgdecay.hyperboloid import energy, global_sobolev_check
 from kgdecay.plan import SLICE_DATA_SHARPNESS, bump_pair_data
-from kgdecay.propagator import CauchyData, boost_commuted_data, evolve
+from kgdecay.propagator import CauchyData, boost_commuted_data
 from kgdecay.suites import (
     suite_highfreq,
     suite_interpolation,
@@ -25,7 +25,7 @@ from kgdecay.suites import (
 )
 
 from conftest import ACCEPTANCE_LINES
-from oracles import rk4_mode_oracle
+from oracles import data_slice_samples, evolve, rk4_mode_oracle
 
 CONFIG = RunConfig()  # d=1, N=4096, L=256, m0=1, bands 0..4, taus {2,4,8,16}
 
@@ -47,7 +47,10 @@ def highfreq_result():
 def test_criterion_1_energy_equality():
     start = time.time()
     data = bump_pair_data(CONFIG, SLICE_DATA_SHARPNESS)
-    gaps = [abs(energy(data, tau).relative_gap) for tau in (2.0, 4.0, 8.0, 16.0)]
+    gaps = [
+        abs(energy(data, data_slice_samples(data, tau)).relative_gap)
+        for tau in (2.0, 4.0, 8.0, 16.0)
+    ]
     elapsed = time.time() - start
     record(
         1,
@@ -104,7 +107,10 @@ def test_criterion_3_boost_commutation():
 
 def test_criterion_4_global_sobolev_tau_uniformity():
     data = bump_pair_data(CONFIG, SLICE_DATA_SHARPNESS)
-    per_tau = [global_sobolev_check(data, tau) for tau in (2.0, 4.0, 8.0, 16.0)]
+    per_tau = [
+        global_sobolev_check(data, data_slice_samples(data, tau, 1))
+        for tau in (2.0, 4.0, 8.0, 16.0)
+    ]
     spreads = []
     for ell in (0.0, 1.0):
         ratios = [reports[ell].ratio for reports in per_tau]

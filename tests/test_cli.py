@@ -117,8 +117,16 @@ def test_cli_rejects_malformed_values(tmp_path, capsys, flag, value):
         # 2 and 2.0000001 share the label that names their checks
         ("energy", ["--taus", "2,2.0000001,4"], "", "taus must not repeat (labels 2, 2, 4)"),
         ("highfreq", ["--bands", "0,2,2"], "", "bands must not repeat (got [0, 2, 2])"),
+        # below mass 5 pi / 64 the fit window holds 4 times pi k / mass, one
+        # fewer than the exponent fit needs, and phi_exponent_error reads inf
+        *(
+            (suite, ["--mass", "0.2"], "", f"mass 0.2 puts 4 sample times pi k / mass in the "
+             f"fit window (8.0, 64.0), fewer than the 5 the decay-exponent fit of {suite} needs")
+            for suite in ("localized", "lowfreq")
+        ),
     ],
-    ids=["seed", "support_radius_energy", "support_radius_localized", "taus", "bands"],
+    ids=["seed", "support_radius_energy", "support_radius_localized", "taus", "bands",
+         "mass_localized", "mass_lowfreq"],
 )
 def test_cli_rejects_values_that_would_fail_or_repeat(tmp_path, capsys, suite, argv, ini, message):
     cfg = tmp_path / "run.ini"
@@ -172,6 +180,13 @@ def test_cli_rejects_zero_mass_for_time_suites(tmp_path, capsys, suite):
     err = capsys.readouterr().err
     assert "mass must be positive" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["localized", "lowfreq"])
+def test_fit_time_gate_accepts_mass_from_five_pi_over_64(suite):
+    # the rejections at mass 0.2 are cases of the test above
+    assert len(RunPlan.of(RunConfig(mass=0.25)).fit_times[0.25]) == 5
+    RunConfig(suite=suite, mass=0.25).validate()
 
 
 def test_spread_of_nonpositive_values_is_infinite():

@@ -8,9 +8,9 @@ from kgdecay.bands import LittlewoodPaleyBank
 from kgdecay.bumps import bump_field, bump_profile
 from kgdecay.grid import Field, Grid, l1_norm, linf_norm, sobolev_w_k1_norm, spatial_derivative
 from kgdecay.hyperboloid import build_slice, slice_integral
-from kgdecay.propagator import CauchyData, evaluate_at_points, evolve, flat_energy, flat_energy_at
+from kgdecay.propagator import CauchyData, evaluate_at_points, flat_energy
 
-from oracles import slice_integral_radial_oracle
+from oracles import evolve, flat_energy_at, slice_integral_radial_oracle
 
 GRID = Grid(2, 64, 16.0)
 

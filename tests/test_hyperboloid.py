@@ -22,11 +22,15 @@ from kgdecay.propagator import (
     CauchyData,
     boost_commuted_data,
     data_support_radius,
-    evolve,
     flat_energy,
 )
 
-from oracles import single_mode_solution, slice_integral_radial_oracle
+from oracles import (
+    data_slice_samples,
+    evolve,
+    single_mode_solution,
+    slice_integral_radial_oracle,
+)
 
 GRID = Grid(1, 1024, 64.0)
 ZERO = Field(GRID, np.zeros(GRID.shape))
@@ -117,25 +121,35 @@ def test_boost_values_single_mode_closed_form():
 
 @pytest.mark.parametrize("kept", [(), (0,), (1,)], ids=["none", "data", "boost"])
 def test_slice_samples_give_each_data_its_own_sample(kept):
-    # the data and boosts with no kept sample are sampled in one pass, and
-    # each keeps its own columns, whichever of them was sampled before
+    # one pass for the data and its boosts gives each data its own columns,
+    # in the order of ``datas``, whichever of them was sampled alone before
     data = bump_pair()
-    datas = boosted_data(data, 1)
+    datas = boosted_data(data, 2)
     slc = build_slice(4.0, GRID, data_support_radius(data))
     for k in kept:
         slice_samples([datas[k]], slc)
     got = slice_samples(datas, slc)
-    assert all(a is b for a, b in zip(got, slice_samples(datas, slc)))
+    assert len(got) == len(datas) == 3
     for b, s in zip(datas, got):
         want = sample_on_slice(b, slc)
+        assert s.slice is slc
         for a, w in zip((s.phi, s.dphi_dt, s.grad), (want.phi, want.dphi_dt, want.grad)):
             assert a.shape == w.shape
             assert np.max(np.abs(a - w)) <= 1e-12 * np.max(np.abs(w))
 
 
+def test_slice_rows_reject_samples_without_the_boosts():
+    data = bump_pair()
+    samples = data_slice_samples(data, 4.0, 1)
+    for check in (global_sobolev_check, pointwise_energy_check):
+        with pytest.raises(ValueError):
+            check(data, samples[:1])
+    assert energy(data, samples[:1]) == energy(data, samples)
+
+
 def test_energy_zero_data():
     data = CauchyData(ZERO, ZERO, 2.0, 1.0)
-    rep = energy(data, 2.0, build_slice(2.0, GRID, 1.0))
+    rep = energy(data, slice_samples([data], build_slice(2.0, GRID, 1.0)))
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
 
@@ -143,7 +157,7 @@ def test_energy_zero_data():
 def test_energy_equality_for_compact_data():
     data = bump_pair()
     for tau in (2.0, 4.0, 8.0):
-        rep = energy(data, tau)
+        rep = energy(data, data_slice_samples(data, tau))
         assert abs(rep.relative_gap) <= 1e-4
         # inequality direction, up to quadrature error at this resolution
         assert rep.lhs <= rep.rhs * (1.0 + 1e-6)
@@ -154,14 +168,16 @@ def test_energy_quadratic_scaling():
     data = bump_pair()
     scaled = CauchyData(data.f * 3.0, data.g * 3.0, 2.0, data.mass)
     slc = build_slice(2.0, GRID, 1.0)
-    e1 = energy(data, 2.0, slc).lhs
-    e9 = energy(scaled, 2.0, slc).lhs
+    e1 = energy(data, slice_samples([data], slc)).lhs
+    e9 = energy(scaled, slice_samples([scaled], slc)).lhs
     assert abs(e9 - 9.0 * e1) <= 1e-12 * e9
 
 
 def test_global_sobolev_zero_data():
     data = CauchyData(ZERO, ZERO, 2.0, 1.0)
-    reports = global_sobolev_check(data, 2.0, slc=build_slice(2.0, GRID, 1.0))
+    reports = global_sobolev_check(
+        data, slice_samples(boosted_data(data, 1), build_slice(2.0, GRID, 1.0))
+    )
     for rep in reports.values():
         assert rep.lhs == 0.0
         assert rep.rhs == 0.0
@@ -171,24 +187,32 @@ def test_global_sobolev_zero_data():
 @pytest.mark.parametrize("ell", [0.0, 1.0])
 def test_global_sobolev_tau_stability(ell):
     data = bump_pair()
-    ratios = [global_sobolev_check(data, tau)[ell].ratio for tau in (2.0, 4.0, 8.0)]
+    ratios = [
+        global_sobolev_check(data, data_slice_samples(data, tau, 1))[ell].ratio
+        for tau in (2.0, 4.0, 8.0)
+    ]
     assert all(r > 0 for r in ratios)
     assert max(ratios) / min(ratios) < 4.0
 
 
 def test_pointwise_energy_zero_and_massless():
     zero_data = CauchyData(ZERO, ZERO, 2.0, 1.0)
-    rep = pointwise_energy_check(zero_data, 2.0, slc=build_slice(2.0, GRID, 1.0))
+    rep = pointwise_energy_check(
+        zero_data, slice_samples(boosted_data(zero_data, 1), build_slice(2.0, GRID, 1.0))
+    )
     assert rep.lhs == 0.0
     data0 = bump_pair(mass=0.0)
-    rep0 = pointwise_energy_check(data0, 2.0)
+    rep0 = pointwise_energy_check(data0, data_slice_samples(data0, 2.0, 1))
     assert rep0.lhs_terms[0] == 0.0  # mass-weighted sup vanishes identically
     assert rep0.lhs_terms[1] > 0.0
 
 
 def test_pointwise_energy_tau_stability():
     data = bump_pair()
-    ratios = [pointwise_energy_check(data, tau).ratio for tau in (2.0, 4.0, 8.0)]
+    ratios = [
+        pointwise_energy_check(data, data_slice_samples(data, tau, 1)).ratio
+        for tau in (2.0, 4.0, 8.0)
+    ]
     assert all(r > 0 for r in ratios)
     assert max(ratios) / min(ratios) < 4.0
 
@@ -221,6 +245,11 @@ def gated_slices():
         yield data, tau, slc, s, slc.t, boost_values(s, 0)
 
 
+def plan_samples(tau):
+    """The plan's samples of GATED's slice data and its boost on the tau-slice."""
+    return RunPlan.of(GATED).samples[tau]
+
+
 def test_energy_sides_from_the_raw_sample_and_the_flat_energy():
     for data, tau, slc, s, t, boost in gated_slices():
         lhs = (
@@ -229,7 +258,7 @@ def test_energy_sides_from_the_raw_sample_and_the_flat_energy():
             + slice_integral(slc, (t / tau) * (data.mass * s.phi) ** 2)
         )
         flat = flat_energy(data)
-        assert abs(energy(data, tau, slc).relative_gap - (lhs - flat) / flat) <= 1e-12
+        assert abs(energy(data, plan_samples(tau)).relative_gap - (lhs - flat) / flat) <= 1e-12
         assert abs(lhs - flat) <= 1e-4 * flat
 
 
@@ -237,7 +266,7 @@ def test_energy_sides_from_the_raw_sample_and_the_flat_energy():
 def test_sobolev_lhs_weight(ell):
     for data, tau, slc, s, t, _ in gated_slices():
         lhs = np.max(tau ** (1.0 - ell) * t**ell * s.phi**2)
-        assert abs(global_sobolev_check(data, tau, slc)[ell].lhs - lhs) <= 1e-12 * lhs
+        assert abs(global_sobolev_check(data, plan_samples(tau))[ell].lhs - lhs) <= 1e-12 * lhs
 
 
 def sobolev_rhs(slc, s, t, boost, ell):
@@ -251,7 +280,7 @@ def test_sobolev_rhs_sums_the_boost_integrals(ell):
         rhs = sobolev_rhs(slc, s, t, boost, ell)
         # the boost carries most of the sum, so dropping it is seen
         assert slice_integral(slc, boost**2) >= 0.5 * rhs
-        report = global_sobolev_check(data, tau, slc)[ell]
+        report = global_sobolev_check(data, plan_samples(tau))[ell]
         assert abs(report.rhs - rhs) <= 1e-10 * rhs
         assert abs(report.ratio - report.lhs / rhs) <= 1e-10 * report.ratio
 
@@ -261,7 +290,7 @@ def test_sobolev_rhs_weight_t_over_tau_to_the_ell():
         weighted = sobolev_rhs(slc, s, t, boost, 1.0)
         unweighted = sobolev_rhs(slc, s, t, boost, 0.0)
         assert weighted >= 1.01 * unweighted  # the weight is >= 1 and not ~1
-        assert abs(global_sobolev_check(data, tau, slc)[1.0].rhs - weighted) <= 1e-10 * weighted
+        assert abs(global_sobolev_check(data, plan_samples(tau))[1.0].rhs - weighted) <= 1e-10 * weighted
 
 
 def pointwise_lhs_terms(data, tau, s, t, boost):
@@ -276,14 +305,14 @@ def test_pointwise_lhs_mass_term():
     for data, tau, slc, s, t, boost in gated_slices():
         want = pointwise_lhs_terms(data, tau, s, t, boost)[0]
         assert data.mass > 0.0 and want > 0.0
-        got = pointwise_energy_check(data, tau, slc).lhs_terms[0]
+        got = pointwise_energy_check(data, plan_samples(tau)).lhs_terms[0]
         assert abs(got - want) <= 1e-12 * want
 
 
 def test_pointwise_lhs_time_derivative_term():
     for data, tau, slc, s, t, boost in gated_slices():
         want = pointwise_lhs_terms(data, tau, s, t, boost)[1]
-        got = pointwise_energy_check(data, tau, slc).lhs_terms[1]
+        got = pointwise_energy_check(data, plan_samples(tau)).lhs_terms[1]
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -291,7 +320,7 @@ def test_pointwise_lhs_boost_term():
     for data, tau, slc, s, t, boost in gated_slices():
         want = pointwise_lhs_terms(data, tau, s, t, boost)[2]
         assert want > 0.0
-        got = pointwise_energy_check(data, tau, slc).lhs_terms[2]
+        got = pointwise_energy_check(data, plan_samples(tau)).lhs_terms[2]
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -301,7 +330,7 @@ def test_pointwise_rhs_sums_the_boost_energies():
         lhs = sum(pointwise_lhs_terms(data, tau, s, t, boost))
         rhs = flat_energy(data) + flat_energy(boost_commuted_data(data, 0))
         assert flat_energy(data) <= 0.5 * rhs
-        ratio = pointwise_energy_check(data, tau, slc).ratio
+        ratio = pointwise_energy_check(data, plan_samples(tau)).ratio
         assert abs(ratio - lhs / rhs) <= 1e-5 * ratio
 
 

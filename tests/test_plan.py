@@ -69,6 +69,22 @@ def test_one_evaluator_pass_per_tau_after_validation(monkeypatch, suite, boosts)
     assert calls == {"evaluate_at_points": 2, "iterated_boost_data": boosts}
 
 
+@pytest.mark.parametrize("suite, n_boosts", [("sobolev", 1), ("energy", 0)])
+def test_plan_samples_follow_the_order_of_its_boosts(suite, n_boosts):
+    # samples[tau][k] is the sample of boosts[k] on the tau-slice: the slice
+    # data first, then each boost the selected suites read
+    plan = RunPlan.of(RunConfig(suite=suite, taus=(2.0, 4.0)))
+    assert plan.boosts[0] is plan.slice_data and len(plan.boosts) == 1 + n_boosts
+    for tau, samples in plan.samples.items():
+        slc = plan.slices[tau]
+        assert len(samples) == len(plan.boosts)
+        for b, s in zip(plan.boosts, samples):
+            want = hyperboloid.sample_on_slice(b, slc)
+            assert s.slice is slc
+            for a, w in zip((s.phi, s.dphi_dt, s.grad), (want.phi, want.dphi_dt, want.grad)):
+                assert np.max(np.abs(a - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_plan_is_shared_per_config_value():
     assert RunPlan.of(RunConfig(taus=(2.0, 4.0))) is RunPlan.of(RunConfig(taus=(2.0, 4.0)))
     plan = RunPlan.of(RunConfig(dim=2, grid_n=64, box_length=32.0))
@@ -97,11 +113,16 @@ LOCALIZED_OUTSIDE_UNIT_BALL = (
     ["--suite", "localized", "--grid-n", "256", "--box-length", "140.0", "--times", "8:64:6"],
     "[run]\nsupport_radius = 1.5\n",
 )
+PARTITION_BOX_BELOW_ITS_ACTIVE_RADIUS = (
+    ["--suite", "partition", "--grid-n", "64", "--box-length", "7.9", "--times", "8:64:6"],
+    "[run]\nsupport_radius = 1.0\n",
+)
 
 
 @settings(max_examples=24, derandomize=True, deadline=None)
 @given(case=small_configs())
 @example(case=LOCALIZED_OUTSIDE_UNIT_BALL)  # rejected by validate(), not by the suite
+@example(case=PARTITION_BOX_BELOW_ITS_ACTIVE_RADIUS)
 def test_small_configs_end_in_a_summary_or_a_keyed_rejection(case):
     argv, ini = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -18,14 +18,18 @@ from kgdecay.propagator import (
     boost_commuted_data,
     data_support_radius,
     evaluate_at_points,
-    evolve,
     flat_energy,
-    flat_energy_at,
     iterated_boost_data,
 )
 from kgdecay.hyperboloid import build_slice
 
-from oracles import direct_sum_oracle, rk4_mode_oracle, single_mode_solution
+from oracles import (
+    direct_sum_oracle,
+    evolve,
+    flat_energy_at,
+    rk4_mode_oracle,
+    single_mode_solution,
+)
 
 GRID = Grid(1, 1024, 64.0)
 ZERO = Field(GRID, np.zeros(GRID.shape))

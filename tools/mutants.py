@@ -83,8 +83,10 @@ MUTANTS = [
      "vals = np.roll(vals, 1, axis=1).reshape(len(x), n, cols)"),
     ("coefficient columns laid out data-major in the half-waves", "src/kgdecay/propagator.py",
      ".transpose(1, 0, 2).reshape(-1, n * cols)", ".reshape(-1, n * cols)"),
-    ("stacked slice samples kept on the data in reverse order", "src/kgdecay/hyperboloid.py",
-     "zip(todo, *columns)", "zip(todo[::-1], *columns)"),
+    ("stacked slice samples handed out in reverse order", "src/kgdecay/hyperboloid.py",
+     "zip(*columns)", "zip(*(c[::-1] for c in columns))"),
+    ("slice rows read without their boosts' samples", "src/kgdecay/hyperboloid.py",
+     "if rhs and len(samples) !=", "if False and len(samples) !="),
     ("lowfreq weight 1 + t replaced by t", "src/kgdecay/decay.py",
      "weight = 1.0 + t if band == LOW_PASS_BAND else t", "weight = t"),
     # the sup sampler's reused buffers
@@ -98,6 +100,10 @@ MUTANTS = [
      "if tail > limit:", "if False:"),
     ("localized resolution gate switched off", "src/kgdecay/plan.py",
      "if tail <= MAX_NYQUIST_TAIL:", "if True:"),
+    ("fit-time gate on the mass switched off", "src/kgdecay/config.py",
+     "n_fit is not None and n_fit < MIN_FIT_SAMPLES", "False"),
+    ("partition box gate switched off", "src/kgdecay/config.py",
+     "0.0 < self.box_length < 2.0 * PARTITION_ACTIVE_RADIUS", "False"),
 ]
 
 
