@@ -19,16 +19,15 @@ projected spectra themselves, exactly zero off the band.  The localized check
 takes its data at t = 2 ("data2") and weights by plain t.
 
 A sup curve is one sweep per curve over the nonzero modes: the lattice modes
-where the data spectra are nonzero are found once, and at each time only
-they are evolved.  Each sup is a certified bracket: below, the maximum over
-an F-times upsampled grid; above, a bound by Szegő's inequality for
-functions of exponential type (van der Corput and Schaake 1935; Boas,
-Entire Functions, 1954).  The upsampled grid is sampled as shifted
-sub-grids just long enough for the modes (``grid.UpsamplePlan``, one per
-curve and F), a block of them at a time, with short real inverse FFTs of
-phi, d_t phi and grad phi.  F doubles within a curve until the brackets are
-narrow, following the data's top frequency.  The reports read the upper
-ends.
+where the data spectra are nonzero are found once, each mode -k is folded
+into its partner k, and at each time only they are evolved.  Each sup is a
+certified bracket: below, the maximum over the points sampled; above, a
+bound by Szegő's inequality for functions of exponential type (van der
+Corput and Schaake 1935; Boas, Entire Functions, 1954).  One real inverse
+FFT of phi, d_t phi and grad phi samples a coarse lattice sized by the
+data's band; only the cells of that lattice that can hold a maximizer are
+then sampled more finely, by one matrix product, until the brackets are
+narrow.  The reports read the upper ends.
 """
 
 from __future__ import annotations
@@ -39,16 +38,19 @@ import numpy as np
 
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .errors import ConfigurationError
-from .grid import Field, UpsamplePlan, l1_norm, sobolev_h_norm, upsample_values
+from .grid import Field, Grid, l1_norm, signed_modes, sobolev_h_norm, upsample_values
 from .propagator import CauchyData, _evolved, nonzero_modes
 
 DEGENERATE_NORM = 1e-12
 MIN_FIT_SAMPLES = 5  # fewest times in the fit window a decay exponent is fitted on
-# the relative width (upper / lower - 1) that the sup brackets' upsampling
-# factor doubles towards, and the fine-grid points per spectrum where it
-# stops doubling (reached only by coarse full-spectrum 2-D data)
+# the relative width (upper / lower - 1) that the sup brackets' refinement
+# doubles towards
 BRACKET_WIDTH = 1e-2
-MAX_FINE_POINTS = 2**18
+# the splits of the Szegő bound: those whose tail is at most this share of
+# the coarse maximum (the top split, with no tail, always among them)
+SPLIT_TAIL = 1e-3
+# modes x cells in one block of the refinement product
+REFINE_CHUNK_ENTRIES = 2**16
 
 SUP_FIELDS = ("phi", "dphi_dt", "grad", "partial")
 
@@ -60,42 +62,77 @@ def widths(upper, lower) -> np.ndarray:
     return np.divide(upper, lower, out=empty, where=lower != 0.0) - 1.0
 
 
-def _sample_maxima(plan: UpsamplePlan, coefficients) -> np.ndarray:
-    """The maxima of |phi|, |d_t phi|, |grad phi| and |d phi| over the
-    plan's upsampled grid, reduced per block of sub-grids and merged.  Each
-    block is reduced in place in the plan's values buffer."""
-    maxima = np.zeros(4)  # |phi| and the three squares
-    for start in range(0, plan.subgrids, plan.block):
-        phi, dphi, *grad = upsample_values(plan, coefficients, start)
-        dphi_sq = np.square(dphi, out=dphi)
-        grad_sq = np.square(grad[0], out=grad[0])
-        for v in grad[1:]:
-            grad_sq += np.square(v, out=v)
-        block = [np.max(np.abs(phi, out=phi)), np.max(dphi_sq), np.max(grad_sq)]
-        grad_sq += dphi_sq  # now |d phi|^2
-        block.append(np.max(grad_sq))
-        np.maximum(maxima, block, out=maxima)
-    return np.array([maxima[0], *np.sqrt(maxima[1:])])
+def _quantities(values) -> np.ndarray:
+    """|phi|, |d_t phi|, |grad phi| and |d phi| as rows, in ``SUP_FIELDS``
+    order, from sampled phi, d_t phi and grad phi, shape (2 + d, P)."""
+    phi, dphi, *grad = values
+    out = np.empty((4, phi.size))
+    np.abs(phi, out=out[0])
+    np.square(dphi, out=out[1])
+    np.sum(np.square(grad), axis=0, out=out[2])
+    np.add(out[1], out[2], out=out[3])
+    np.sqrt(out[1:], out=out[1:])
+    return out
 
 
-def _upper_ends(lower, amplitudes, sigma, delta) -> np.ndarray:
-    """Upper ends of the sups with sample maxima ``lower`` (shape (4,)),
-    every point within ``delta`` of a sample, from the ``amplitudes`` (shape
-    (4, M)) of modes with ascending norms ``sigma``.
+class _Lattice:
+    """The coarse lattice of a sup curve, m points per axis: the smallest
+    power of two with m > 2 max |k_a| over the modes, so that its samples
+    determine the fields, and sigma_max delta0 <= 1 for the half-diagonal
+    delta0 = L sqrt(d) / (2 m) of its cells.  Cell i is the cube of
+    half-side L / (2 m) around the point -L/2 + i L / m; at resolution R it
+    is sampled at the R^d centres of its sub-cells, within delta0 / R of each
+    of its points.  Mode k's phase there is the cell's factor
+    exp(2 pi i (k.i mod m) / m), looked up in the m roots of unity, times
+    the offset's factor, kept for the last resolution."""
 
-    The modes up to j have exponential type sigma_j along every line, and
-    the sum T_j of the other amplitudes bounds the rest, so the first part
-    is at most M + T_j on the samples.  By Szegő's inequality
-    f'^2 + sigma^2 f^2 <= sigma^2 ||f||^2, f >= ||f|| cos(sigma |x - x*|)
-    near a maximizer x*, so the sup is at most (M + T_j) / cos(sigma_j delta)
-    + T_j while sigma_j delta < pi/2; the sum of all amplitudes bounds it
-    too.  A vector field projected on its direction at its maximizer is
-    scalar, with amplitudes at most the modes' euclidean norms."""
-    prefix = np.cumsum(amplitudes, axis=-1)
-    tails = prefix[:, -1:] - prefix
-    j = np.searchsorted(sigma, 0.5 * np.pi / delta)
-    bounds = (lower[:, None] + tails[:, :j]) / np.cos(sigma[:j] * delta) + tails[:, :j]
-    return np.minimum(np.sum(amplitudes, axis=-1), np.min(bounds, axis=-1, initial=np.inf))
+    def __init__(self, grid: Grid, modes, xi, sigma):
+        self.grid, self.xi, self.signed, self.m = grid, xi, signed_modes(grid, modes), 2
+        reach = sigma[-1] * grid.box_length * np.sqrt(grid.dim) / 2
+        while self.m <= 2 * np.max(np.abs(self.signed)) or self.m < reach:
+            self.m *= 2
+        self.delta0 = grid.box_length * np.sqrt(grid.dim) / (2 * self.m)
+        self.roots = np.exp(2j * np.pi / self.m * np.arange(self.m))
+        self.phase = grid.alternating_phase.ravel()[modes] / grid.box_length**grid.dim
+        self.offsets = {}
+
+    def maxima(self, coefficients, cells, resolution: int) -> np.ndarray:
+        """The maxima of ``_quantities`` over the sub-cell centres of the
+        ``cells`` (flat lattice indices): one product
+        (fields x offsets, M) @ (M, cells) per block of cells."""
+        g, count = self.grid, len(self.signed)
+        if resolution not in self.offsets:
+            steps = (2 * np.arange(resolution) + 1 - resolution) / (2 * resolution)
+            o = np.stack(np.meshgrid(*[steps * (g.box_length / self.m)] * g.dim, indexing="ij"))
+            self.offsets = {resolution: np.exp(1j * (o.reshape(g.dim, -1).T @ self.xi.T))}
+        rows = (coefficients * self.phase)[:, None, :] * self.offsets[resolution]
+        rows = rows.reshape(-1, count)
+        index, best = np.unravel_index(cells, (self.m,) * g.dim), np.zeros(4)
+        chunk = max(1, REFINE_CHUNK_ENTRIES // count)
+        for lo in range(0, len(cells), chunk):
+            turns = sum(k[:, None] * i[lo : lo + chunk] for k, i in zip(self.signed.T, index))
+            values = (rows @ np.take(self.roots, turns & (self.m - 1))).real
+            np.maximum(best, np.max(_quantities(values.reshape(len(coefficients), -1)), axis=-1),
+                       out=best)
+        return best
+
+
+def _paired(grid: Grid, table) -> tuple:
+    """The nonzero-mode ``table`` (modes, xi, omega, f_hat, g_hat) with each
+    mode -k folded into its partner k, the first of the two: Re sum F_k
+    exp(i xi.x) keeps its value with F_k + conj F_-k at k, and the evolution
+    multipliers are real and even in xi.  A mode with a component at -N/2
+    has no partner in the table."""
+    modes, _, _, f_hat, g_hat = table
+    n, count, signed = grid.points_per_axis, np.arange(len(modes)), signed_modes(grid, modes)
+    position = np.full(n**grid.dim, -1)
+    position[modes] = count
+    partner = position[np.ravel_multi_index(tuple((-signed % n).T), grid.shape)]
+    partner[np.any(signed == -n // 2, axis=-1)] = -1
+    folded = partner > count
+    for c in (f_hat, g_hat):
+        c[folded] += np.conj(c[partner[folded]])
+    return tuple(a[(partner < 0) | (partner >= count)] for a in table)
 
 
 def sup_norms(data: CauchyData, times) -> tuple:
@@ -103,23 +140,34 @@ def sup_norms(data: CauchyData, times) -> tuple:
     arrays (upper, lower) of shape (T, 4), columns in ``SUP_FIELDS`` order,
     from one sweep over the data's ``nonzero_modes`` by ascending |xi|.
 
-    The lower ends are the maxima over the F-times upsampled grid, whose
-    points lie within delta = h sqrt(d) / (2F) of every point.  F starts at
-    2 and doubles, for the rest of the curve, while a bracket is wider than
-    ``BRACKET_WIDTH`` and the doubled grid has at most ``MAX_FINE_POINTS``;
-    the sampling plan is built once per F.
+    At each time one ``upsample_values`` pass samples the fields on the
+    curve's coarse ``_Lattice``; its maxima M0 are the first lower ends.  The
+    upper ends follow from Szegő's inequality: the modes up to a split j, of
+    norm sigma_j, have exponential type sigma_j along every line, the sum
+    T_j of the other amplitudes bounds the rest, and
+    f'^2 + sigma^2 f^2 <= sigma^2 ||f||^2 gives f >= ||f|| cos(sigma |x - x*|)
+    near a maximizer x*.  So over the splits J with T_j <= ``SPLIT_TAIL`` M0,
+    each low part's maximizer lies in a cell whose lattice point holds at
+    least min_J (M0 - T_j) cos(sigma_j delta0) - T_j, and sampling those
+    cells within delta, maximum M, bounds the sup by the sum of all
+    amplitudes and by min_J (M + T_j) / cos(sigma_j delta) + T_j.  A vector
+    field projected on its direction at its maximizer is scalar, with
+    amplitudes at most the modes' euclidean norms.
+
+    While a bracket is wider than ``BRACKET_WIDTH``, the candidate cells of
+    the wide fields are sampled at resolution R = 2, 4, ..., from the
+    curve's last R; the top split alone gives a width of at most
+    1 / cos(sigma_max delta0 / R) - 1, so R stops at 8.
     """
-    g = data.grid
-    modes, xi, omega, f_hat, g_hat = table = nonzero_modes(data)
-    order = np.argsort(g.frequency_norm.ravel()[modes], kind="stable")
-    # sorted in place, the order and each time's evolved spectra freed at
-    # once: the sweep holds one copy of the per-mode arrays while it samples
-    for a in table:
-        a[...] = a[order]
-    del order
+    g, table = data.grid, nonzero_modes(data)
+    order = np.argsort(g.frequency_norm.ravel()[table[0]], kind="stable")
+    modes, xi, omega, f_hat, g_hat = _paired(g, [a[order] for a in table])
+    del table, order  # the sweep holds one copy of the per-mode arrays
     sigma = g.frequency_norm.ravel()[modes]
-    factor, upper, lower = 2, np.zeros((len(times), 4)), np.zeros((len(times), 4))
-    plan = UpsamplePlan(g, modes, factor, 2 + g.dim)
+    upper, lower = np.zeros((len(times), 4)), np.zeros((len(times), 4))
+    if not len(modes):
+        return upper, lower
+    lattice, resolution = _Lattice(g, modes, xi, sigma), 2
     for i, t in enumerate(times):
         phi_hat, dphi_hat = _evolved(t - data.t0, omega, f_hat, g_hat)
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
@@ -127,16 +175,29 @@ def sup_norms(data: CauchyData, times) -> tuple:
         c = np.abs(coefficients) ** 2
         grad_sq = np.sum(c[2:], axis=0)
         amplitudes = np.sqrt([c[0], c[1], grad_sq, c[1] + grad_sq]) / g.box_length**g.dim
-        while True:
-            lower[i] = _sample_maxima(plan, coefficients)
-            delta = g.spacing * np.sqrt(g.dim) / (2 * factor)
-            upper[i] = _upper_ends(lower[i], amplitudes, sigma, delta)
-            narrow = np.max(widths(upper[i], lower[i])) <= BRACKET_WIDTH
-            if narrow or (2 * factor * g.points_per_axis) ** g.dim > MAX_FINE_POINTS:
-                break
-            factor *= 2
-            del plan  # freed before the finer plan's twiddles are made
-            plan = UpsamplePlan(g, modes, factor, 2 + g.dim)
+        total = np.sum(amplitudes, axis=-1)
+        tails = total[:, None] - np.cumsum(amplitudes, axis=-1)
+        coarse = upsample_values(g, modes, coefficients, lattice.m)
+        coarse = _quantities(coarse.reshape(len(coarse), -1))
+        lower[i] = np.max(coarse, axis=-1)
+        splits = tails <= SPLIT_TAIL * lower[i][:, None]
+
+        def upper_ends(delta):
+            bounds = (lower[i][:, None] + tails) / np.cos(sigma * delta) + tails
+            return np.minimum(total, np.min(bounds, axis=-1, where=splits, initial=np.inf))
+
+        reach = (lower[i][:, None] - tails) * np.cos(sigma * lattice.delta0) - tails
+        threshold = np.min(reach, axis=-1, where=splits, initial=np.inf)
+        upper[i] = upper_ends(lattice.delta0)
+        wide = widths(upper[i], lower[i]) > BRACKET_WIDTH
+        while np.any(wide):
+            cells = np.flatnonzero(np.any(coarse[wide] >= threshold[wide, None], axis=0))
+            refined = lattice.maxima(coefficients, cells, resolution)
+            lower[i, wide] = np.maximum(lower[i], refined)[wide]
+            upper[i, wide] = upper_ends(lattice.delta0 / resolution)[wide]
+            wide &= widths(upper[i], lower[i]) > BRACKET_WIDTH
+            if np.any(wide):
+                resolution *= 2
     return upper, lower
 
 

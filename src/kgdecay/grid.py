@@ -23,13 +23,6 @@ import numpy as np
 
 from .errors import GridMismatchError
 
-# fine points per spectrum in one block of `upsample_values` sub-grids, which
-# sizes the plan's reused buffers (0.75 MB each of half spectra and of values
-# for the three spectra of a d = 1 curve); 2**16 ran no faster and raised the
-# peak RSS of highfreq by 4 MB
-UPSAMPLE_BLOCK_POINTS = 2**15
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic lattice on the box [-L/2, L/2)^d.
@@ -252,100 +245,37 @@ def laplacian(f: Field) -> Field:
     return inverse_transform(SpectralField(f.grid, -(f.grid.frequency_norm**2) * F.coefficients))
 
 
-class UpsamplePlan:
-    """How spectra that vanish off the lattice ``modes`` are sampled on the
-    ``factor``-times finer grid of the same box, in blocks of sub-grids.
-
-    Along the last axis the fine grid of F N points is the union of
-    q = F N / m shifted sub-grids of m points, sub-grid r holding the fine
-    points q j + r (decimation in time, Cooley and Tukey 1965), with m the
-    smallest power of two >= 2 max |k_d| over the modes (at least 2).  On
-    sub-grid r a mode k is the lattice mode k_d mod m times the twiddle
-    exp(2 pi i k_d r / (F N)), so its Hermitian part puts X_k at bin
-    k_d mod m and conj X_k at bin -k_d mod m, each where that bin is
-    <= m / 2 (both images of the modes +-m/2 and, at m = N, of the coarse
-    Nyquist mode -N/2).  The first d - 1 axes keep the fine size and wrap.
-
-    The fold of the box phase, the fine normalization and the twiddles,
-    shape (q, M), is kept in ``scatter`` groups: the modes of one image
-    whose bins are distinct, their destinations in the half spectrum (a
-    slice where they are a run), their columns of the fold and whether the
-    image is conjugated.  ``block`` sub-grids of ``spectra`` spectra are
-    transformed at a time, in two buffers allocated here and reused by every
-    call of :func:`upsample_values`: the half spectra ``half`` and the
-    real ``values``, which each call overwrites.
-    """
-
-    def __init__(self, grid: Grid, modes, factor: int, spectra: int):
-        if factor < 2:
-            raise ValueError("upsampling factor must be >= 2")
-        d, n = grid.dim, grid.points_per_axis
-        fine = n * factor
-        signed = np.stack(np.unravel_index(modes, grid.shape))
-        signed[signed >= n // 2] -= n
-        top = int(np.max(np.abs(signed[-1]), initial=1))
-        sub = 1 << (2 * top - 1).bit_length()
-        self.grid, self.factor, self.sub, self.subgrids = grid, factor, sub, fine // sub
-        # the box phase times 1 / (fine cell volume), halved
-        base = grid.alternating_phase.ravel()[modes] * (
-            0.5 * (fine / grid.box_length) ** (d - 1) * sub / grid.box_length
-        )
-        shape = (fine,) * (d - 1) + (sub // 2 + 1,)
-        self.scatter = []
-        for sign in (1, -1):
-            k = sign * signed
-            last = np.mod(k[-1], sub)
-            # the bins k_d in [0, m/2], then the wrapped -m/2 onto m/2
-            for wrapped in (False, True):
-                keep = np.flatnonzero((last <= sub // 2) & ((k[-1] < 0) == wrapped))
-                if not len(keep):
-                    continue
-                dest = np.ravel_multi_index((*np.mod(k[:-1, keep], fine), last[keep]), shape)
-                order = np.argsort(dest)
-                keep, dest = keep[order], dest[order]
-                # a band in d = 1 fills a run of bins, written as a slice
-                if dest[-1] - dest[0] == len(dest) - 1:
-                    dest = slice(dest[0], dest[-1] + 1)
-                # the twiddles, their turns k_d r reduced exactly mod F N
-                turns = np.outer(np.arange(self.subgrids), signed[-1, keep]) % fine
-                fold = np.exp(1j * (2 * np.pi / fine) * turns)
-                fold *= base[keep]
-                self.scatter.append((keep, dest, fold, sign < 0))
-        self.block = max(1, min(self.subgrids, UPSAMPLE_BLOCK_POINTS // (fine ** (d - 1) * sub)))
-        self.half = np.empty((spectra, self.block) + shape, dtype=complex)
-        self.values = np.empty((spectra, self.block) + shape[:-1] + (sub,))
+def signed_modes(grid: Grid, modes) -> np.ndarray:
+    """The signed multi-indices k of the lattice ``modes`` (flat indices),
+    shape (M, d), each component in [-N/2, N/2)."""
+    n = grid.points_per_axis
+    signed = np.stack(np.unravel_index(modes, grid.shape), axis=-1)
+    signed[signed >= n // 2] -= n
+    return signed
 
 
-def upsample_values(plan: UpsamplePlan, coefficients, start: int) -> np.ndarray:
+def upsample_values(grid: Grid, modes, coefficients, m: int) -> np.ndarray:
     """Real parts of the trigonometric interpolants of C spectra, given at the
-    plan's modes as ``coefficients`` of shape (C, M), on the ``plan.block``
-    sub-grids from ``start`` on (fewer at the last block); returns
-    (C, b) + (F N,) * (d - 1) + (m,), sub-grid-major.
+    lattice ``modes`` as ``coefficients`` of shape (C, M), on the lattice of
+    m points per axis in the same box: shape (C,) + (m,) * d, point i at
+    -L/2 + i L / m.
 
-    Each image is scattered into the plan's half-spectrum buffer, the complex
-    axes are transformed in place in d >= 2, and one real inverse FFT of
-    length m per row gives the values.  ``np.moveaxis(v, 1, -1)`` of the
-    values of all q sub-grids, reshaped to (C,) + (F N,) * d, is the fine
-    grid in natural order.
-
-    The values are a view of ``plan.values``, which the next call with the
-    same plan overwrites: a caller that keeps them across calls copies them.
+    Mode k lands at bin k mod m, so the spectra are folded when m < N and
+    zero-padded when m > N.  That is exact while every |k_a| <= m / 2 and no
+    two modes meet mod m, which holds for any modes when m >= N.  The
+    Hermitian part (X_k + conj X_-k) / 2 is written into one half spectrum,
+    each image where its last-axis bin is at most m / 2, and one real
+    inverse FFT gives the values.
     """
-    rows = slice(start, start + plan.block)
-    count = min(plan.block, plan.subgrids - start)
-    half = plan.half[:, :count]
-    half.fill(0.0)
-    flat = half.reshape(half.shape[:2] + (-1,))
-    for source, dest, fold, conj in plan.scatter:
-        part = np.take(coefficients, source, axis=-1)[:, None] * fold[rows]
-        if conj:
-            np.conj(part, out=part)
-        flat[..., dest] += part
-        del part  # freed before the next group's product is made
-    d = plan.grid.dim
-    if d > 1:
-        np.fft.ifftn(half, axes=tuple(range(-d, -1)), out=half)
-    return np.fft.irfft(half, n=plan.sub, axis=-1, out=plan.values[:, :count])
+    d, signed = grid.dim, signed_modes(grid, modes).T
+    # the box phase times 1 / (lattice cell volume), halved
+    scaled = coefficients * (grid.alternating_phase.ravel()[modes] * 0.5 * (m / grid.box_length)**d)
+    half = np.zeros((len(coefficients),) + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
+    flat = half.reshape(len(coefficients), -1)
+    for k, image in ((signed % m, scaled), (-signed % m, np.conj(scaled))):
+        keep = k[-1] <= m // 2
+        flat[:, np.ravel_multi_index(tuple(k[:, keep]), half.shape[1:])] += image[:, keep]
+    return np.fft.irfftn(half, s=(m,) * d, axes=tuple(range(1, d + 1)))
 
 
 def multi_indices(dim: int, max_order: int) -> list:

@@ -23,16 +23,17 @@ SLICE_DATA_SHARPNESS = 8.0
 # localized's bump: low-frequency dominated, so its sup reaches the t^(-d/2)
 # rate inside the fit window (wide-spectrum data has late-dispersing parts)
 LOCALIZED_DATA_SHARPNESS = 1.0
-# largest Nyquist tail of the slice data, its deepest boosts or the localized
-# data that the suites accept: energy passes (gaps < 1e-4) at tails up to
-# 1.6e-3 (N = 1024, L = 160) and fails from 1.5e-2 (d = 2, N = 128, L = 32);
-# localized passes at 1.9e-3 (N = 1024, L = 256) and fails at 0.18 (N = 512)
-MAX_NYQUIST_TAIL = 5e-3
+# largest top-octave tail of the slice data, its deepest boosts or the
+# localized data that the suites accept: energy passes (gaps < 1e-4) at tails
+# up to 0.17 (N = 1024, L = 160) and fails from 0.84 (d = 2, N = 128, L = 32);
+# localized passes at 0.51 (N = 1024, L = 320) and fails at 0.998 (N = 512,
+# L = 256); the deepest boosts pass at 0.12 (N = 2048, L = 256)
+MAX_NYQUIST_TAIL = 0.7
 # the slice data's limit for taus below SMALL_TAU, whose slices pass near the
-# vertex t = tau: energy's tau = 0.5 gap is 3.8e-3 at tail 2.5e-4 (N = 2048,
-# L = 256), 1.2e-4 at 2.6e-5 (N = 128, L = 12) and 4.5e-7 at 3.2e-7 (defaults)
+# vertex t = tau: energy's tau = 0.5 gap is 3.8e-3 at tail 4.6e-2 (N = 2048,
+# L = 256), 1.2e-4 at 8.6e-3 (N = 128, L = 12) and 4.5e-7 at 1.1e-3 (defaults)
 SMALL_TAU = 2.0
-SMALL_TAU_NYQUIST_TAIL = 1e-6
+SMALL_TAU_NYQUIST_TAIL = 3e-3
 # the slice suites whose rows sum over the slice data's boosts
 BOOSTED_SUITES = ("sobolev", "pointwise")
 
@@ -60,14 +61,17 @@ def bump_pair_data(config: RunConfig, sharpness: float) -> CauchyData:
 
 
 def nyquist_tail(data: CauchyData) -> float:
-    """Largest |f_hat| or |g_hat| on the grid's Nyquist planes, relative to
-    the peak of the same spectrum."""
-    n, d = data.grid.points_per_axis, data.grid.dim
+    """Largest |f_hat| or |g_hat| over the top octave below Nyquist (modes
+    with some |xi_a| >= pi / (2 h)), relative to the peak of the same
+    spectrum.  Doubling N at fixed L moves the octave up by one, over the
+    decaying spectrum of resolved data."""
+    g = data.grid
+    top = np.max(np.abs(g.frequency_arrays()), axis=0) >= g.nyquist / 2
     tail = 0.0
     for c in map(np.abs, data.spectra):
         peak = np.max(c)
         if peak > 0.0:
-            tail = max(tail, max(np.max(np.take(c, n // 2, axis=a)) for a in range(d)) / peak)
+            tail = max(tail, np.max(c[top]) / peak)
     return float(tail)
 
 

@@ -1,12 +1,12 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's multiplier/quadrature code paths:
-RK4 time integration per mode, complex direct Fourier summation, complex
-zero-padded upsampling, centered finite differences, adaptive quadrature of closed-form profiles, and
-closed-form single-mode solutions.  ``upsampled`` is not an oracle: it lays
-the library's blocked upsampling out on the whole fine grid, for comparison
-with them.  Nor is ``evolve``: it turns the library's ``evolve_spectra`` into
-a snapshot of phi, d_t phi and grad phi on the grid, for the tests to read.
+RK4 time integration per mode, complex direct Fourier summation at points
+and on lattices, complex zero-padded upsampling, centered finite
+differences, adaptive quadrature of closed-form profiles, and closed-form
+single-mode solutions.  ``evolve`` is not an oracle: it turns the library's
+``evolve_spectra`` into a snapshot of phi, d_t phi and grad phi on the grid,
+for the tests to read.
 Nor is ``data_slice_samples``: it samples data on a slice as the run plan
 does, for the slice checks to read.
 """
@@ -20,12 +20,10 @@ from kgdecay.grid import (
     Field,
     Grid,
     SpectralField,
-    UpsamplePlan,
     forward_transform,
     inverse_transform,
     l2_norm,
     spatial_derivative,
-    upsample_values,
 )
 from kgdecay.hyperboloid import boosted_data, build_slice, slice_samples
 from kgdecay.propagator import CauchyData, data_support_radius, evolve_spectra
@@ -126,32 +124,43 @@ def direct_sum_oracle(data: CauchyData, times, points, block: int = 2**18):
     return out[:, 0], out[:, 1], out[:, 2:]
 
 
-def complex_upsample_oracle(spectrum: SpectralField, factor: int) -> np.ndarray:
+def lattice_sum_oracle(data: CauchyData, t: float, q: int):
+    """(phi, dphi_dt, grad phi) at time t on the lattice of q points per axis
+    in the data's box, x = -L/2 + j L / q, by complex direct summation of
+    ``L^-d Re sum_k exp(i xi_k.x) m_k(t) F_k`` over every lattice mode, one
+    axis at a time: shapes (q,) * d, (q,) * d and (d,) + (q,) * d."""
+    g = data.grid
+    x = -0.5 * g.box_length + g.box_length / q * np.arange(q)
+    waves = np.exp(1j * np.outer(x, g.axis_frequencies))
+    xi = g.frequency_arrays()
+    omega = np.sqrt(sum(k**2 for k in xi) + data.mass**2)
+    dt = t - data.t0
+    fh, gh = data.spectra
+    amp = np.cos(dt * omega) * fh + dt * np.sinc(dt * omega / np.pi) * gh
+    damp = -omega * np.sin(dt * omega) * fh + np.cos(dt * omega) * gh
+    out = []
+    for c in [amp, damp] + [1j * k * amp for k in xi]:
+        for axis in range(g.dim):
+            c = np.moveaxis(np.tensordot(waves, c, axes=([1], [axis])), 0, axis)
+        out.append(c.real / g.box_length**g.dim)
+    return out[0], out[1], np.stack(out[2:])
+
+
+def complex_upsample_oracle(spectrum: SpectralField, m: int) -> np.ndarray:
     """Real part of the trigonometric interpolant of ``spectrum`` on the
-    factor-times finer grid of the same box: the coefficients are placed at
-    their signed frequencies in a zero complex array of the fine shape (the
-    Nyquist mode at -N/2 only) and inverse-transformed on the fine grid."""
+    lattice of m points per axis in the same box: the coefficients are
+    placed at their signed frequencies in a zero complex array of q points
+    per axis, q = max(m, N) (the Nyquist mode at -N/2 only), inverse-
+    transformed on that grid, and every (q / m)-th point is kept."""
     g = spectrum.grid
-    fine = Grid(g.dim, g.points_per_axis * factor, g.box_length)
+    q = max(m, g.points_per_axis)
+    fine = Grid(g.dim, q, g.box_length)
     signed = np.fft.fftfreq(g.points_per_axis, d=1.0 / g.points_per_axis).astype(int)
-    pos = np.mod(signed, fine.points_per_axis)
+    pos = np.mod(signed, q)
     padded = np.zeros(fine.shape, dtype=complex)
     padded[np.ix_(*([pos] * g.dim))] = spectrum.coefficients
-    return inverse_transform(SpectralField(fine, padded)).values
-
-
-def upsampled(grid: Grid, modes, coefficients, factor: int) -> np.ndarray:
-    """``upsample_values`` over every block of one plan, shape (C,) + the
-    fine shape: the sub-grid axis moved last and merged with the m points of
-    each sub-grid, so point j of sub-grid r lands at fine index q j + r.
-    Each block is copied, as the next call overwrites the plan's buffer."""
-    coefficients = np.atleast_2d(coefficients)
-    plan = UpsamplePlan(grid, modes, factor, len(coefficients))
-    starts = range(0, plan.subgrids, plan.block)
-    blocks = [upsample_values(plan, coefficients, s).copy() for s in starts]
-    values = np.concatenate(blocks, axis=1)
-    values = np.moveaxis(values, 1, -1)
-    return values.reshape(values.shape[:-2] + (-1,))
+    values = inverse_transform(SpectralField(fine, padded)).values
+    return values[(slice(None, None, q // m),) * g.dim]
 
 
 def centered_difference(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:

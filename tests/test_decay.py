@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgdecay import decay as decay_module
 from kgdecay import grid as grid_module
@@ -9,11 +10,11 @@ from kgdecay import propagator as propagator_module
 from kgdecay.bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from kgdecay.bumps import bump_derivative_field, bump_field
 from kgdecay.decay import (
-    MAX_FINE_POINTS,
+    SPLIT_TAIL,
     SUP_FIELDS,
     DecayCurve,
     _band_data,
-    _sample_maxima,
+    _Lattice,
     fit_exponent,
     highfreq_check,
     interpolation_check,
@@ -24,10 +25,10 @@ from kgdecay.decay import (
 )
 from kgdecay.config import HIGHFREQ_LATE_TIMES
 from kgdecay.errors import ConfigurationError
-from kgdecay.grid import Field, Grid, UpsamplePlan, forward_transform, upsample_values
+from kgdecay.grid import Field, Grid, SpectralField, forward_transform, upsample_values
 from kgdecay.propagator import CauchyData, evaluate_at_points, evolve_spectra, nonzero_modes
 
-from oracles import direct_sum_oracle, upsampled
+from oracles import direct_sum_oracle, lattice_sum_oracle
 
 GRID = Grid(1, 1024, 256.0)
 ZERO = Field(GRID, np.zeros(GRID.shape))
@@ -176,9 +177,10 @@ def test_nonzero_modes_hold_exactly_the_band():
 
 
 def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
-    # 2-D bump data keep all 4096 modes, and their brackets stay wide until
-    # the upsampling factor stops at the fine-grid cap (x8, 512^2 points);
-    # one call peaks at 4.8 MB, a block of sub-grids sampled at a time
+    # 2-D bump data keep all 4096 modes (2049 once folded), sampled on a
+    # coarse lattice of 256^2 points and refined to resolution 8 in their
+    # candidate cells; one call peaks at 17.1 MB, most of it the 64 offsets'
+    # rows of the refinement product
     grid = Grid(2, 64, 16.0)
     f = bump_field(grid, width=1.0, sharpness=1.0)
     data = CauchyData(f, bump_derivative_field(grid, 0, width=1.0, sharpness=1.0), 2.0, 1.0)
@@ -195,7 +197,7 @@ def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
 
 def test_sup_norms_memory_is_bounded_on_wide_band_data():
     # band 4 of highfreq's d = 1 sweep on its 8x wider box; one call peaks
-    # at 8.4 MB, a block of sub-grids sampled at a time
+    # at 9.9 MB, with a coarse lattice of 32768 points and few candidate cells
     wide = Grid(1, 32768, 2048.0)
     f = bump_field(wide, width=0.25, sharpness=4.0)
     data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
@@ -211,8 +213,8 @@ def test_sup_norms_memory_is_bounded_on_wide_band_data():
 
 def test_sup_norms_memory_is_bounded_over_a_whole_sweep():
     # the whole late-time curve of the band-4 data above in one call stays
-    # within the one-call bound: nothing is kept per time (the fine fields
-    # of every time would add 3 MB each)
+    # within the one-call bound: nothing is kept per time (the coarse fields
+    # of every time would add 0.8 MB each)
     wide = Grid(1, 32768, 2048.0)
     f = bump_field(wide, width=0.25, sharpness=4.0)
     data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
@@ -277,14 +279,16 @@ def bracket_case(case):
 
 @pytest.fixture
 def factors(monkeypatch):
-    """The factor of each ``upsample_values`` call that ``sup_norms`` makes."""
+    """The spacing of each refinement that ``sup_norms`` makes, as the
+    factor h / spacing = m R / N of its lattice m and resolution R."""
     factors = []
 
-    def spy(plan, coefficients, start):
-        factors.append(plan.factor)
-        return upsample_values(plan, coefficients, start)
+    def spy(lattice, coefficients, cells, resolution):
+        factors.append(lattice.m * resolution / lattice.grid.points_per_axis)
+        return maxima(lattice, coefficients, cells, resolution)
 
-    monkeypatch.setattr(decay_module, "upsample_values", spy)
+    maxima = _Lattice.maxima
+    monkeypatch.setattr(_Lattice, "maxima", spy)
     return factors
 
 
@@ -297,25 +301,28 @@ def sup_quantities(phi, dphi, grad):
 
 @pytest.mark.parametrize("case", [LOW_PASS_BAND, 2, 4, "bump", "bump_2d"])
 def test_sup_norms_bracketed_by_direct_evaluation(case, factors):
-    # the direct-sum oracle's maximum on a lattice of spacing h / 64, at
-    # least 4 times finer than the upsampled grid, within two upsampled
-    # spacings of the upsampled maximizer, lies in each bracket (up to
-    # rounding, for a maximizer on the upsampled grid); each
-    # bracket is at most 1e-2 wide unless doubling the factor would pass
-    # the fine-grid cap
+    # the direct-sum oracle's maximum on a lattice of spacing h / 64, or
+    # h / 128 where the final refinement spacing is h / 32 (bump_2d: at
+    # h / 16 no split of the Szegő bound gives a width below 1.5e-2), at
+    # least 4 times finer than that spacing, within two such spacings of the
+    # maximizer on the lattice of that spacing, lies in each bracket (up to
+    # rounding, for a maximizer at a sampled point, which the oracle's
+    # lattice holds); each bracket is at most 1e-2 wide
     data, times = bracket_case(case)
     g = data.grid
     for t in times:
+        factors.clear()
         upper, lower = sup_norms(data, [t])
         factor = factors[-1]
-        assert 4 * factor <= 64
-        steps = np.arange(-128 // factor, 128 // factor + 1) * g.spacing / 64
+        per_h = 64 * max(1, int(factor) // 16)
+        assert 4 * factor <= per_h
+        steps = np.arange(-2 * per_h // factor, 2 * per_h // factor + 1) * g.spacing / per_h
         square = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
-        capped = (2 * factor * g.points_per_axis) ** g.dim > MAX_FINE_POINTS
         modes, xi, *_ = nonzero_modes(data)
         phi_hat, dphi_hat = (F.coefficients.ravel()[modes] for F in evolve_spectra(data, t))
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
-        phi, dphi, *grad = upsampled(g, modes, coefficients, factor)
+        fine_n = round(factor * g.points_per_axis)
+        phi, dphi, *grad = upsample_values(g, modes, coefficients, fine_n)
         fine = sup_quantities(phi, dphi, np.array(grad))
         for i in range(len(SUP_FIELDS)):
             index = np.unravel_index(np.argmax(fine[i]), fine[i].shape)
@@ -323,17 +330,165 @@ def test_sup_norms_bracketed_by_direct_evaluation(case, factors):
             phi, dphi, grad = direct_sum_oracle(data, np.full(len(x), t), x)
             dense = np.max(sup_quantities(phi, dphi, grad.T)[i])
             assert lower[0, i] * (1.0 - 1e-12) <= dense <= upper[0, i] * (1.0 + 1e-12)
-            assert widths(upper, lower)[0, i] <= 1e-2 or capped
+            assert widths(upper, lower)[0, i] <= 1e-2
+
+
+@st.composite
+def band_limited_cases(draw):
+    """Data whose spectra are random and Hermitian on a random half of the
+    modes with every |k_a| <= top, at mass 0 or 1, and a time."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = {1: 32, 2: 8}[dim]
+    grid = Grid(dim, n, draw(st.sampled_from((4.0, 16.0))))
+    top = draw(st.integers(1, n // 2 - 1))
+    mass = draw(st.sampled_from((0.0, 1.0)))
+    t = draw(st.floats(0.0, 8.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n)] * dim, indexing="ij")
+    band = np.all(np.abs(k) <= top, axis=0)
+    negated = np.ix_(*[-np.arange(n) % n] * dim)
+    spectra = []
+    for _ in range(2):
+        c = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        c *= band & (rng.random(grid.shape) < 0.5)
+        spectra.append(SpectralField(grid, (c + np.conj(c[negated])) / 2))
+    return CauchyData.from_spectra(*spectra, 0.0, mass), t
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(case=band_limited_cases())
+def test_sup_brackets_hold_the_dense_maximum(case):
+    # the lattice of spacing L / (2 m R), for the coarse lattice m and the
+    # final resolution R, holds every point sup_norms samples: its
+    # direct-sum maximum lies in each bracket, up to rounding at its low end
+    data, t = case
+    lattices, resolutions = [], [1]
+
+    def upsample_spy(grid, modes, coefficients, m):
+        lattices.append(m)
+        return upsample(grid, modes, coefficients, m)
+
+    def maxima_spy(lattice, coefficients, cells, resolution):
+        resolutions.append(resolution)
+        return maxima(lattice, coefficients, cells, resolution)
+
+    upsample, maxima = decay_module.upsample_values, _Lattice.maxima
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decay_module, "upsample_values", upsample_spy)
+        patch.setattr(_Lattice, "maxima", maxima_spy)
+        upper, lower = sup_norms(data, [t])
+    if not lattices:  # zero data
+        assert not upper.any() and not lower.any()
+        return
+    phi, dphi, grad = lattice_sum_oracle(data, t, 2 * lattices[-1] * resolutions[-1])
+    dense = [np.max(q) for q in sup_quantities(phi, dphi, grad)]
+    assert np.all(lower[0] * (1.0 - 1e-12) <= dense)
+    assert np.all(dense <= upper[0] * (1.0 + 1e-12))
+    assert np.all(widths(upper, lower) <= 1e-2)
+
+
+def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
+    # cell i of the coarse lattice at resolution R is sampled at
+    # -L/2 + (i + (2 s + 1 - R) / (2 R)) L / m, s = 0, ..., R - 1 per axis;
+    # the cells are the five of largest |phi|
+    for case, t in (("band_4", 7.3), ("bump_2d", 3.0)):
+        data = oracle_case(case)[0]
+        g = data.grid
+        modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
+        sigma = g.frequency_norm.ravel()[modes]
+        order = np.argsort(sigma, kind="stable")
+        modes, xi, sigma = modes[order], xi[order], sigma[order]
+        lattice = _Lattice(g, modes, xi, sigma)
+        phi_hat, dphi_hat = (F.coefficients.ravel()[modes] for F in evolve_spectra(data, t))
+        coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
+        coarse = upsample_values(g, modes, coefficients[:1], lattice.m)
+        cells = np.argsort(np.abs(coarse.ravel()))[-5:]
+        for resolution in (2, 4):
+            got = lattice.maxima(coefficients, cells, resolution)
+            steps = (2 * np.arange(resolution) + 1 - resolution) / (2 * resolution)
+            offsets = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
+            index = np.stack(np.unravel_index(cells, (lattice.m,) * g.dim), -1)
+            x = (index[:, None] + offsets[None]).reshape(-1, g.dim) * g.box_length / lattice.m
+            phi, dphi, grad = direct_sum_oracle(data, np.full(len(x), t), x - 0.5 * g.box_length)
+            want = [np.max(q) for q in sup_quantities(phi, dphi, grad.T)]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def edge_mode_data():
+    """Modes k = 899, 900 and 901 of amplitude 1 at phases (0, pi/2, 0), whose
+    sup is sqrt(5) < 3 on a slow envelope, and a mode k = 902 of amplitude
+    1.5e-3 in f, and the same shifted by 0.5 in phase in g: the split below
+    that top mode, with a tail of 6.7e-4 of the sup, gives a lower candidate
+    threshold than the top split."""
+    grid = Grid(1, 4096, 256.0)
+    spectra = []
+    for shift in (0.0, 0.5):
+        c = np.zeros(grid.shape, dtype=complex)
+        for k, amplitude, phase in ((899, 1.0, shift), (900, 1.0, shift + np.pi / 2),
+                                    (901, 1.0, shift), (902, 1.5e-3, 0.0)):
+            c[k] = amplitude * grid.box_length / 2 * np.exp(1j * phase)
+            c[-k] = np.conj(c[k])
+        spectra.append(SpectralField(grid, c))
+    return CauchyData.from_spectra(*spectra, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("case", [4, "bump", "bump_2d", "wide_band_4", "edge_mode"])
+def test_refinement_samples_every_cell_the_splits_allow(case):
+    # every maximizer of a low part (the modes up to split j, of norm
+    # sigma_j, with tail T_j <= SPLIT_TAIL M0) lies within delta0 of a
+    # lattice point holding at least (M0 - T_j) cos(sigma_j delta0) - T_j,
+    # so the first refinement of each time samples each cell at or above
+    # the least of these over the splits, for each field (all wide at these
+    # times), from the coarse values and the folded modes it was given
+    if case == "wide_band_4":
+        data, times = wide_band_data(4), HIGHFREQ_LATE_TIMES
+    elif case == "edge_mode":
+        data, times = edge_mode_data(), (0.0,)
+    else:
+        data, times = bracket_case(case)
+    g = data.grid
+    for t in times:
+        coarse, refined = [], []
+
+        def upsample_spy(grid, modes, coefficients, m):
+            values = upsample(grid, modes, coefficients, m)
+            coarse.append((coefficients, values.copy()))
+            return values
+
+        def maxima_spy(lattice, coefficients, cells, resolution):
+            refined.append((lattice, cells))
+            return maxima(lattice, coefficients, cells, resolution)
+
+        upsample, maxima = decay_module.upsample_values, _Lattice.maxima
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decay_module, "upsample_values", upsample_spy)
+            patch.setattr(_Lattice, "maxima", maxima_spy)
+            sup_norms(data, [t])
+        (coefficients, (phi, dphi, *grad)), (lattice, cells) = coarse[0], refined[0]
+        c = np.abs(coefficients) ** 2
+        grad_sq = np.sum(c[2:], axis=0)
+        amplitudes = np.sqrt([c[0], c[1], grad_sq, c[1] + grad_sq]) / g.box_length**g.dim
+        tails = np.sum(amplitudes, axis=-1, keepdims=True) - np.cumsum(amplitudes, axis=-1)
+        sigma = np.sqrt(np.sum(lattice.xi**2, axis=-1))
+        required = np.zeros(lattice.m**g.dim, dtype=bool)
+        for values, tail in zip(sup_quantities(phi, dphi, np.array(grad)), tails):
+            top = np.max(values)
+            splits = tail <= SPLIT_TAIL * top
+            reach = (top - tail[splits]) * np.cos(sigma[splits] * lattice.delta0) - tail[splits]
+            required |= values.ravel() >= np.min(reach)
+        assert np.all(np.isin(np.flatnonzero(required), cells))
 
 
 def test_sup_norms_upsampling_factor_follows_the_band(factors):
-    # band 0 of highfreq's wide-grid data needs only x2, band 4 x8, and the
-    # localized suite's full-spectrum data x16
+    # the refinement spacing follows the data's top frequency: h / 8 for
+    # band 4 of highfreq's wide-grid data, 2 h for its band 0 (a lattice of
+    # 2048 points, a sixteenth of the grid's) and h / 16 for the localized
+    # suite's full-spectrum data
     wide = Grid(1, 32768, 2048.0)
     f = bump_field(wide, width=0.25, sharpness=4.0)
     zero = Field(wide, np.zeros(wide.shape))
     sup_norms(_band_data(f, zero, 0.5, 0), HIGHFREQ_LATE_TIMES)
-    assert set(factors) == {2}
+    assert max(factors) == 0.5
     factors.clear()
     sup_norms(_band_data(f, zero, 0.5, 4), HIGHFREQ_LATE_TIMES)
     assert max(factors) == 8
@@ -351,38 +506,10 @@ def wide_band_data(band):
     return _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, band)
 
 
-@pytest.mark.parametrize("band, factor", [(0, 2), (4, 8)])
-def test_sample_maxima_reuse_the_plan_buffers(band, factor):
-    # band 0 of highfreq's wide-grid data is sampled 16 sub-grids of 2048
-    # points per block at x2, band 4 one of 32768 at x8.  After a warm-up
-    # call, a second call allocates less than one block of sampled values
-    # (C block m 8 B = 786 KB): each block is transformed into the plan's
-    # values buffer and reduced there (0.62 and 0.75 MB measured; 2.2 MB on
-    # both with fresh arrays per block)
-    data = wide_band_data(band)
-    modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
-    phi_hat, dphi_hat = propagator_module._evolved(64.0, omega, f_hat, g_hat)
-    coefficients = np.stack([phi_hat, dphi_hat, 1j * xi[:, 0] * phi_hat])
-    plan = UpsamplePlan(data.grid, modes, factor, len(coefficients))
-    assert plan.block == {0: 16, 4: 1}[band]
-    first = upsample_values(plan, coefficients, 0)
-    assert np.shares_memory(first, upsample_values(plan, coefficients, plan.block))
-    want = _sample_maxima(plan, coefficients)
-    tracemalloc.start()
-    try:
-        got = _sample_maxima(plan, coefficients)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(got, want)
-    assert peak < len(coefficients) * plan.block * plan.sub * 8
-
-
 def test_sup_norms_do_not_depend_on_the_block_size(monkeypatch):
-    # the maxima of each block merge exactly, so one sub-grid per block
-    # gives the same brackets to the last bit: band 0 (32 sub-grids of 2048
-    # points at x2), the localized suite's full-spectrum bump (16 of 4096 at
-    # x16) and a 2-D bump
+    # the maxima of each block of cells merge exactly, so one cell per block
+    # gives the same brackets up to the rounding of the product: band 0, the
+    # localized suite's full-spectrum bump and a 2-D bump
     data_2d, t, _ = oracle_case("bump_2d")
     f, g = bump_pair(Grid(1, 4096, 256.0), sharpness=1.0)
     cases = [
@@ -391,31 +518,28 @@ def test_sup_norms_do_not_depend_on_the_block_size(monkeypatch):
         (data_2d, (t, 2 * t)),
     ]
     want = [sup_norms(data, times) for data, times in cases]
-    monkeypatch.setattr(grid_module, "UPSAMPLE_BLOCK_POINTS", 1)
-    blocks = []
-
-    def spy(plan, coefficients, start):
-        blocks.append(plan.block)
-        return upsample_values(plan, coefficients, start)
-
-    monkeypatch.setattr(decay_module, "upsample_values", spy)
+    monkeypatch.setattr(decay_module, "REFINE_CHUNK_ENTRIES", 1)
     got = [sup_norms(data, times) for data, times in cases]
-    assert all(np.array_equal(a, b) for g, w in zip(got, want) for a, b in zip(g, w))
-    assert set(blocks) == {1}
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
-def test_sup_norms_build_one_plan_per_curve_and_factor(monkeypatch):
-    # band 4 of highfreq's sweep doubles its factor 2 -> 4 -> 8 at the first
-    # time and keeps the x8 plan for the other twelve
-    plans = []
+def test_sup_norms_build_one_offset_table_per_curve_and_resolution(monkeypatch):
+    # band 4 of highfreq's sweep doubles its resolution 2 -> 4 -> 8 at the
+    # first time and keeps the x8 offsets for the other twelve
+    tables = []
 
-    def spy(grid, modes, factor, spectra):
-        plans.append(factor)
-        return UpsamplePlan(grid, modes, factor, spectra)
+    def spy(lattice, coefficients, cells, resolution):
+        best = maxima(lattice, coefficients, cells, resolution)
+        tables.append((resolution, lattice.offsets[resolution]))  # kept alive
+        return best
 
-    monkeypatch.setattr(decay_module, "UpsamplePlan", spy)
+    maxima = _Lattice.maxima
+    monkeypatch.setattr(_Lattice, "maxima", spy)
     sup_norms(wide_band_data(4), HIGHFREQ_LATE_TIMES)
-    assert plans == [2, 4, 8]
+    assert [r for r, _ in tables] == [2, 4] + [8] * len(HIGHFREQ_LATE_TIMES)
+    assert len({id(table) for _, table in tables}) == 3
 
 
 def test_lowfreq_zero_data_skipped():

@@ -7,7 +7,6 @@ from kgdecay.grid import (
     Field,
     Grid,
     SpectralField,
-    UpsamplePlan,
     forward_transform,
     inverse_transform,
     l1_norm,
@@ -18,11 +17,12 @@ from kgdecay.grid import (
     sobolev_order,
     sobolev_w_k1_norm,
     spatial_derivative,
+    upsample_values,
 )
 from kgdecay.bands import LittlewoodPaleyBank
 from kgdecay.bumps import bump_field
 
-from oracles import bump_mass_1d, centered_difference, complex_upsample_oracle, upsampled
+from oracles import bump_mass_1d, centered_difference, complex_upsample_oracle
 
 GRID = Grid(1, 512, 32.0)
 
@@ -192,7 +192,7 @@ def test_upsample_values_reproduces_interpolant():
     xi0 = 2.0 * np.pi * 11 / GRID.box_length
     f = Field(GRID, np.cos(xi0 * x))
     modes = np.arange(GRID.points_per_axis)
-    fine_vals = upsampled(GRID, modes, forward_transform(f).coefficients, 4)
+    fine_vals = upsample_values(GRID, modes, forward_transform(f).coefficients[None], 2048)[0]
     fine_x = -0.5 * GRID.box_length + (GRID.spacing / 4.0) * np.arange(4 * GRID.points_per_axis)
     assert np.max(np.abs(fine_vals - np.cos(xi0 * fine_x))) <= 1e-10
 
@@ -217,10 +217,11 @@ def test_upsample_values_matches_complex_oracle(name):
     nyquist = spectra[1][grid.points_per_axis // 2]
     assert np.max(np.abs(nyquist)) > 1e-3 * np.max(np.abs(spectra[1]))
     modes = np.arange(spectra[0].size)
-    got = upsampled(grid, modes, spectra.reshape(len(spectra), -1), 4)
-    assert got.shape == (len(spectra),) + (4 * grid.points_per_axis,) * grid.dim
+    m = 4 * grid.points_per_axis
+    got = upsample_values(grid, modes, spectra.reshape(len(spectra), -1), m)
+    assert got.shape == (len(spectra),) + (m,) * grid.dim
     for vals, c in zip(got, spectra):
-        want = complex_upsample_oracle(SpectralField(grid, c), 4)
+        want = complex_upsample_oracle(SpectralField(grid, c), m)
         assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -250,57 +251,61 @@ def few_mode_spectra(grid, signed_modes):
 )
 def test_upsample_values_of_few_modes_matches_complex_oracle(grid, signed_modes):
     modes, coefficients, full = few_mode_spectra(grid, signed_modes)
-    got = upsampled(grid, modes, coefficients, 4)
-    assert got.shape == (2,) + (4 * grid.points_per_axis,) * grid.dim
+    m = 4 * grid.points_per_axis
+    got = upsample_values(grid, modes, coefficients, m)
+    assert got.shape == (2,) + (m,) * grid.dim
     for vals, c in zip(got, full):
-        want = complex_upsample_oracle(SpectralField(grid, c), 4)
+        want = complex_upsample_oracle(SpectralField(grid, c), m)
         assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_upsample_values_of_no_modes_is_zero():
     grid = Grid(2, 8, 4.0)
-    got = upsampled(grid, np.array([], dtype=int), np.zeros((3, 0), dtype=complex), 4)
+    got = upsample_values(grid, np.array([], dtype=int), np.zeros((3, 0), dtype=complex), 32)
     assert got.shape == (3, 32, 32)
     assert np.all(got == 0.0)
 
 
-# (grid, signed modes, sub-grid length m): m < N with both modes +-m/2 in
-# 1-D and 2-D (with the coarse Nyquist mode of the first axis), the coarse
-# Nyquist mode at m = N, and modes on the k_d = 0 plane only (m = 2)
+# (grid, signed modes, the smallest lattice m that holds them): m < N with
+# modes at +m/2 or -m/2 in 1-D and 2-D, and m = N with the coarse Nyquist mode
+# -N/2 in 1-D and 2-D (the k_d = 0 plane only); the tests also sample on
+# the lattices of 2, 4 and 8 m points per axis, so at m < N, m = N and m > N
 SUBGRID_CASES = {
-    "half_m_1d": (Grid(1, 64, 8.0), [(0,), (5,), (8,), (-8,), (-3,)], 16),
-    "half_m_2d": (Grid(2, 16, 4.0), [(0, 0), (3, 4), (-2, -4), (1, 4), (5, -4), (-8, 2)], 8),
+    "half_m_1d": (Grid(1, 64, 8.0), [(0,), (5,), (8,), (-7,), (-3,)], 16),
+    "half_m_2d": (Grid(2, 32, 4.0), [(0, 0), (3, 4), (-2, -4), (1, 4), (4, -4), (-4, 2)], 8),
     "nyquist_1d": (Grid(1, 16, 8.0), [(0,), (3,), (-8,), (-5,)], 16),
-    "kd_zero_2d": (Grid(2, 8, 4.0), [(0, 0), (3, 0), (-4, 0), (-2, 0)], 2),
+    "kd_zero_2d": (Grid(2, 8, 4.0), [(0, 0), (3, 0), (-4, 0), (-2, 0)], 8),
 }
 
 
 @pytest.mark.parametrize("factor", [2, 4, 8, 16])
 @pytest.mark.parametrize("name", sorted(SUBGRID_CASES))
 def test_upsample_values_on_subgrids_match_complex_oracle(name, factor):
-    grid, signed_modes, sub = SUBGRID_CASES[name]
+    # the lattice of factor / 2 times m points per axis, folded, equal to or
+    # zero-padded from the spectra's N
+    grid, signed_modes, smallest = SUBGRID_CASES[name]
+    m = smallest * factor // 2
     modes, coefficients, full = few_mode_spectra(grid, signed_modes)
-    assert UpsamplePlan(grid, modes, factor, 2).sub == sub
-    got = upsampled(grid, modes, coefficients, factor)
+    got = upsample_values(grid, modes, coefficients, m)
+    assert got.shape == (2,) + (m,) * grid.dim
     for vals, c in zip(got, full):
-        want = complex_upsample_oracle(SpectralField(grid, c), factor)
+        want = complex_upsample_oracle(SpectralField(grid, c), m)
         assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("factor", [2, 4])
 def test_upsample_values_of_a_low_band_use_short_subgrids(factor):
     # band 0 of highfreq's wide grid fills 4% of the lattice: its modes
-    # reach |k| = 652, so each of the 16 F sub-grids has 2048 points where
-    # the lattice has 32768
+    # reach |k| = 652, so the lattice of 2048 points per axis holds them
+    # where the grid has 32768, and sup_norms samples it there
     grid = Grid(1, 32768, 2048.0)
     bank = LittlewoodPaleyBank.for_grid(grid)
     F = forward_transform(bump_field(grid, width=0.25, sharpness=4.0))
     F = bank.project_spectrum(F, 0).coefficients
     spectra = np.stack([F, 1j * grid.axis_frequencies * F])
     modes = np.flatnonzero(F)
-    plan = UpsamplePlan(grid, modes, factor, 2)
-    assert (plan.sub, plan.subgrids) == (2048, 16 * factor)
-    got = upsampled(grid, modes, spectra[:, modes], factor)
+    m = 1024 * factor
+    got = upsample_values(grid, modes, spectra[:, modes], m)
     for vals, c in zip(got, spectra):
-        want = complex_upsample_oracle(SpectralField(grid, c), factor)
+        want = complex_upsample_oracle(SpectralField(grid, c), m)
         assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))

@@ -140,3 +140,28 @@ def test_small_configs_end_in_a_summary_or_a_keyed_rejection(case):
         else:
             assert rc in (0, 1)
             assert json.loads((out / "summary.json").read_text())["passed"] is (rc == 0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    suite=st.sampled_from(("localized", "energy", "pointwise")),
+    grid=st.sampled_from(
+        [(1, n, length) for n in (128, 256, 512, 1024, 2048) for length in (12.0, 64.0, 160.0, 256.0)]
+        + [(2, n, length) for n in (16, 32, 64) for length in (8.0, 16.0, 32.0)]
+    ),
+    taus=st.sampled_from(((0.5, 2.0), (2.0, 4.0))),
+)
+@example(suite="localized", grid=(1, 1024, 256.0), taus=(2.0, 4.0))
+def test_doubling_grid_n_keeps_resolved_data_resolved(suite, grid, taus):
+    # the resolution gates read the top octave below Nyquist, which moves up
+    # the data's decaying spectrum as N doubles at fixed L
+    dim, n, box_length = grid
+
+    def unresolved(grid_n):
+        config = RunConfig(suite=suite, dim=dim, grid_n=grid_n, box_length=box_length, taus=taus)
+        plan = RunPlan(config)
+        problems = plan.localized_problems() if suite == "localized" else plan.slice_problems()
+        return [p for p in problems if "unresolved" in p]
+
+    if not unresolved(n):
+        assert not unresolved(2 * n)

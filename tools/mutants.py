@@ -61,7 +61,7 @@ MUTANTS = [
     ("localized td1_grad_phi_sq weighted by t^(d-2)", "src/kgdecay/decay.py",
      '("grad", 0, d - 1.0, 2))', '("grad", 0, d - 2.0, 2))'),
     ("Szego cosine factor set to 1", "src/kgdecay/decay.py",
-     "/ np.cos(sigma[:j] * delta)", "/ 1.0"),
+     "/ np.cos(sigma * delta) + tails", "/ 1.0 + tails"),
     ("mass-0 zero-mode term dropped", "src/kgdecay/propagator.py",
      "vals[:, :, 0] += dt[:, None] * np.sum(gh[:, zero].real, axis=-1)", "pass"),
     # Hermitian pairing of the point evaluator's half-waves
@@ -89,12 +89,23 @@ MUTANTS = [
      "if rhs and len(samples) !=", "if False and len(samples) !="),
     ("lowfreq weight 1 + t replaced by t", "src/kgdecay/decay.py",
      "weight = 1.0 + t if band == LOW_PASS_BAND else t", "weight = t"),
-    # the sup sampler's reused buffers
-    ("half spectra not cleared between blocks", "src/kgdecay/grid.py",
-     "    half.fill(0.0)\n", ""),
-    ("grad maximum read after |d phi|^2 is added into its buffer", "src/kgdecay/decay.py",
-     "np.max(grad_sq)]\n        grad_sq += dphi_sq  # now |d phi|^2\n",
-     "0.0]\n        grad_sq += dphi_sq  # now |d phi|^2\n        block[2] = np.max(grad_sq)\n"),
+    # the sup sampler: coarse lattice, candidate cells and their refinement
+    ("half spectrum not zeroed before the scatter", "src/kgdecay/grid.py",
+     "half = np.zeros(", "half = np.empty("),
+    ("grad row overwritten by |d phi|^2 before its maximum is read", "src/kgdecay/decay.py",
+     "    np.add(out[1], out[2], out=out[3])\n",
+     "    out[3] = np.add(out[1], out[2], out=out[2])\n"),
+    ("candidate threshold taken as the max over the splits", "src/kgdecay/decay.py",
+     "threshold = np.min(reach, axis=-1, where=splits, initial=np.inf)",
+     "threshold = np.max(reach, axis=-1, where=splits, initial=-np.inf)"),
+    ("tails dropped from the candidate threshold", "src/kgdecay/decay.py",
+     "reach = (lower[i][:, None] - tails) * np.cos(sigma * lattice.delta0) - tails",
+     "reach = lower[i][:, None] * np.cos(sigma * lattice.delta0) + 0.0 * tails"),
+    ("fine delta in place of delta0 in the candidate threshold", "src/kgdecay/decay.py",
+     "np.cos(sigma * lattice.delta0) - tails",
+     "np.cos(sigma * lattice.delta0 / resolution) - tails"),
+    ("cell offsets halved", "src/kgdecay/decay.py",
+     "/ (2 * resolution)", "/ (4 * resolution)"),
     # resolution gates
     ("slice resolution gate switched off", "src/kgdecay/plan.py",
      "if tail > limit:", "if False:"),
