@@ -25,7 +25,7 @@ from .partition import UnitBallPartition, build_partition, overlap_bound, w_k1_c
 from .plan import RunPlan
 from .propagator import (
     CauchyData, boost_commuted_data, data_support_radius, evaluate_at_points,
-    flat_energy, iterated_boost_data, support_radius,
+    flat_energy, jet_columns,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,6 +1,6 @@
 """Hyperboloidal slices tau = sqrt(t^2 - |x|^2), the boost fields tangent to
-them, the weighted slice energy, and the pointwise Sobolev-type bounds it
-controls.
+them (read on a slice from the data's derivative jet), the weighted slice
+energy, and the pointwise Sobolev-type bounds it controls.
 
 A slice is parametrized by its spatial projection: t(x) = sqrt(tau^2 + |x|^2)
 and the induced volume element in that chart is (tau / t(x)) dx, so slice
@@ -13,7 +13,7 @@ term squares a sample column (phi, m phi, d_t phi, each L^i phi or their
 sum), weights it in (t, tau) and reduces it by a max over the slice points
 or a slice integral.  One reader turns a row into a ``SliceBound``.  The
 checks read only the data and its samples on one slice, which the caller
-takes with ``slice_samples(boosted_data(data, order), slc)``.
+takes with ``slice_samples(data, slc, order)``.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError
-from .grid import Grid, sobolev_order
-from .propagator import CauchyData, evaluate_at_points, flat_energy, iterated_boost_data
+from .grid import Grid, multi_indices, sobolev_order
+from .propagator import CauchyData, evaluate_at_points, flat_energy, jet_columns
 
 SLICE_PADDING = 2.0  # sampling margin beyond the solution support radius
 SOBOLEV_ELLS = (0.0, 1.0)  # the weights (t/tau)^ell of the global Sobolev check
+SOBOLEV_CONSTANTS_1D = {0.0: 0.5, 1.0: 1.0}  # its d = 1 constants (suites.suite_sobolev)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +103,9 @@ class SliceSample:
     grad: np.ndarray  # (M, d)
 
 
-def sample_on_slice(data: CauchyData, slc: HyperboloidSlice, *others) -> SliceSample:
-    """The data's sample; with ``others``, one ``evaluate_at_points`` pass
-    whose arrays gain a leading axis over (data, *others)."""
-    return SliceSample(slc, *evaluate_at_points(data, slc.t, slc.points, *others))
+def sample_on_slice(data: CauchyData, slc: HyperboloidSlice) -> SliceSample:
+    """The data's own sample on the slice."""
+    return slice_samples(data, slc)[0]
 
 
 def boost_values(sample: SliceSample, axis: int) -> np.ndarray:
@@ -185,22 +185,39 @@ SLICE_ROWS = {
 }
 
 
-def boosted_data(data: CauchyData, max_order: int) -> list:
-    """The data and its iterated boosts L^{i_1}..L^{i_k}, k <= max_order, by
-    k and then axes; each is built from the one below it."""
-    out = {(): data}
-    for k in range(1, max_order + 1):
-        for axes in itertools.product(range(data.grid.dim), repeat=k):
-            out[axes] = iterated_boost_data(out[axes[1:]], axes[:1])
-    return list(out.values())
+def _shift(k: tuple, axis: int, n: int = 1) -> tuple:
+    return k[:axis] + (k[axis] + n,) + k[axis + 1 :]
 
 
-def slice_samples(datas: list, slc: HyperboloidSlice) -> list:
-    """One ``SliceSample`` per data of ``datas`` on ``slc``, in order, all
-    taken in one ``sample_on_slice`` pass."""
-    s, shape = sample_on_slice(datas[0], slc, *datas[1:]), (len(datas), slc.n_points)
-    columns = s.phi.reshape(shape), s.dphi_dt.reshape(shape), s.grad.reshape(*shape, -1)
-    return [SliceSample(slc, *cols) for cols in zip(*columns)]
+def slice_samples(data: CauchyData, slc: HyperboloidSlice, order: int = 0) -> list:
+    """A ``SliceSample`` of each L^{i_1}..L^{i_k} phi, k <= order, on ``slc``:
+    the data's first, then by k and axes.  phi's jet u[alpha, j] = d_x^alpha
+    d_t^j phi, j + |alpha| <= order + 1, keyed (alpha_0, .., j), comes from
+    one ``evaluate_at_points`` pass for j <= 1 and from d_t^2 = Lap - m^2 for
+    j >= 2; L_i = x_i d_t + t d_i lowers a jet's order by one by the rule
+
+        (L_i u)[alpha, j] = x_i u[alpha, j + 1] + alpha_i u[alpha - e_i, j + 1]
+                            + t u[alpha + e_i, j] + j u[alpha + e_i, j - 1]
+    """
+    d, m2 = slc.grid.dim, data.mass**2
+    u = dict(zip(jet_columns(d, order), evaluate_at_points(data, slc.t, slc.points, order)))
+    for k in sorted(multi_indices(d + 1, order + 1), key=lambda k: k[d]):
+        if k[d] >= 2:
+            lap = sum(u[_shift(_shift(k, a, 2), d, -2)] for a in range(d))
+            u[k] = lap - m2 * u[_shift(k, d, -2)]
+    jets = {(): u}
+    for axes in (a for n in range(1, order + 1) for a in itertools.product(range(d), repeat=n)):
+        v, i, x = jets[axes[1:]], axes[0], slc.points[:, axes[0]]
+        jets[axes] = {  # L_i applied to L^{axes[1:]} phi
+            k: x * v[_shift(k, d)] + k[i] * v.get(_shift(_shift(k, i, -1), d), 0.0)
+            + slc.t * v[_shift(k, i)] + k[d] * v.get(_shift(_shift(k, i), d, -1), 0.0)
+            for k in multi_indices(d + 1, order + 1 - len(axes))
+        }
+    zero, e = (0,) * (d + 1), [_shift((0,) * (d + 1), a) for a in range(d + 1)]
+    return [
+        SliceSample(slc, v[zero], v[e[d]], np.stack([v[k] for k in e[:d]], -1))
+        for v in jets.values()
+    ]
 
 
 def _terms(table: tuple, s: SliceSample, mass: float) -> tuple:
@@ -214,7 +231,7 @@ def _terms(table: tuple, s: SliceSample, mass: float) -> tuple:
 def _read_row(data: CauchyData, samples: list, row: str) -> SliceBound:
     """The row's SliceBound on the slice of ``samples``: the data's sample,
     then, if the row sums them, its boosts' up to the Sobolev order in
-    ``boosted_data`` order."""
+    ``slice_samples`` order."""
     lhs, rhs = SLICE_ROWS[row]
     d, order = data.grid.dim, sobolev_order(data.grid.dim)
     if rhs and len(samples) != sum(d**k for k in range(order + 1)):

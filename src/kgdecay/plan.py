@@ -1,7 +1,8 @@
 """The run plan: every grid, time set and horizon a configuration derives,
-the slice data with the boosts the selected suites read, its slice and
-samples per tau (one evaluator pass each) and the localized data, built
-once per config value.  ``validate()`` checks them and the suites read them."""
+the slice data, its slice per tau and its samples there (the data's and,
+for the suites that read them, its boosts', from one evaluator pass per tau)
+and the localized data, built once per config value.  ``validate()`` checks
+them and the suites read them."""
 
 from __future__ import annotations
 
@@ -14,20 +15,21 @@ from .bumps import bump_derivative_field, bump_field
 from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
 from .errors import ConfigurationError
 from .grid import Grid, sobolev_order
-from .hyperboloid import boosted_data, build_slice, slice_samples
+from .hyperboloid import build_slice, slice_samples
 from .propagator import CauchyData, data_support_radius
 
-# slice suites need steeper data: the commuted-data Laplacian amplifies the
-# grid's Nyquist spectrum tail by xi^2, and s = 8 keeps that leak ~1e-7
+# slice suites need steeper data: the jet they sample differentiates it up to
+# one order past the Sobolev order, which weights its spectral tail by |xi|
+# to that power
 SLICE_DATA_SHARPNESS = 8.0
 # localized's bump: low-frequency dominated, so its sup reaches the t^(-d/2)
 # rate inside the fit window (wide-spectrum data has late-dispersing parts)
 LOCALIZED_DATA_SHARPNESS = 1.0
-# largest top-octave tail of the slice data, its deepest boosts or the
-# localized data that the suites accept: energy passes (gaps < 1e-4) at tails
-# up to 0.17 (N = 1024, L = 160) and fails from 0.84 (d = 2, N = 128, L = 32);
-# localized passes at 0.51 (N = 1024, L = 320) and fails at 0.998 (N = 512,
-# L = 256); the deepest boosts pass at 0.12 (N = 2048, L = 256)
+# largest top-octave tail of the slice data or the localized data that the
+# suites accept: energy, sobolev and pointwise pass at tails up to 0.17
+# (N = 1024, L = 160), and energy fails (gaps > 1e-4) from 0.84 (d = 2,
+# N = 128, L = 32); localized passes at 0.51 (N = 1024, L = 320) and fails at
+# 0.998 (N = 512, L = 256)
 MAX_NYQUIST_TAIL = 0.7
 # the slice data's limit for taus below SMALL_TAU, whose slices pass near the
 # vertex t = tau: energy's tau = 0.5 gap is 3.8e-3 at tail 4.6e-2 (N = 2048,
@@ -67,12 +69,8 @@ def nyquist_tail(data: CauchyData) -> float:
     decaying spectrum of resolved data."""
     g = data.grid
     top = np.max(np.abs(g.frequency_arrays()), axis=0) >= g.nyquist / 2
-    tail = 0.0
-    for c in map(np.abs, data.spectra):
-        peak = np.max(c)
-        if peak > 0.0:
-            tail = max(tail, np.max(c[top]) / peak)
-    return float(tail)
+    tails = (np.max(c[top]) / np.max(c) for c in map(np.abs, data.spectra) if c.any())
+    return float(max(tails, default=0.0))
 
 
 @dataclass(frozen=True)
@@ -136,15 +134,19 @@ class RunPlan:
         """The localized suite's bump pair."""
         return bump_pair_data(self.config, LOCALIZED_DATA_SHARPNESS)
 
-    def localized_problems(self) -> list:
-        """Why localized cannot run on this plan: unresolved data."""
-        c, tail = self.config, nyquist_tail(self.localized_data)
-        if tail <= MAX_NYQUIST_TAIL:
+    def _unresolved(self, what: str, data: CauchyData, limit: float, at: str = "") -> list:
+        """Why ``data`` leaves ``what`` unresolved: its tail above ``limit``."""
+        c, tail = self.config, nyquist_tail(data)
+        if tail <= limit:
             return []
         return [
-            f"grid_n {c.grid_n} at box_length {c.box_length} leaves the localized "
-            f"data unresolved (Nyquist tail {tail:.1e} > {MAX_NYQUIST_TAIL:g})"
+            f"grid_n {c.grid_n} at box_length {c.box_length} leaves the {what} "
+            f"unresolved{at} (Nyquist tail {tail:.1e} > {limit:g})"
         ]
+
+    def localized_problems(self) -> list:
+        """Why localized cannot run on this plan: unresolved data."""
+        return self._unresolved("localized data", self.localized_data, MAX_NYQUIST_TAIL)
 
     @cached_property
     def slices(self) -> dict:
@@ -153,52 +155,23 @@ class RunPlan:
         return {tau: build_slice(tau, data.grid, r0, data.t0) for tau in self.config.taus}
 
     @cached_property
-    def boosts(self) -> list:
-        """The slice data and, if sobolev or pointwise is selected, its
-        iterated boosts up to the Sobolev order, as ``boosted_data`` lists
-        them; energy reads the data alone."""
-        boosted = set(BOOSTED_SUITES) & set(self.config.selected_suites)
-        return boosted_data(self.slice_data, sobolev_order(self.config.dim) if boosted else 0)
-
-    @cached_property
     def samples(self) -> dict:
-        """tau -> the samples of ``boosts`` on the tau-slice, one pass each."""
-        return {tau: slice_samples(self.boosts, slc) for tau, slc in self.slices.items()}
-
-    @property
-    def deepest_boosts(self) -> list:
-        """The boosts of the global Sobolev order, the tail of ``boosts``
-        when sobolev or pointwise is selected."""
-        d, order = self.config.dim, sobolev_order(self.config.dim)
-        return self.boosts[-(d**order):]
+        """tau -> the samples on the tau-slice of the slice data and, for
+        sobolev and pointwise, its iterated boosts up to the Sobolev order."""
+        boosted = set(BOOSTED_SUITES) & set(self.config.selected_suites)
+        order = sobolev_order(self.config.dim) if boosted else 0
+        return {tau: slice_samples(self.slice_data, slc, order) for tau, slc in self.slices.items()}
 
     def slice_problems(self) -> list:
         """Why the selected slice suites cannot run on this plan: a slice
-        meeting the box, a boost reaching the box edge (checked where each
-        boost is built), or unresolved data."""
+        meeting the box, or unresolved slice data."""
         c = self.config
-        boosted = [s for s in BOOSTED_SUITES if s in c.selected_suites]
         small = min(c.taus) < SMALL_TAU
         limit = SMALL_TAU_NYQUIST_TAIL if small else MAX_NYQUIST_TAIL
         at = f" for tau {min(c.taus):g}" if small else ""
-        problems, resolved = [], {"slice data": ([self.slice_data], limit, at)}
+        problems = []
         try:
             self.slices
         except ConfigurationError as exc:
             problems.append(f"support_radius {c.support_radius} and taus {list(c.taus)}: {exc}")
-        if boosted:
-            try:
-                resolved["slice data's deepest boosts"] = (self.deepest_boosts, MAX_NYQUIST_TAIL, "")
-            except ConfigurationError as exc:
-                problems.append(
-                    f"grid_n {c.grid_n} at box_length {c.box_length}, boosting the "
-                    f"slice data for {' and '.join(boosted)}: {exc}"
-                )
-        for what, (datas, limit, at) in resolved.items():
-            tail = max(map(nyquist_tail, datas))
-            if tail > limit:
-                problems.append(
-                    f"grid_n {c.grid_n} at box_length {c.box_length} leaves the {what} "
-                    f"unresolved{at} (Nyquist tail {tail:.1e} > {limit:g})"
-                )
-        return problems
+        return problems + self._unresolved("slice data", self.slice_data, limit, at)

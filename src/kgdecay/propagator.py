@@ -13,13 +13,12 @@ exp(+-i dt omega) and sums them directly at space-time points.  Real data
 have Hermitian spectra, so the half-wave (-xi, -omega) has the same real
 term as (xi, +omega): the sum runs over the + half-waves, doubled, plus both
 half-waves of the modes on a Nyquist plane, whose negation is not listed.
-Data sharing grid, t0 and mass share these phases, so a stack of them (a
-slice's data and its boosts) is summed in one pass.
+A derivative d_x^alpha d_t^j phi multiplies each half-wave's coefficient by
+(i xi)^alpha (+-i w)^j and keeps its phase, so one pass sums all of them.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +32,12 @@ from .grid import (
     inverse_transform,
     l2_norm,
     laplacian,
+    multi_indices,
     spatial_derivative,
 )
 
 # cap on points*half-waves per block of a direct Fourier evaluation at
-# arbitrary points (4 MB per real phase array), which keeps the slice suites
-# near a 47 MB peak; with about one half-wave per mode a block holds twice
-# the points it held when both half-waves of every mode were summed.  The
-# rows of a block scale with the modes only: stacked data add columns.
+# arbitrary points (4 MB per real phase array); more columns widen a block
 EVAL_CHUNK_ENTRIES = 2**19
 
 
@@ -115,103 +112,86 @@ def evolve_spectra(data: CauchyData, t: float) -> tuple:
     return SpectralField(g, phi_hat), SpectralField(g, dphi_hat)
 
 
-def nonzero_modes(data: CauchyData, *others) -> tuple:
-    """The flat indices of the lattice modes where f_hat or g_hat of the data
-    or of one of ``others`` (on its grid, with its t0 and mass) is nonzero, in
-    lattice order, with their xi, shape (M, d), omega, f_hat and g_hat, the
-    last two with a leading axis over (data, *others) if ``others`` are given."""
+def nonzero_modes(data: CauchyData) -> tuple:
+    """The flat indices of the lattice modes where f_hat or g_hat is nonzero,
+    in lattice order, with their xi, shape (M, d), omega, f_hat and g_hat."""
     g = data.grid
-    if any(o.grid != g for o in others):
-        raise GridMismatchError("stacked data must share one grid")
-    if any((o.t0, o.mass) != (data.t0, data.mass) for o in others):
-        raise ValueError("stacked data must share t0 and mass")
-    spectra = [c.ravel() for d in (data, *others) for c in d.spectra]  # f_hat, g_hat, ...
-    modes = np.flatnonzero(functools.reduce(np.logical_or, (c != 0 for c in spectra)))
+    f_hat, g_hat = (c.ravel() for c in data.spectra)
+    modes = np.flatnonzero((f_hat != 0) | (g_hat != 0))
     xi = g.axis_frequencies[np.stack(np.unravel_index(modes, g.shape), axis=-1)]
     omega = _omega(g, data.mass).ravel()[modes]
-    f_hat, g_hat = ([c[modes] for c in spectra[k::2]] for k in (0, 1))
-    if others:
-        return modes, xi, omega, np.stack(f_hat), np.stack(g_hat)
-    return modes, xi, omega, f_hat[0], g_hat[0]
+    return modes, xi, omega, f_hat[modes], g_hat[modes]
 
 
-def evaluate_at_points(data: CauchyData, times, points, *others):
-    """Evaluate (phi, dphi_dt, grad phi) at arbitrary space-time points.
+def jet_columns(dim: int, order: int) -> list:
+    """The keys (alpha_0, .., alpha_{d-1}, j) of the columns d_x^alpha d_t^j
+    phi that ``evaluate_at_points`` returns: j <= 1 and j + |alpha| <= order
+    + 1, by total order, and within one d_t first and alpha = e_0 before e_1,
+    so that order 0 gives phi, d_t phi and the gradient."""
+    columns = [k for k in multi_indices(dim + 1, order + 1) if k[-1] <= 1]
+    return sorted(columns, key=lambda k: (sum(k), -k[-1], [-a for a in k]))
 
-    ``times`` has shape (P,), ``points`` shape (P, d).  Each of the
-    ``nonzero_modes`` is split into its half-waves, phi_hat = exp(+i dt w) c+
-    + exp(-i dt w) c- with c+- = (f_hat -+ i g_hat / w) / 2, whose d_t phi
-    coefficients are (g_hat +- i w f_hat) / 2 and gradient coefficients
-    i xi c+-.  Hermitian spectra (as ``inverse_transform`` assumes) give
-    c-(-xi) = conj c+(xi), so the half-wave (-xi, -w) adds the real term of
-    (xi, +w): the sum runs over the + half-waves with doubled coefficients,
-    plus both half-waves of each mode on a Nyquist plane (a component at the
-    -N/2 entry of ``fftfreq``), whose negation is not a listed mode.  It is
-    one real sum cos(theta) Re c - sin(theta) Im c, theta = x.xi + dt (+-w),
-    in blocks of at most ``EVAL_CHUNK_ENTRIES`` points x half-waves.  A mode
-    with w = 0 (the zero mode at mass 0) takes 2 c+ = f_hat plus the linear
-    growth dt g_hat.
 
-    Further data ``others`` share theta and its cos and sin: one sum over the
-    union of their ``nonzero_modes`` holds each data's columns side by side.
+def evaluate_at_points(data: CauchyData, times, points, order: int = 0) -> np.ndarray:
+    """The columns d_x^alpha d_t^j phi, keyed by ``jet_columns(d, order)``,
+    at space-time points: ``times`` (P,) and ``points`` (P, d) give
+    an array (C, P), at order 0 the rows phi, d_t phi and grad phi.
 
-    Returns (phi, dphi_dt, grad) with shapes (P,), (P,), (P, d), each with a
-    leading axis over (data, *others) if ``others`` are given.
+    Each of the ``nonzero_modes`` is split into its half-waves, phi_hat =
+    exp(+i dt w) c+ + exp(-i dt w) c- with c+- = (f_hat -+ i g_hat / w) / 2,
+    whose d_t phi coefficients are (g_hat +- i w f_hat) / 2; a column's are
+    (i xi)^alpha times the one or the other.  Hermitian spectra (as
+    ``inverse_transform`` assumes) give c-(-xi) = conj c+(xi), so the
+    half-wave (-xi, -w) adds the real term of (xi, +w): the sum runs over the
+    + half-waves with doubled coefficients, plus both half-waves of each mode
+    on a Nyquist plane (a component at the -N/2 entry of ``fftfreq``), whose
+    negation is not a listed mode.  It is one real sum cos(theta) Re c -
+    sin(theta) Im c, theta = x.xi + dt (+-w), in blocks of at most
+    ``EVAL_CHUNK_ENTRIES`` points x half-waves.  A mode with w = 0 (the zero
+    mode at mass 0) adds f_hat + dt g_hat to phi and g_hat to d_t phi only.
     """
     g = data.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
     points = np.asarray(points, dtype=float).reshape(len(times), g.dim)
     dt = times - data.t0
-    _, xi, omega, fh, gh = nonzero_modes(data, *others)
-    fh, gh = np.atleast_2d(fh), np.atleast_2d(gh)  # (data, mode)
-    n, cols = len(fh), 2 + g.dim
+    _, xi, omega, fh, gh = nonzero_modes(data)
+    columns = jet_columns(g.dim, order)
     zero = omega == 0.0
     g_over_w = np.divide(gh, omega, out=np.zeros_like(gh), where=~zero)
     nyquist = np.any(xi == g.axis_frequencies[g.points_per_axis // 2], axis=-1)
     half = np.where(nyquist, 0.5, 1.0)
     half_waves, frequencies = [], []
     for sign, keep in ((1.0, slice(None)), (-1.0, nyquist)):
-        c = (half * (fh - sign * 1j * g_over_w))[:, keep]
-        dc = (half * (gh + sign * 1j * omega * fh))[:, keep]
-        half_waves.append(np.stack([c, dc, *(1j * x * c for x in xi[keep].T)], axis=-1))
+        c = (half * (fh - sign * 1j * g_over_w))[keep]
+        dc = (half * (gh + sign * 1j * omega * fh))[keep]
+        ixi = 1j * xi[keep]
+        cols = [np.prod(ixi ** k[:-1], -1) * (c, dc)[k[-1]] for k in columns]
+        half_waves.append(np.stack(cols, -1))
         frequencies.append(np.column_stack([xi[keep], sign * omega[keep]]))
-    # (half-wave, data x column): each data's columns side by side
-    coeff = np.concatenate(half_waves, axis=1).transpose(1, 0, 2).reshape(-1, n * cols)
+    coeff = np.concatenate(half_waves)  # (half-wave, column)
     frequencies = np.concatenate(frequencies)
     x = np.column_stack([points, dt])
-    vals = np.empty((len(x), n * cols))
+    vals = np.empty((len(x), len(columns)))
     rows = max(1, EVAL_CHUNK_ENTRIES // max(1, len(coeff)))
     for lo in range(0, len(x), rows):
         theta = x[lo : lo + rows] @ frequencies.T
         vals[lo : lo + rows] = np.cos(theta) @ coeff.real - np.sin(theta, out=theta) @ coeff.imag
-    vals = vals.reshape(len(x), n, cols)
-    vals[:, :, 0] += dt[:, None] * np.sum(gh[:, zero].real, axis=-1)
+    vals[:, 0] += dt * np.sum(gh[zero].real)
     vals /= g.box_length**g.dim
-    out = vals[:, :, 0].T, vals[:, :, 1].T, vals[:, :, 2:].swapaxes(0, 1)
-    return out if others else tuple(a[0] for a in out)
-
-
-def support_radius(field: Field) -> float:
-    """Largest |x| where |field| exceeds 1e-5 of its max; 0 for zero fields.
-
-    The threshold sits above typical spectral-leakage floors, so the result
-    tracks the effective support of sampled compactly supported data even
-    after spectral differentiation.
-    """
-    v = np.abs(field.values)
-    peak = np.max(v)
-    if peak == 0.0:
-        return 0.0
-    r2 = np.sum(field.grid.lattice_points() ** 2, axis=-1)
-    return float(np.sqrt(np.max(r2[v.ravel() > 1e-5 * peak])))
+    return vals.T
 
 
 def data_support_radius(data: CauchyData) -> float:
-    return max(support_radius(data.f), support_radius(data.g))
+    """Largest |x| where |f| or |g| exceeds 1e-5 of its max, a threshold above
+    the leakage floor of sampled compact data; 0 for zero data."""
+    r2 = np.sum(data.grid.lattice_points() ** 2, axis=-1)
+    v = [np.abs(h.values).ravel() for h in (data.f, data.g)]
+    return float(np.sqrt(max((np.max(r2[a > 1e-5 * a.max()]) for a in v if a.any()), default=0.0)))
 
 
 def boost_commuted_data(data: CauchyData, axis: int) -> CauchyData:
-    """Cauchy data at t0 for the boosted solution (x^i d_t + t d_i) phi.
+    """Cauchy data at t0 for the boosted solution (x^i d_t + t d_i) phi, the
+    tests' second path to the boosts the slice suites read from the jet.
 
     The coefficients below hard-code the prescription time t0 = 2; iterating
     the map yields data for repeated boosts.  The product with the centered
@@ -236,14 +216,6 @@ def boost_commuted_data(data: CauchyData, axis: int) -> CauchyData:
             f"commuted data reaches within {margin:.3f} of the box edge; "
             "the centered-coordinate product needs a margin of at least 1"
         )
-    return out
-
-
-def iterated_boost_data(data: CauchyData, axes) -> CauchyData:
-    """Data for L^{i_1} ... L^{i_k} phi, applied left to right."""
-    out = data
-    for axis in reversed(tuple(axes)):
-        out = boost_commuted_data(out, axis)
     return out
 
 

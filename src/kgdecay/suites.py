@@ -19,7 +19,9 @@ from .decay import (
     localized_decay_check,
 )
 from .grid import Field, l2_norm, linf_norm
-from .hyperboloid import SOBOLEV_ELLS, energy, global_sobolev_check, pointwise_energy_check
+from .hyperboloid import (
+    SOBOLEV_CONSTANTS_1D, SOBOLEV_ELLS, energy, global_sobolev_check, pointwise_energy_check,
+)
 from .partition import build_partition, overlap_bound, w_k1_comparability
 from .plan import RunPlan
 from .propagator import CauchyData
@@ -164,6 +166,13 @@ def suite_energy(config: RunConfig, rng) -> dict:
 
 
 def suite_sobolev(config: RunConfig, rng) -> dict:
+    """The global Sobolev rows' ratios per tau, at most SOBOLEV_CONSTANTS_1D
+    in d = 1: on the slice psi(x) = phi(t(x), x) has psi' = L phi / t, any
+    compact g has g(x0)^2 <= int |g g'| dx, and the rhs is int (t/tau)^ell
+    (psi^2 + (L phi)^2) (tau/t) dx.  g = tau^(1/2) psi: |g g'| <= (tau/t)
+    (psi^2 + (L phi)^2) / 2, so sup tau phi^2 <= rhs / 2.  g = t^(1/2) psi:
+    g g' = psi L phi + (x/t) psi^2 / 2, |g g'| <= psi^2 + (L phi)^2 / 2, so
+    sup t phi^2 <= rhs."""
     checks = []
     ratio_table = {}
     per_tau = _per_tau(config, global_sobolev_check).values()
@@ -172,6 +181,8 @@ def suite_sobolev(config: RunConfig, rng) -> dict:
         ratio_table[f"ell_{ell:g}"] = [float(r) for r in ratios]
         checks.append(_check(f"ratio_positive_ell_{ell:g}", min(ratios), 0.0, op=">="))
         checks.append(_check(f"tau_spread_ell_{ell:g}", _spread(ratios), 4.0))
+        if config.dim == 1:
+            checks.append(_check(f"ratio_max_ell_{ell:g}", max(ratios), SOBOLEV_CONSTANTS_1D[ell]))
     return {
         "citation": "global Sobolev inequality on hyperboloids: "
         "sup tau^(1-l) t^(d+l-1) psi^2 bounded by iterated-boost integrals "

@@ -25,8 +25,8 @@ from kgdecay.grid import (
     l2_norm,
     spatial_derivative,
 )
-from kgdecay.hyperboloid import boosted_data, build_slice, slice_samples
-from kgdecay.propagator import CauchyData, data_support_radius, evolve_spectra
+from kgdecay.hyperboloid import build_slice, slice_samples
+from kgdecay.propagator import CauchyData, data_support_radius, evolve_spectra, jet_columns
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def data_slice_samples(data: CauchyData, tau: float, order: int = 0) -> list:
     """The samples of the data and its boosts up to ``order`` on the tau-slice
     reaching past the data's support cone, as ``RunPlan.samples`` takes them."""
     slc = build_slice(tau, data.grid, data_support_radius(data), data.t0)
-    return slice_samples(boosted_data(data, order), slc)
+    return slice_samples(data, slc, order)
 
 
 def flat_energy_at(state: EvolvedState) -> float:
@@ -99,29 +99,32 @@ def rk4_mode_oracle(data: CauchyData, t: float, target_local_error: float = 1e-9
     return inverse_transform(SpectralField(g, y)), inverse_transform(SpectralField(g, v))
 
 
-def direct_sum_oracle(data: CauchyData, times, points, block: int = 2**18):
-    """(phi, dphi_dt, grad phi) at space-time points by complex direct
-    summation of ``L^-d Re sum_k exp(i xi_k.x) m_k(t) F_k`` over every lattice
+def direct_sum_oracle(data: CauchyData, times, points, order: int = 0, block: int = 2**18):
+    """The columns d_x^alpha d_t^j phi, keyed (alpha, j) by ``jet_columns(d,
+    order)``, at space-time points by complex direct summation of ``L^-d Re
+    sum_k exp(i xi_k.x) (i xi_k)^alpha d_t^j m_k(t) F_k`` over every lattice
     mode, with the multipliers cos(dt w), sin(dt w)/w (through ``np.sinc``)
-    formed per point and mode.  ``times`` has shape (P,), ``points`` (P, d)."""
+    and their t-derivatives formed per point and mode.  ``times`` has shape
+    (P,), ``points`` (P, d); returns an array (C, P)."""
     g = data.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
     points = np.asarray(points, dtype=float).reshape(len(times), g.dim)
     xi = np.stack([x.ravel() for x in g.frequency_arrays()], axis=-1)
     omega = np.sqrt(np.sum(xi**2, axis=-1) + data.mass**2)
     fh, gh = (c.ravel() for c in data.spectra)
+    columns = jet_columns(g.dim, order)
     n = len(times)
-    out = np.empty((n, 2 + g.dim))
+    out = np.empty((n, len(columns)))
     rows = max(1, block // len(xi))
     for lo in range(0, n, rows):
         dt = (times[lo : lo + rows] - data.t0)[:, None]
         phase = np.exp(1j * points[lo : lo + rows] @ xi.T)
         amp = np.cos(dt * omega) * fh + dt * np.sinc(dt * omega / np.pi) * gh
         damp = -omega * np.sin(dt * omega) * fh + np.cos(dt * omega) * gh
-        cols = [amp, damp] + [1j * xi[:, a] * amp for a in range(g.dim)]
+        cols = [np.prod((1j * xi) ** k[:-1], axis=-1) * (amp, damp)[k[-1]] for k in columns]
         out[lo : lo + rows] = np.stack([np.sum(phase * c, axis=1).real for c in cols], -1)
     out /= g.box_length**g.dim
-    return out[:, 0], out[:, 1], out[:, 2:]
+    return out.T
 
 
 def lattice_sum_oracle(data: CauchyData, t: float, q: int):

@@ -7,7 +7,7 @@ from kgdecay.cli import main
 from kgdecay.config import RunConfig, load_config, parse_times
 from kgdecay.decay import DecayCurve
 from kgdecay.errors import ConfigurationError
-from kgdecay.plan import MAX_NYQUIST_TAIL, RunPlan, nyquist_tail
+from kgdecay.plan import RunPlan, nyquist_tail
 from kgdecay.reporting import write_curve_csv, write_loglog_svg
 from kgdecay.suites import _spread
 
@@ -281,25 +281,50 @@ def _never_run_suites(config):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, tails",
     [
-        ["--suite", "all", "--grid-n", "512", "--box-length", "256", "--bands", "0,1"],
-        ["--suite", "sobolev", "--grid-n", "512", "--box-length", "160"],
-        ["--suite", "sobolev", "--dim", "2", "--grid-n", "128", "--box-length", "32"],
-        ["--suite", "pointwise", "--dim", "2", "--grid-n", "256", "--box-length", "32"],
+        (["--suite", "all", "--grid-n", "512", "--box-length", "256", "--bands", "0,1"],
+         {"localized data": "1.0e+00", "slice data": "1.0e+00"}),
+        (["--suite", "sobolev", "--grid-n", "512", "--box-length", "160"],
+         {"slice data": "9.9e-01"}),
+        (["--suite", "sobolev", "--dim", "2", "--grid-n", "128", "--box-length", "32"],
+         {"slice data": "8.4e-01"}),
+        (["--suite", "pointwise", "--dim", "2", "--grid-n", "256", "--box-length", "32"], {}),
     ],
     ids=["all_512_256", "sobolev_512_160", "sobolev_2d_128_32", "pointwise_2d_256_32"],
 )
-def test_cli_rejects_boosts_at_the_box_edge(tmp_path, capsys, monkeypatch, argv):
-    # the deepest boost of the slice data reaches the box edge (margins 0.000,
-    # 0.000, -0.008, -0.002): validate() rejects it before any suite runs
+def test_former_box_edge_configs_meet_the_resolution_gates_only(
+    tmp_path, capsys, monkeypatch, argv, tails
+):
+    # configs whose commuted-data boosts once reached the box edge: the boosts
+    # now come from the data's own jet, so only unresolved data reject them
+    # (with the reasons below), and the resolved 2-D pointwise grid is accepted
     monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
+    if not tails:  # validate() accepts it, so main goes on to the suites
+        with pytest.raises(AssertionError, match="run_selected_suites entered"):
+            main([*argv, "--taus", "2,4", "--out", str(tmp_path)])
+        return
     assert main([*argv, "--taus", "2,4", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "of the box edge" in err
-    assert "boosting the slice data" in err
-    assert "Traceback" not in err
+    reasons = err.splitlines()[1:]
+    assert len(reasons) == len(tails)
+    for what, tail in tails.items():
+        assert f"leaves the {what} unresolved (Nyquist tail {tail} > 0.7)" in err
+    assert "box edge" not in err and "Traceback" not in err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("suite", ["sobolev", "pointwise"])
+def test_cli_runs_the_boosted_slice_suites_in_2d(tmp_path, capsys, suite):
+    # a resolved 2-D grid whose slices fit its box: the second boosts come
+    # from the data's jet and the run ends in a pass or a fail with a summary
+    argv = ["--suite", suite, "--dim", "2", "--grid-n", "64", "--box-length", "8"]
+    rc = main([*argv, "--taus", "2,3", "--out", str(tmp_path)])
+    assert rc in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["passed"] is (rc == 0)
+    assert len(summary["suites"][suite]["checks"]) >= 2
 
 
 @pytest.mark.parametrize(
@@ -328,14 +353,6 @@ def test_resolution_gate_rejects_unresolved_slice_data(
     err = capsys.readouterr().err
     assert f"leaves the slice data unresolved (Nyquist tail {tail} > 0.7)" in err
     assert "Traceback" not in err
-
-
-def test_resolution_gate_reads_the_deepest_boosts():
-    RunConfig(suite="pointwise", taus=(2.0, 4.0)).validate()
-    plan = RunPlan.of(RunConfig(suite="pointwise", taus=(2.0, 4.0)))
-    (boost,) = plan.deepest_boosts
-    assert nyquist_tail(boost) < MAX_NYQUIST_TAIL
-    assert nyquist_tail(plan.slice_data) < nyquist_tail(boost)
 
 
 @pytest.mark.parametrize(

@@ -146,10 +146,8 @@ def test_evaluate_at_points_matches_direct_evaluation(name, chunk, monkeypatch):
     if chunk is not None:  # many blocks of a few points each
         monkeypatch.setattr(propagator_module, "EVAL_CHUNK_ENTRIES", chunk)
     data, t, pts = oracle_case(name)
-    phi, dphi, grad = evaluate_at_points(data, np.full(len(pts), t), pts)
-    vals = np.column_stack([phi, dphi, grad])
-    phi, dphi, grad = direct_sum_oracle(data, np.full(len(pts), t), pts)
-    for got, want in zip(vals.T, [phi, dphi, *grad.T]):
+    vals = evaluate_at_points(data, np.full(len(pts), t), pts)
+    for got, want in zip(vals, direct_sum_oracle(data, np.full(len(pts), t), pts)):
         assert np.max(np.abs(want)) > 0.0
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -171,9 +169,8 @@ def test_nonzero_modes_hold_exactly_the_band():
     zero = CauchyData(ZERO, ZERO, 0.0, 1.0)
     modes, xi, omega, f_hat, g_hat = nonzero_modes(zero)
     assert xi.shape == (0, 1) and all(len(a) == 0 for a in (modes, omega, f_hat, g_hat))
-    phi, dphi, grad = evaluate_at_points(zero, [1.0, 3.0], [[0.5], [-2.0]])
-    assert phi.shape == dphi.shape == (2,) and grad.shape == (2, 1)
-    assert not (phi.any() or dphi.any() or grad.any())
+    vals = evaluate_at_points(zero, [1.0, 3.0], [[0.5], [-2.0]])
+    assert vals.shape == (3, 2) and not vals.any()
 
 
 def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
@@ -327,8 +324,8 @@ def test_sup_norms_bracketed_by_direct_evaluation(case, factors):
         for i in range(len(SUP_FIELDS)):
             index = np.unravel_index(np.argmax(fine[i]), fine[i].shape)
             x = square - 0.5 * g.box_length + g.spacing / factor * np.array(index)
-            phi, dphi, grad = direct_sum_oracle(data, np.full(len(x), t), x)
-            dense = np.max(sup_quantities(phi, dphi, grad.T)[i])
+            phi, dphi, *grad = direct_sum_oracle(data, np.full(len(x), t), x)
+            dense = np.max(sup_quantities(phi, dphi, np.array(grad))[i])
             assert lower[0, i] * (1.0 - 1e-12) <= dense <= upper[0, i] * (1.0 + 1e-12)
             assert widths(upper, lower)[0, i] <= 1e-2
 
@@ -409,8 +406,8 @@ def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
             offsets = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
             index = np.stack(np.unravel_index(cells, (lattice.m,) * g.dim), -1)
             x = (index[:, None] + offsets[None]).reshape(-1, g.dim) * g.box_length / lattice.m
-            phi, dphi, grad = direct_sum_oracle(data, np.full(len(x), t), x - 0.5 * g.box_length)
-            want = [np.max(q) for q in sup_quantities(phi, dphi, grad.T)]
+            phi, dphi, *grad = direct_sum_oracle(data, np.full(len(x), t), x - 0.5 * g.box_length)
+            want = [np.max(q) for q in sup_quantities(phi, dphi, np.array(grad))]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 

@@ -51,11 +51,11 @@ def test_evaluate_at_points_matches_evolve_2d():
     pts = np.array(
         [[GRID.axis_coordinates[i], GRID.axis_coordinates[j]] for i, j in idx]
     )
-    phi, dphi, grad = evaluate_at_points(data, np.full(len(idx), t), pts)
+    phi, dphi, *grad = evaluate_at_points(data, np.full(len(idx), t), pts)
     for n, (i, j) in enumerate(idx):
         assert abs(phi[n] - st.phi.values[i, j]) <= 1e-10 * linf_norm(st.phi)
         assert abs(dphi[n] - st.dphi_dt.values[i, j]) <= 1e-10 * linf_norm(st.dphi_dt)
-        assert abs(grad[n, 1] - st.grad_phi[1].values[i, j]) <= 1e-9 * linf_norm(
+        assert abs(grad[1][n] - st.grad_phi[1].values[i, j]) <= 1e-9 * linf_norm(
             st.grad_phi[1]
         )
 

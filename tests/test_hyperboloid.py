@@ -6,8 +6,9 @@ from kgdecay.config import RunConfig
 from kgdecay.errors import ConfigurationError
 from kgdecay.grid import Field, Grid
 from kgdecay.hyperboloid import (
+    SOBOLEV_CONSTANTS_1D,
+    HyperboloidSlice,
     boost_values,
-    boosted_data,
     build_slice,
     energy,
     global_sobolev_check,
@@ -119,23 +120,105 @@ def test_boost_values_single_mode_closed_form():
     assert np.max(np.abs(boost_values(s, 0) - expect)) <= 1e-8 * np.max(np.abs(expect))
 
 
-@pytest.mark.parametrize("kept", [(), (0,), (1,)], ids=["none", "data", "boost"])
-def test_slice_samples_give_each_data_its_own_sample(kept):
-    # one pass for the data and its boosts gives each data its own columns,
-    # in the order of ``datas``, whichever of them was sampled alone before
-    data = bump_pair()
-    datas = boosted_data(data, 2)
-    slc = build_slice(4.0, GRID, data_support_radius(data))
-    for k in kept:
-        slice_samples([datas[k]], slc)
-    got = slice_samples(datas, slc)
-    assert len(got) == len(datas) == 3
-    for b, s in zip(datas, got):
+def every_nth(slc, n):
+    """The slice with every n-th of its points, for a cheaper comparison."""
+    return HyperboloidSlice(
+        slc.tau, slc.grid, slc.points[::n], slc.t[::n], slc.weights[::n], slc.truncation_radius
+    )
+
+
+RESOLVED = Grid(1, 16384, 256.0)
+
+
+def commuted_boosts(data):
+    """The data and the commuted data of L phi and L L phi."""
+    out = [data, boost_commuted_data(data, 0)]
+    return out + [boost_commuted_data(out[1], 0)]
+
+
+@pytest.mark.parametrize("tau", [2.0, 4.0, 16.0])
+def test_jet_boosts_match_the_commuted_data_samples(tau):
+    # two paths to L phi and L L phi on a resolved grid: the jet of the
+    # data's one pass, and the samples of iterated commuted Cauchy data; each
+    # sample's phi, d_t phi and grad (so each boost's own L column) agree.
+    # The commuted L L data's own error grows with tau (6e-9 at tau 16), so
+    # L L is compared at the small taus only.
+    data = bump_pair(RESOLVED)
+    slc = every_nth(build_slice(tau, RESOLVED, data_support_radius(data), data.t0), 31)
+    got = slice_samples(data, slc, 2)
+    assert len(got) == 3 and all(s.slice is slc for s in got)
+    for s, b in zip(got, commuted_boosts(data)[: 3 if tau <= 4.0 else 2]):
         want = sample_on_slice(b, slc)
-        assert s.slice is slc
         for a, w in zip((s.phi, s.dphi_dt, s.grad), (want.phi, want.dphi_dt, want.grad)):
             assert a.shape == w.shape
-            assert np.max(np.abs(a - w)) <= 1e-12 * np.max(np.abs(w))
+            assert np.max(np.abs(a - w)) <= 1e-10 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_jet_second_boosts_of_a_single_mode_in_2d(mass):
+    # phi = cos(k.x) cos(w dt), w^2 = |k|^2 + m^2, and by hand
+    # L_j L_i phi = x_j x_i phi_tt + x_j phi_i + t x_j phi_it + t delta_ij phi_t
+    #               + t x_i phi_jt + t^2 phi_ij
+    grid = Grid(2, 32, 16.0)
+    k = 2.0 * np.pi * np.array([2.0, -1.0]) / grid.box_length
+    w = np.sqrt(k @ k + mass**2)
+    x, y = grid.coordinate_arrays()
+    f = Field(grid, np.cos(k[0] * x + k[1] * y))
+    data = CauchyData(f, Field(grid, np.zeros(grid.shape)), 2.0, mass)
+    slc = build_slice(3.0, grid, 1.0, truncation_radius=6.0)
+    got = slice_samples(data, slc, 2)
+    assert len(got) == 1 + 2 + 4
+    pts, t = slc.points, slc.t
+    phase, dt = pts @ k, t - 2.0
+    c, s_ = np.cos(phase), np.sin(phase)
+    phi, phi_t, phi_tt = c * np.cos(w * dt), -w * c * np.sin(w * dt), -(w**2) * c * np.cos(w * dt)
+    phi_i = [-k[i] * s_ * np.cos(w * dt) for i in range(2)]
+    phi_it = [k[i] * w * s_ * np.sin(w * dt) for i in range(2)]
+    for i in range(2):
+        want = pts[:, i] * phi_t + t * phi_i[i]
+        assert np.max(np.abs(got[1 + i].phi - want)) <= 1e-12 * np.max(np.abs(want))
+        for j in range(2):
+            want = (
+                pts[:, j] * pts[:, i] * phi_tt + pts[:, j] * phi_i[i] + t * pts[:, j] * phi_it[i]
+                + (t * phi_t if i == j else 0.0) + t * pts[:, i] * phi_it[j]
+                - t**2 * k[i] * k[j] * phi
+            )
+            assert np.max(np.abs(got[3 + 2 * j + i].phi - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_jet_boosts_of_the_massless_zero_mode():
+    # g = c at mass 0: phi = c (t - 2), so L_i phi = c x_i and L_j L_i phi =
+    # c t delta_ij, while every x-derivative column of the jet vanishes
+    grid = Grid(2, 32, 16.0)
+    zero = Field(grid, np.zeros(grid.shape))
+    data = CauchyData(zero, Field(grid, np.full(grid.shape, 0.7)), 2.0, 0.0)
+    slc = build_slice(3.0, grid, 1.0, truncation_radius=6.0)
+    got = slice_samples(data, slc, 2)
+    want = [0.7 * (slc.t - 2.0)] + [0.7 * slc.points[:, i] for i in range(2)]
+    want += [0.7 * slc.t * (i == j) for j in range(2) for i in range(2)]
+    for s, w in zip(got, want):
+        assert np.max(np.abs(s.phi - w)) <= 1e-12 * np.max(slc.t)
+    assert np.max(np.abs(got[0].dphi_dt - 0.7)) <= 1e-12
+    assert np.max(np.abs(got[0].grad)) <= 1e-12
+
+
+def test_sobolev_constants_hold_on_random_smooth_data():
+    # the d = 1 bounds sup tau phi^2 <= rhs / 2 and sup t phi^2 <= rhs hold
+    # for any smooth compactly supported data, not only the suite's
+    rng = np.random.default_rng(7)
+    worst = {ell: 0.0 for ell in SOBOLEV_CONSTANTS_1D}
+    for _ in range(6):
+        center, width = rng.uniform(-0.3, 0.3), rng.uniform(0.4, 0.7)
+        sharpness, mass = rng.uniform(1.0, 8.0), rng.choice([0.0, 0.5, 1.0])
+        f = bump_field(GRID, center, width, amplitude=rng.uniform(-2.0, 2.0), sharpness=sharpness)
+        g = bump_derivative_field(GRID, 0, center, width, sharpness=sharpness) * rng.uniform(-1, 1)
+        data = CauchyData(f, g + f * rng.uniform(-1.0, 1.0), 2.0, mass)
+        for tau in (1.0, 2.0, 4.0):
+            bounds = global_sobolev_check(data, data_slice_samples(data, tau, 1))
+            for ell, constant in SOBOLEV_CONSTANTS_1D.items():
+                assert 0.0 < bounds[ell].ratio <= constant
+                worst[ell] = max(worst[ell], bounds[ell].ratio)
+    assert worst[0.0] > 0.05 and worst[1.0] > 0.05  # the draws test the bounds
 
 
 def test_slice_rows_reject_samples_without_the_boosts():
@@ -149,7 +232,7 @@ def test_slice_rows_reject_samples_without_the_boosts():
 
 def test_energy_zero_data():
     data = CauchyData(ZERO, ZERO, 2.0, 1.0)
-    rep = energy(data, slice_samples([data], build_slice(2.0, GRID, 1.0)))
+    rep = energy(data, slice_samples(data, build_slice(2.0, GRID, 1.0)))
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
 
@@ -168,15 +251,15 @@ def test_energy_quadratic_scaling():
     data = bump_pair()
     scaled = CauchyData(data.f * 3.0, data.g * 3.0, 2.0, data.mass)
     slc = build_slice(2.0, GRID, 1.0)
-    e1 = energy(data, slice_samples([data], slc)).lhs
-    e9 = energy(scaled, slice_samples([scaled], slc)).lhs
+    e1 = energy(data, slice_samples(data, slc)).lhs
+    e9 = energy(scaled, slice_samples(scaled, slc)).lhs
     assert abs(e9 - 9.0 * e1) <= 1e-12 * e9
 
 
 def test_global_sobolev_zero_data():
     data = CauchyData(ZERO, ZERO, 2.0, 1.0)
     reports = global_sobolev_check(
-        data, slice_samples(boosted_data(data, 1), build_slice(2.0, GRID, 1.0))
+        data, slice_samples(data, build_slice(2.0, GRID, 1.0), 1)
     )
     for rep in reports.values():
         assert rep.lhs == 0.0
@@ -198,7 +281,7 @@ def test_global_sobolev_tau_stability(ell):
 def test_pointwise_energy_zero_and_massless():
     zero_data = CauchyData(ZERO, ZERO, 2.0, 1.0)
     rep = pointwise_energy_check(
-        zero_data, slice_samples(boosted_data(zero_data, 1), build_slice(2.0, GRID, 1.0))
+        zero_data, slice_samples(zero_data, build_slice(2.0, GRID, 1.0), 1)
     )
     assert rep.lhs == 0.0
     data0 = bump_pair(mass=0.0)

@@ -1,6 +1,7 @@
-"""The run plan: one evaluator pass per tau for the slice data and its
-boosts across the slice suites, and small random configurations that end
-either in a rejection naming a key or in a summary."""
+"""The run plan: one evaluator pass per tau for the slice data's jet, from
+which its boosts are read, across the slice suites, and small random
+configurations that end either in a rejection naming a key or in a
+summary."""
 
 import contextlib
 import io
@@ -28,15 +29,14 @@ def _run(suite, config):
 
 
 def _count_calls(monkeypatch) -> dict:
-    calls = {"evaluate_at_points": 0, "iterated_boost_data": 0}
-    for name in calls:
-        original = getattr(hyperboloid, name)
+    calls = {"evaluate_at_points": 0}
+    original = hyperboloid.evaluate_at_points
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted(*args):
+        calls["evaluate_at_points"] += 1
+        return original(*args)
 
-        monkeypatch.setattr(hyperboloid, name, counted)
+    monkeypatch.setattr(hyperboloid, "evaluate_at_points", counted)
     return calls
 
 
@@ -45,20 +45,17 @@ def test_slice_samples_and_boosts_are_computed_once(monkeypatch):
     calls = _count_calls(monkeypatch)
     RunPlan.of.cache_clear()
     shared = [_run(suite, config) for suite in SLICE_SUITES]
-    # two taus, each sampled in one pass for the slice data and its one boost
-    assert calls == {"evaluate_at_points": 2, "iterated_boost_data": 1}
+    # two taus, each sampled in one pass for the slice data's jet
+    assert calls == {"evaluate_at_points": 2}
     for suite, result in zip(SLICE_SUITES, shared):
         RunPlan.of.cache_clear()
         assert _run(suite, config) == result
 
 
-@pytest.mark.parametrize(
-    "suite, boosts", [("all", 1), ("sobolev", 1), ("energy", 0)], ids=["all", "sobolev", "energy"]
-)
-def test_one_evaluator_pass_per_tau_after_validation(monkeypatch, suite, boosts):
-    # as the CLI runs them: validate() builds the boosts the selected suites
-    # read, then the slice suites run in `--suite all` order in one process;
-    # energy run alone samples the data only and builds no boost
+@pytest.mark.parametrize("suite", ["all", "sobolev", "energy"])
+def test_one_evaluator_pass_per_tau_after_validation(monkeypatch, suite):
+    # as the CLI runs them: validate(), then the slice suites in `--suite
+    # all` order in one process
     config = RunConfig(suite=suite, taus=(2.0, 4.0))
     calls = _count_calls(monkeypatch)
     RunPlan.of.cache_clear()
@@ -66,23 +63,24 @@ def test_one_evaluator_pass_per_tau_after_validation(monkeypatch, suite, boosts)
     for run in SLICE_SUITES:
         if suite in ("all", run.__name__.removeprefix("suite_")):
             _run(run, config)
-    assert calls == {"evaluate_at_points": 2, "iterated_boost_data": boosts}
+    assert calls == {"evaluate_at_points": 2}
 
 
 @pytest.mark.parametrize("suite, n_boosts", [("sobolev", 1), ("energy", 0)])
 def test_plan_samples_follow_the_order_of_its_boosts(suite, n_boosts):
-    # samples[tau][k] is the sample of boosts[k] on the tau-slice: the slice
-    # data first, then each boost the selected suites read
+    # samples[tau] holds the slice data's sample first, then one per boost
+    # the selected suites read (energy run alone reads none): L phi's values
+    # are x d_t phi + t d_x phi of the data's sample
     plan = RunPlan.of(RunConfig(suite=suite, taus=(2.0, 4.0)))
-    assert plan.boosts[0] is plan.slice_data and len(plan.boosts) == 1 + n_boosts
     for tau, samples in plan.samples.items():
         slc = plan.slices[tau]
-        assert len(samples) == len(plan.boosts)
-        for b, s in zip(plan.boosts, samples):
-            want = hyperboloid.sample_on_slice(b, slc)
-            assert s.slice is slc
-            for a, w in zip((s.phi, s.dphi_dt, s.grad), (want.phi, want.dphi_dt, want.grad)):
-                assert np.max(np.abs(a - w)) <= 1e-12 * np.max(np.abs(w))
+        assert len(samples) == 1 + n_boosts and all(s.slice is slc for s in samples)
+        s, want = samples[0], hyperboloid.sample_on_slice(plan.slice_data, slc)
+        for a, w in zip((s.phi, s.dphi_dt, s.grad), (want.phi, want.dphi_dt, want.grad)):
+            assert np.max(np.abs(a - w)) <= 1e-12 * np.max(np.abs(w))
+        if n_boosts:
+            boost = hyperboloid.boost_values(want, 0)
+            assert np.max(np.abs(samples[1].phi - boost)) <= 1e-12 * np.max(np.abs(boost))
 
 
 def test_plan_is_shared_per_config_value():
@@ -97,7 +95,9 @@ def test_plan_is_shared_per_config_value():
 def small_configs(draw):
     dim = draw(st.sampled_from((1, 2)))
     argv = [
-        "--suite", draw(st.sampled_from(("lp", "partition", "energy", "localized"))),
+        "--suite", draw(st.sampled_from(
+            ("lp", "energy", "sobolev", "partition", "pointwise", "localized")
+        )),
         "--dim", str(dim),
         "--grid-n", str(draw(st.sampled_from((16, 64, 256) if dim == 1 else (16, 32, 64)))),
         "--box-length", str(draw(st.sampled_from((8.0, 32.0, 140.0)))),

@@ -3,11 +3,10 @@ import pytest
 
 from kgdecay.bands import LittlewoodPaleyBank
 from kgdecay.bumps import bump_derivative_field, bump_field
-from kgdecay.errors import ConfigurationError, GridMismatchError
+from kgdecay.errors import ConfigurationError
 from kgdecay.grid import (
     Field,
     Grid,
-    SpectralField,
     coordinate_field,
     linf_norm,
     spatial_derivative,
@@ -19,7 +18,7 @@ from kgdecay.propagator import (
     data_support_radius,
     evaluate_at_points,
     flat_energy,
-    iterated_boost_data,
+    jet_columns,
 )
 from kgdecay.hyperboloid import build_slice
 
@@ -142,11 +141,11 @@ def test_evaluate_at_points_matches_evolve_on_grid():
     st = evolve(data, t)
     sel = np.arange(0, GRID.points_per_axis, 37)
     pts = GRID.axis_coordinates[sel].reshape(-1, 1)
-    phi, dphi, grad = evaluate_at_points(data, np.full(len(sel), t), pts)
+    phi, dphi, dx = evaluate_at_points(data, np.full(len(sel), t), pts)
     scale = linf_norm(st.phi)
     assert np.max(np.abs(phi - st.phi.values[sel])) <= 1e-10 * scale
     assert np.max(np.abs(dphi - st.dphi_dt.values[sel])) <= 1e-10 * scale
-    assert np.max(np.abs(grad[:, 0] - st.grad_phi[0].values[sel])) <= 1e-10 * scale
+    assert np.max(np.abs(dx - st.grad_phi[0].values[sel])) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize(
@@ -162,10 +161,10 @@ def test_evaluate_at_points_off_grid_closed_form(target, mass):
     rng = np.random.default_rng(2)
     ts = rng.uniform(2.0, 12.0, size=20)
     xs = rng.uniform(-20.0, 20.0, size=(20, 1))
-    phi, dphi, grad = evaluate_at_points(data, ts, xs)
+    phi, dphi, dx = evaluate_at_points(data, ts, xs)
     assert np.max(np.abs(phi - phi_exact(ts - 2.0, xs[:, 0]))) <= 1e-10
     assert np.max(np.abs(dphi - dphi_exact(ts - 2.0, xs[:, 0]))) <= 1e-10
-    assert np.max(np.abs(grad[:, 0] - dx_exact(ts - 2.0, xs[:, 0]))) <= 1e-10
+    assert np.max(np.abs(dx - dx_exact(ts - 2.0, xs[:, 0]))) <= 1e-10
 
 
 # data that are large on a Nyquist plane: the lattice lists only the -N/2
@@ -196,66 +195,34 @@ def test_evaluate_at_points_matches_direct_sum_oracle(case, mass):
     # the evaluator pairs the half-waves (xi, +w) and (-xi, -w), which
     # assumes Hermitian spectra (real data), as inverse_transform does; the
     # oracle sums every lattice mode on its own.  At mass 0 the zero mode of
-    # g grows linearly.  The slice points are lattice points, where a Nyquist
-    # mode's sin(x.xi) vanishes, so every third point is also evaluated a
-    # third of a cell off the lattice.
+    # g grows linearly, in phi only.  The slice points are lattice points,
+    # where a Nyquist mode's sin(x.xi) vanishes, so every third point is also
+    # evaluated a third of a cell off the lattice.  Every column of the jet
+    # the slice suites read (order floor(d/2) + 1) is compared, and its
+    # order-0 columns are those of an order-0 call.
     data, slc = oracle_case(case, mass)
     times = np.concatenate([slc.t, slc.t[::3]])
     points = np.concatenate([slc.points, slc.points[::3] + data.grid.spacing / 3.0])
-    got = evaluate_at_points(data, times, points)
-    want = direct_sum_oracle(data, times, points)
+    order = data.grid.dim // 2 + 1
+    got = evaluate_at_points(data, times, points, order)
+    want = direct_sum_oracle(data, times, points, order)
+    assert got.shape == want.shape == (len(jet_columns(data.grid.dim, order)), len(times))
     for a, b in zip(got, want):
         assert np.max(np.abs(b)) > 0.0
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    first = evaluate_at_points(data, times, points)
+    assert np.max(np.abs(first - got[: len(first)])) <= 1e-12 * np.max(np.abs(first))
 
 
-def stacked_case(dim, mass):
-    """(stack, slice): a band-limited piece of bump data (its spectrum cut to
-    |xi| <= 3, so its nonzero modes are a strict subset of the union the
-    stack is summed over), Nyquist-heavy data, zero data and bump data."""
-    heavy, slc = oracle_case("1d_nyquist" if dim == 1 else "2d_nyquist", mass)
-    bump, _ = oracle_case(f"{dim}d", mass)
-    grid = bump.grid
-    low = grid.frequency_norm <= 3.0
-    band = CauchyData.from_spectra(
-        *(SpectralField(grid, c * low) for c in bump.spectra), bump.t0, mass
-    )
-    zero = CauchyData(*(Field(grid, np.zeros(grid.shape)),) * 2, 2.0, mass)
-    return [band, heavy, zero, bump], slc
-
-
-@pytest.mark.parametrize("mass", [0.0, 1.0])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_stacked_evaluation_matches_direct_sum_oracle(dim, mass):
-    # one pass over the union of the stack's nonzero modes gives each data
-    # the values of its own single-data call and of the oracle, at lattice
-    # points and a third of a cell off them (where Nyquist modes' sines do
-    # not vanish); at mass 0 each data adds its own zero-mode growth, and the
-    # zero data's columns stay exactly zero
-    stack, slc = stacked_case(dim, mass)
-    times = np.concatenate([slc.t[::2], slc.t[1::6]])
-    points = np.concatenate([slc.points[::2], slc.points[1::6] + stack[0].grid.spacing / 3.0])
-    got = evaluate_at_points(stack[0], times, points, *stack[1:])
-    assert [a.shape for a in got] == [(4, len(times)), (4, len(times)), (4, len(times), dim)]
-    assert not any(a[2].any() for a in got)
-    for k in (0, 1, 3):
-        single = evaluate_at_points(stack[k], times, points)
-        want = direct_sum_oracle(stack[k], times, points)
-        for a, b, c in zip(got, single, want):
-            scale = np.max(np.abs(c))
-            assert scale > 0.0
-            assert np.max(np.abs(a[k] - b)) <= 1e-12 * scale
-            assert np.max(np.abs(a[k] - c)) <= 1e-12 * scale
-
-
-def test_stacked_evaluation_rejects_mismatched_data():
-    data = bump_pair(GRID)
-    other_grid = bump_pair(Grid(1, 512, 64.0))
-    with pytest.raises(GridMismatchError):
-        evaluate_at_points(data, [3.0], [[0.0]], data, other_grid)
-    for t0, mass in ((3.0, 1.0), (2.0, 0.5)):
-        with pytest.raises(ValueError, match="t0 and mass"):
-            evaluate_at_points(data, [3.0], [[0.0]], CauchyData(data.f, data.g, t0, mass))
+def test_jet_columns_count_and_order():
+    # j <= 1 and j + |alpha| <= order + 1; order 0 is (phi, d_t phi, grad)
+    assert jet_columns(1, 0) == [(0, 0), (0, 1), (1, 0)]
+    assert jet_columns(2, 0) == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0)]
+    assert len(jet_columns(1, 1)) == 5 and len(jet_columns(2, 2)) == 16
+    for dim, order in ((1, 1), (2, 2)):
+        columns = jet_columns(dim, order)
+        assert len(set(columns)) == len(columns)
+        assert all(k[-1] <= 1 and sum(k) <= order + 1 for k in columns)
 
 
 def test_evaluate_at_points_at_t0_returns_data():
@@ -269,9 +236,8 @@ def test_evaluate_at_points_at_t0_returns_data():
 
 def test_evaluate_at_points_empty():
     data = bump_pair(GRID)
-    phi, dphi, grad = evaluate_at_points(data, [], np.zeros((0, 1)))
-    assert phi.shape == (0,)
-    assert grad.shape == (0, 1)
+    assert evaluate_at_points(data, [], np.zeros((0, 1))).shape == (3, 0)
+    assert evaluate_at_points(data, [], np.zeros((0, 1)), 1).shape == (5, 0)
 
 
 def test_boost_data_reads_off_formulas_for_zero_f():
@@ -315,13 +281,6 @@ def test_boost_commutation_two_path():
         direct = x * st.dphi_dt.values + t * st.grad_phi[0].values
         via = evolve(boosted, t).phi.values
         assert np.max(np.abs(direct - via)) <= 1e-8 * np.max(np.abs(direct))
-
-
-def test_iterated_boost_matches_nested():
-    data = bump_pair(GRID)
-    once = boost_commuted_data(boost_commuted_data(data, 0), 0)
-    twice = iterated_boost_data(data, (0, 0))
-    assert np.max(np.abs(once.f.values - twice.f.values)) == 0.0
 
 
 def test_support_radius_detection():

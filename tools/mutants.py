@@ -63,7 +63,7 @@ MUTANTS = [
     ("Szego cosine factor set to 1", "src/kgdecay/decay.py",
      "/ np.cos(sigma * delta) + tails", "/ 1.0 + tails"),
     ("mass-0 zero-mode term dropped", "src/kgdecay/propagator.py",
-     "vals[:, :, 0] += dt[:, None] * np.sum(gh[:, zero].real, axis=-1)", "pass"),
+     "vals[:, 0] += dt * np.sum(gh[zero].real)", "pass"),
     # Hermitian pairing of the point evaluator's half-waves
     ("Nyquist-plane modes doubled too, their - half-waves dropped",
      "src/kgdecay/propagator.py",
@@ -73,18 +73,18 @@ MUTANTS = [
      "(-1.0, nyquist)", "(-1.0, nyquist & False)"),
     ("+ half-waves not doubled", "src/kgdecay/propagator.py",
      "half = np.where(nyquist, 0.5, 1.0)", "half = 0.5"),
-    # one pass for a stack of data
-    ("zero-mode term of the first data added to every data", "src/kgdecay/propagator.py",
-     "np.sum(gh[:, zero].real, axis=-1)", "np.sum(gh[:1, zero].real, axis=-1)"),
-    ("the first data's modes summed instead of the union", "src/kgdecay/propagator.py",
-     "(c != 0 for c in spectra)", "(c != 0 for c in spectra[:2])"),
-    ("output columns offset by one", "src/kgdecay/propagator.py",
-     "vals = vals.reshape(len(x), n, cols)",
-     "vals = np.roll(vals, 1, axis=1).reshape(len(x), n, cols)"),
-    ("coefficient columns laid out data-major in the half-waves", "src/kgdecay/propagator.py",
-     ".transpose(1, 0, 2).reshape(-1, n * cols)", ".reshape(-1, n * cols)"),
-    ("stacked slice samples handed out in reverse order", "src/kgdecay/hyperboloid.py",
-     "zip(*columns)", "zip(*(c[::-1] for c in columns))"),
+    # the slice data's jet and the boosts read from it
+    ("m^2 sign flipped in d_t^2 = Lap - m^2", "src/kgdecay/hyperboloid.py",
+     "- m2 * u[_shift(k, d, -2)]", "+ m2 * u[_shift(k, d, -2)]"),
+    ("alpha_i term of the boost rule dropped", "src/kgdecay/hyperboloid.py",
+     "k[i] * v.get(_shift(_shift(k, i, -1), d), 0.0)", "0.0"),
+    ("j term of the boost rule dropped", "src/kgdecay/hyperboloid.py",
+     "k[d] * v.get(_shift(_shift(k, i), d, -1), 0.0)", "0.0"),
+    ("x-derivative columns multiplied by xi in place of i xi", "src/kgdecay/propagator.py",
+     "ixi = 1j * xi[keep]", "ixi = xi[keep] + 0j"),
+    ("boosts applied right to left", "src/kgdecay/hyperboloid.py",
+     "jets[axes[1:]], axes[0], slc.points[:, axes[0]]",
+     "jets[axes[:-1]], axes[-1], slc.points[:, axes[-1]]"),
     ("slice rows read without their boosts' samples", "src/kgdecay/hyperboloid.py",
      "if rhs and len(samples) !=", "if False and len(samples) !="),
     ("lowfreq weight 1 + t replaced by t", "src/kgdecay/decay.py",
@@ -107,10 +107,13 @@ MUTANTS = [
     ("cell offsets halved", "src/kgdecay/decay.py",
      "/ (2 * resolution)", "/ (4 * resolution)"),
     # resolution gates
+    ("resolution gates switched off", "src/kgdecay/plan.py",
+     "if tail <= limit:", "if True:"),
     ("slice resolution gate switched off", "src/kgdecay/plan.py",
-     "if tail > limit:", "if False:"),
+     '+ self._unresolved("slice data", self.slice_data, limit, at)', "+ []"),
     ("localized resolution gate switched off", "src/kgdecay/plan.py",
-     "if tail <= MAX_NYQUIST_TAIL:", "if True:"),
+     'return self._unresolved("localized data", self.localized_data, MAX_NYQUIST_TAIL)',
+     "return []"),
     ("fit-time gate on the mass switched off", "src/kgdecay/config.py",
      "n_fit is not None and n_fit < MIN_FIT_SAMPLES", "False"),
     ("partition box gate switched off", "src/kgdecay/config.py",
