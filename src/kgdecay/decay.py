@@ -39,7 +39,7 @@ import numpy as np
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .errors import ConfigurationError
 from .grid import Field, Grid, l1_norm, signed_modes, sobolev_h_norm, upsample_values
-from .propagator import CauchyData, _evolved, nonzero_modes
+from .propagator import CauchyData, _evolved, hermitian_partners, nonzero_modes
 
 DEGENERATE_NORM = 1e-12
 MIN_FIT_SAMPLES = 5  # fewest times in the fit window a decay exponent is fitted on
@@ -121,18 +121,15 @@ def _paired(grid: Grid, table) -> tuple:
     """The nonzero-mode ``table`` (modes, xi, omega, f_hat, g_hat) with each
     mode -k folded into its partner k, the first of the two: Re sum F_k
     exp(i xi.x) keeps its value with F_k + conj F_-k at k, and the evolution
-    multipliers are real and even in xi.  A mode with a component at -N/2
-    has no partner in the table."""
+    multipliers are real and even in xi.  A mode that is its own
+    ``hermitian_partners`` entry (the zero mode, a mode on a Nyquist plane)
+    stays as it is."""
     modes, _, _, f_hat, g_hat = table
-    n, count, signed = grid.points_per_axis, np.arange(len(modes)), signed_modes(grid, modes)
-    position = np.full(n**grid.dim, -1)
-    position[modes] = count
-    partner = position[np.ravel_multi_index(tuple((-signed % n).T), grid.shape)]
-    partner[np.any(signed == -n // 2, axis=-1)] = -1
+    partner, count = hermitian_partners(grid, modes), np.arange(len(modes))
     folded = partner > count
     for c in (f_hat, g_hat):
         c[folded] += np.conj(c[partner[folded]])
-    return tuple(a[(partner < 0) | (partner >= count)] for a in table)
+    return tuple(a[partner >= count] for a in table)
 
 
 def sup_norms(data: CauchyData, times) -> tuple:
@@ -155,9 +152,10 @@ def sup_norms(data: CauchyData, times) -> tuple:
     amplitudes at most the modes' euclidean norms.
 
     While a bracket is wider than ``BRACKET_WIDTH``, the candidate cells of
-    the wide fields are sampled at resolution R = 2, 4, ..., from the
-    curve's last R; the top split alone gives a width of at most
-    1 / cos(sigma_max delta0 / R) - 1, so R stops at 8.
+    the wide fields are sampled at resolution R, the first of 2, 4, 8 at
+    which the top split alone gives a width 1 / cos(sigma_max delta0 / R) - 1
+    of at most ``BRACKET_WIDTH`` (sigma_max delta0 <= 1), so one pass per
+    time narrows them; R doubles only if rounding leaves a bracket wide.
     """
     g, table = data.grid, nonzero_modes(data)
     order = np.argsort(g.frequency_norm.ravel()[table[0]], kind="stable")
@@ -168,6 +166,8 @@ def sup_norms(data: CauchyData, times) -> tuple:
     if not len(modes):
         return upper, lower
     lattice, resolution = _Lattice(g, modes, xi, sigma), 2
+    while 1.0 / np.cos(sigma[-1] * lattice.delta0 / resolution) - 1.0 > BRACKET_WIDTH:
+        resolution *= 2
     for i, t in enumerate(times):
         phi_hat, dphi_hat = _evolved(t - data.t0, omega, f_hat, g_hat)
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])

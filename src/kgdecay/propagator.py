@@ -10,10 +10,11 @@ with dt = t - t0 and sin(dt*omega)/omega -> dt as omega -> 0.  The grid
 propagator applies these multipliers.  The pointwise evaluator used for
 sampling on curved slices splits each nonzero mode into its two half-waves
 exp(+-i dt omega) and sums them directly at space-time points.  Real data
-have Hermitian spectra, so the half-wave (-xi, -omega) has the same real
-term as (xi, +omega): the sum runs over the + half-waves, doubled, plus both
-half-waves of the modes on a Nyquist plane, whose negation is not listed.
-A derivative d_x^alpha d_t^j phi multiplies each half-wave's coefficient by
+have Hermitian spectra, so the sum runs over the + half-waves, doubled.
+omega is even in xi, and a slice has the same t at x and -x, so a mode and
+its negation, and a point and its mirror, share exp(i dt omega): each pair
+of modes at each pair of points costs one cos and one sin.  A derivative
+d_x^alpha d_t^j phi multiplies each half-wave's coefficient by
 (i xi)^alpha (+-i w)^j and keeps its phase, so one pass sums all of them.
 """
 
@@ -33,12 +34,15 @@ from .grid import (
     l2_norm,
     laplacian,
     multi_indices,
+    signed_modes,
     spatial_derivative,
 )
 
-# cap on points*half-waves per block of a direct Fourier evaluation at
-# arbitrary points (4 MB per real phase array); more columns widen a block
-EVAL_CHUNK_ENTRIES = 2**19
+# cap on point pairs x mode pairs per block of a direct Fourier evaluation
+# at arbitrary points, sized by bytes: a block's temporaries (the angles,
+# their cos and sin, the complex phase, one product) are 7 float64 per
+# entry, under 2 MB; more columns widen a block
+EVAL_CHUNK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -132,6 +136,58 @@ def jet_columns(dim: int, order: int) -> list:
     return sorted(columns, key=lambda k: (sum(k), -k[-1], [-a for a in k]))
 
 
+def hermitian_partners(grid: Grid, modes) -> np.ndarray:
+    """For each of the lattice ``modes`` (flat indices), the position in
+    ``modes`` of its partner, mode -k, or its own position where -k is not
+    listed or k lies on a Nyquist plane: a component -N/2, whose negation
+    +N/2 the lattice does not list.  Real data have F_-k = conj F_k."""
+    n, count, signed = grid.points_per_axis, np.arange(len(modes)), signed_modes(grid, modes)
+    position = np.full(n**grid.dim, -1)
+    position[modes] = count
+    partner = position[np.ravel_multi_index(tuple((-signed % n).T), grid.shape)]
+    own = (partner < 0) | np.any(signed == -n // 2, axis=-1)
+    return np.where(own, count, partner)
+
+
+def _jet_coefficients(columns, xi, omega, f_hat, g_hat) -> np.ndarray:
+    """The doubled + half-wave coefficient of each jet column at each mode,
+    shape (C, M): (i xi)^alpha times c = f_hat - i g_hat / w (f_hat at w = 0),
+    or times its d_t coefficient g_hat + i w f_hat."""
+    g_over_w = np.divide(g_hat, omega, out=np.zeros_like(g_hat), where=omega != 0.0)
+    c, dc = f_hat - 1j * g_over_w, g_hat + 1j * omega * f_hat
+    ixi = 1j * xi
+    return np.stack([np.prod(ixi ** k[:-1], -1) * (c, dc)[k[-1]] for k in columns])
+
+
+def _mirror_pairs(times, points) -> tuple:
+    """Index arrays (rows, mirrors): each point is one of the ``rows`` or
+    the exact negation, at the same time, of the row at its position in
+    ``mirrors``, which pairs the first ``len(mirrors)`` rows."""
+    n, count = len(times), np.arange(len(times))
+    keys = np.concatenate([np.column_stack([times, points]), np.column_stack([times, -points])])
+    ids = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    last = np.full(n and ids.max() + 1, -1)
+    last[ids[:n]] = count
+    partner = last[ids[n:]]  # a point at the negation of each point, or -1
+    first = np.flatnonzero(partner > count)
+    first = first[partner[partner[first]] == first]
+    mirrors = partner[first]
+    alone = np.ones(n, dtype=bool)
+    alone[first] = alone[mirrors] = False
+    return np.concatenate([first, np.flatnonzero(alone)]), mirrors
+
+
+def _phase_tables(k, box_length: float) -> tuple:
+    """Frequencies and lookups that build exp(i 2 pi k x / L) for integers
+    ``k`` from two small tables per point, exp(i 2 pi (k0 + q s) x / L) and
+    exp(i 2 pi r x / L), k = k0 + q s + r with 0 <= r < s ~ sqrt(range)."""
+    k0 = np.min(k, initial=0)
+    s = int(np.ceil(np.sqrt(np.max(k, initial=0) - k0 + 1)))
+    q, r = np.divmod(k - k0, s)
+    unit = 2.0 * np.pi / box_length
+    return unit * (k0 + s * np.arange(np.max(q, initial=0) + 1)), q, unit * np.arange(s), r
+
+
 def evaluate_at_points(data: CauchyData, times, points, order: int = 0) -> np.ndarray:
     """The columns d_x^alpha d_t^j phi, keyed by ``jet_columns(d, order)``,
     at space-time points: ``times`` (P,) and ``points`` (P, d) give
@@ -143,40 +199,63 @@ def evaluate_at_points(data: CauchyData, times, points, order: int = 0) -> np.nd
     (i xi)^alpha times the one or the other.  Hermitian spectra (as
     ``inverse_transform`` assumes) give c-(-xi) = conj c+(xi), so the
     half-wave (-xi, -w) adds the real term of (xi, +w): the sum runs over the
-    + half-waves with doubled coefficients, plus both half-waves of each mode
-    on a Nyquist plane (a component at the -N/2 entry of ``fftfreq``), whose
-    negation is not a listed mode.  It is one real sum cos(theta) Re c -
-    sin(theta) Im c, theta = x.xi + dt (+-w), in blocks of at most
-    ``EVAL_CHUNK_ENTRIES`` points x half-waves.  A mode with w = 0 (the zero
-    mode at mass 0) adds f_hat + dt g_hat to phi and g_hat to d_t phi only.
+    + half-waves with doubled coefficients.  Each mode k is taken with its
+    ``hermitian_partners`` entry -k: with P and Q their columns' doubled
+    coefficients and A = exp(i dt w), the pair adds
+
+        Re A (exp(i xi.x) P + exp(-i xi.x) Q)
+            = Re A cos(xi.x) (P + Q) + Re i A sin(xi.x) (P - Q),
+
+    and at -x and the same time the first term minus the second.  A mode
+    that is its own partner (the zero mode, a mode on a Nyquist plane, whose
+    negation is not a listed mode) keeps both of its half-waves: P and Q are
+    half its own and half the conjugate data's.  A point whose negation at
+    the same time is also requested is summed once for both; any other
+    point on its own.  exp(i xi.x) is built per axis from two small tables
+    (``_phase_tables``), so the trigonometry per point pair and mode pair is
+    one cos and one sin of dt w, in blocks of at most ``EVAL_CHUNK_ENTRIES``
+    point pairs x mode pairs.  A mode with w = 0 (the zero mode at mass 0)
+    adds f_hat + dt g_hat to phi and g_hat to d_t phi only.
     """
     g = data.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
     points = np.asarray(points, dtype=float).reshape(len(times), g.dim)
     dt = times - data.t0
-    _, xi, omega, fh, gh = nonzero_modes(data)
+    modes, xi, omega, fh, gh = nonzero_modes(data)
     columns = jet_columns(g.dim, order)
-    zero = omega == 0.0
-    g_over_w = np.divide(gh, omega, out=np.zeros_like(gh), where=~zero)
-    nyquist = np.any(xi == g.axis_frequencies[g.points_per_axis // 2], axis=-1)
-    half = np.where(nyquist, 0.5, 1.0)
-    half_waves, frequencies = [], []
-    for sign, keep in ((1.0, slice(None)), (-1.0, nyquist)):
-        c = (half * (fh - sign * 1j * g_over_w))[keep]
-        dc = (half * (gh + sign * 1j * omega * fh))[keep]
-        ixi = 1j * xi[keep]
-        cols = [np.prod(ixi ** k[:-1], -1) * (c, dc)[k[-1]] for k in columns]
-        half_waves.append(np.stack(cols, -1))
-        frequencies.append(np.column_stack([xi[keep], sign * omega[keep]]))
-    coeff = np.concatenate(half_waves)  # (half-wave, column)
-    frequencies = np.concatenate(frequencies)
-    x = np.column_stack([points, dt])
-    vals = np.empty((len(x), len(columns)))
-    rows = max(1, EVAL_CHUNK_ENTRIES // max(1, len(coeff)))
-    for lo in range(0, len(x), rows):
-        theta = x[lo : lo + rows] @ frequencies.T
-        vals[lo : lo + rows] = np.cos(theta) @ coeff.real - np.sin(theta, out=theta) @ coeff.imag
-    vals[:, 0] += dt * np.sum(gh[zero].real)
+    partner, count = hermitian_partners(g, modes), np.arange(len(modes))
+    lead = partner >= count  # each pair once, at its first mode
+    own = partner[lead] == count[lead]
+    spectra = np.stack([fh, gh])
+    minus = np.where(own, np.conj(spectra[:, lead]), spectra[:, partner[lead]])
+    weight = np.where(own, 0.5, 1.0)
+    w = omega[lead]
+    coeff = weight * _jet_coefficients(columns, xi[lead], w, *spectra[:, lead])
+    mirror = weight * _jet_coefficients(columns, -xi[lead], w, *minus)
+    # (C, 2 x mode pairs), used transposed: with column-major coefficients
+    # the block products round alike for any number of columns
+    even = np.concatenate([(coeff + mirror).real, -(coeff + mirror).imag], axis=1)
+    odd = np.concatenate([-(coeff - mirror).imag, -(coeff - mirror).real], axis=1)
+    del coeff, mirror
+    tables = [_phase_tables(k, g.box_length) for k in signed_modes(g, modes[lead]).T]
+    rows, mirrors = _mirror_pairs(times, points)
+    vals = np.empty((len(times), len(columns)))
+    step = max(1, EVAL_CHUNK_ENTRIES // max(1, len(w)))
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        angles, cos_sin = np.multiply.outer(dt[block], w), np.empty((len(block), 2, len(w)))
+        np.cos(angles, out=cos_sin[:, 0])
+        np.sin(angles, out=cos_sin[:, 1])
+        phase = np.ones((len(block), len(w)), dtype=complex)  # exp(i xi.x)
+        for x, (hi, q, low, r) in zip(points[block].T, tables):
+            phase *= np.take(np.exp(1j * np.multiply.outer(x, hi)), q, axis=1)
+            phase *= np.take(np.exp(1j * np.multiply.outer(x, low)), r, axis=1)
+        even_part = (cos_sin * phase.real[:, None]).reshape(len(block), -1) @ even.T
+        odd_part = (cos_sin * phase.imag[:, None]).reshape(len(block), -1) @ odd.T
+        vals[block] = even_part + odd_part
+        pairs = mirrors[lo : lo + step]
+        vals[pairs] = (even_part - odd_part)[: len(pairs)]
+    vals[:, 0] += dt * np.sum(gh[omega == 0.0].real)
     vals /= g.box_length**g.dim
     return vals.T
 

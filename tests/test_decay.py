@@ -10,6 +10,7 @@ from kgdecay import propagator as propagator_module
 from kgdecay.bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from kgdecay.bumps import bump_derivative_field, bump_field
 from kgdecay.decay import (
+    BRACKET_WIDTH,
     SPLIT_TAIL,
     SUP_FIELDS,
     DecayCurve,
@@ -523,20 +524,24 @@ def test_sup_norms_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_sup_norms_build_one_offset_table_per_curve_and_resolution(monkeypatch):
-    # band 4 of highfreq's sweep doubles its resolution 2 -> 4 -> 8 at the
-    # first time and keeps the x8 offsets for the other twelve
+    # band 4 of highfreq's sweep starts at the resolution its top split
+    # needs, x8 (x4 would leave it wider than BRACKET_WIDTH), and keeps one
+    # table of x8 offsets for all thirteen times
     tables = []
 
     def spy(lattice, coefficients, cells, resolution):
         best = maxima(lattice, coefficients, cells, resolution)
         tables.append((resolution, lattice.offsets[resolution]))  # kept alive
+        reach = np.max(np.linalg.norm(lattice.xi, axis=-1)) * lattice.delta0
+        assert 1.0 / np.cos(reach / (resolution / 2)) - 1.0 > BRACKET_WIDTH
+        assert 1.0 / np.cos(reach / resolution) - 1.0 <= BRACKET_WIDTH
         return best
 
     maxima = _Lattice.maxima
     monkeypatch.setattr(_Lattice, "maxima", spy)
     sup_norms(wide_band_data(4), HIGHFREQ_LATE_TIMES)
-    assert [r for r, _ in tables] == [2, 4] + [8] * len(HIGHFREQ_LATE_TIMES)
-    assert len({id(table) for _, table in tables}) == 3
+    assert [r for r, _ in tables] == [8] * len(HIGHFREQ_LATE_TIMES)
+    assert len({id(table) for _, table in tables}) == 1
 
 
 def test_lowfreq_zero_data_skipped():

@@ -11,8 +11,10 @@ from kgdecay.grid import (
     linf_norm,
     spatial_derivative,
 )
+from kgdecay import propagator as propagator_module
 from kgdecay.propagator import (
     CauchyData,
+    _mirror_pairs,
     _multipliers,
     boost_commuted_data,
     data_support_radius,
@@ -212,6 +214,78 @@ def test_evaluate_at_points_matches_direct_sum_oracle(case, mass):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
     first = evaluate_at_points(data, times, points)
     assert np.max(np.abs(first - got[: len(first)])) <= 1e-12 * np.max(np.abs(first))
+
+
+def pairing_data(case):
+    """Data for the mode- and mirror-pairing cases: a 1-D bump; 1-D data
+    large on the Nyquist mode at mass 0; random real 2-D data, which fill
+    both half-spaces of modes and the Nyquist planes, at mass 0.7 and 0."""
+    if case == "1d_bump":
+        return bump_pair(GRID)
+    if case == "1d_nyquist_mass_0":
+        return oracle_case("1d_nyquist", 0.0)[0]
+    grid = Grid(2, 16, 8.0)
+    f, g = np.random.default_rng(3).normal(size=(2,) + grid.shape)
+    return CauchyData(Field(grid, f), Field(grid, g), 2.0, 0.7 if case == "2d_random" else 0.0)
+
+
+def pairing_points(case, dim):
+    """(times, points, mirror pairs _mirror_pairs should find): random
+    points off the lattice, with or without their negations."""
+    rng = np.random.default_rng(4)
+    t, x = rng.uniform(0.5, 9.0, size=8), rng.uniform(-6.0, 6.0, size=(8, dim))
+    if case == "no_mirrors":
+        return t, x, 0
+    if case == "mirror_at_another_time":
+        return np.concatenate([t, t + 0.5]), np.concatenate([x, -x]), 0
+    if case == "mirrors_off_lattice":  # shuffled, so a point and its mirror lie apart
+        order = rng.permutation(16)
+        return np.concatenate([t, t])[order], np.concatenate([x, -x])[order], 8
+    # the origin twice, x0 three times against one -x0, x1 once against two -x1
+    zero = np.zeros(dim)
+    pts = np.stack([zero, x[0], x[0], -x[1], zero, x[0], -x[0], x[1], -x[1]])
+    return np.array([t[0], t[0], t[0], t[1], t[0], t[0], t[0], t[1], t[1]]), pts, 2
+
+
+@pytest.mark.parametrize("chunk", [None, 1])  # 1: one point pair per block
+@pytest.mark.parametrize(
+    "points_case",
+    ["no_mirrors", "mirror_at_another_time", "mirrors_off_lattice", "origin_and_repeats"],
+)
+@pytest.mark.parametrize(
+    "data_case", ["1d_bump", "1d_nyquist_mass_0", "2d_random", "2d_random_mass_0"]
+)
+def test_mode_and_mirror_pairing_match_direct_sum_oracle(data_case, points_case, chunk, monkeypatch):
+    # each mode is summed with its partner -k and each point found with its
+    # mirror once; a mirror at another time, a repeat or the origin is
+    # summed on its own, and none of it changes the values
+    if chunk is not None:
+        monkeypatch.setattr(propagator_module, "EVAL_CHUNK_ENTRIES", chunk)
+    data = pairing_data(data_case)
+    times, points, pairs = pairing_points(points_case, data.grid.dim)
+    rows, mirrors = _mirror_pairs(times, points)
+    assert len(mirrors) == pairs and len(rows) + len(mirrors) == len(times)
+    assert sorted(np.concatenate([rows, mirrors])) == list(range(len(times)))
+    assert np.all(points[mirrors] == -points[rows[:pairs]])
+    assert np.all(times[mirrors] == times[rows[:pairs]])
+    order = data.grid.dim // 2 + 1
+    got = evaluate_at_points(data, times, points, order)
+    want = direct_sum_oracle(data, times, points, order)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(b)) > 0.0
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("grid", [GRID, Grid(2, 32, 16.0)], ids=["1d", "2d"])
+def test_slice_points_come_in_mirror_pairs(grid):
+    # the evaluator sums a point and its negation at the same time once:
+    # every slice point but the origin has its mirror on the slice
+    for tau in (0.5, 2.0, 3.0):
+        slc = build_slice(tau, grid, 1.0, 2.0)
+        on_slice = {tuple(row) for row in np.column_stack([slc.t, slc.points])}
+        assert all((t, *(-x)) in on_slice for t, x in zip(slc.t, slc.points))
+        rows, mirrors = _mirror_pairs(slc.t, slc.points)
+        assert 2 * len(mirrors) + 1 == slc.n_points == len(rows) + len(mirrors)
 
 
 def test_jet_columns_count_and_order():

@@ -63,16 +63,26 @@ MUTANTS = [
     ("Szego cosine factor set to 1", "src/kgdecay/decay.py",
      "/ np.cos(sigma * delta) + tails", "/ 1.0 + tails"),
     ("mass-0 zero-mode term dropped", "src/kgdecay/propagator.py",
-     "vals[:, 0] += dt * np.sum(gh[zero].real)", "pass"),
+     "vals[:, 0] += dt * np.sum(gh[omega == 0.0].real)", "pass"),
     # Hermitian pairing of the point evaluator's half-waves
     ("Nyquist-plane modes doubled too, their - half-waves dropped",
      "src/kgdecay/propagator.py",
-     "np.any(xi == g.axis_frequencies[g.points_per_axis // 2], axis=-1)",
-     "np.zeros(len(xi), dtype=bool)"),
+     "np.where(own, np.conj(spectra[:, lead]), spectra[:, partner[lead]])\n"
+     "    weight = np.where(own, 0.5, 1.0)\n",
+     "np.where(own, 0.0, spectra[:, partner[lead]])\n    weight = 1.0\n"),
     ("Nyquist - half-waves dropped", "src/kgdecay/propagator.py",
-     "(-1.0, nyquist)", "(-1.0, nyquist & False)"),
+     "np.where(own, np.conj(spectra[:, lead]),", "np.where(own, 0.0 * spectra[:, lead],"),
     ("+ half-waves not doubled", "src/kgdecay/propagator.py",
-     "half = np.where(nyquist, 0.5, 1.0)", "half = 0.5"),
+     "weight = np.where(own, 0.5, 1.0)", "weight = 0.5"),
+    ("Nyquist-plane modes paired with their alias", "src/kgdecay/propagator.py",
+     "own = (partner < 0) | np.any(signed == -n // 2, axis=-1)", "own = partner < 0"),
+    # mode and mirror pairing of the point evaluator
+    ("mirror values written with U and V swapped", "src/kgdecay/propagator.py",
+     "vals[pairs] = (even_part - odd_part)", "vals[pairs] = (even_part + odd_part)"),
+    ("the -k partner's coefficients dropped", "src/kgdecay/propagator.py",
+     "spectra[:, partner[lead]])\n", "0.0 * spectra[:, partner[lead]])\n"),
+    ("a two-level phase table shifted by one", "src/kgdecay/propagator.py",
+     "unit * np.arange(s), r", "unit * np.arange(1, s + 1), r"),
     # the slice data's jet and the boosts read from it
     ("m^2 sign flipped in d_t^2 = Lap - m^2", "src/kgdecay/hyperboloid.py",
      "- m2 * u[_shift(k, d, -2)]", "+ m2 * u[_shift(k, d, -2)]"),
@@ -81,7 +91,7 @@ MUTANTS = [
     ("j term of the boost rule dropped", "src/kgdecay/hyperboloid.py",
      "k[d] * v.get(_shift(_shift(k, i), d, -1), 0.0)", "0.0"),
     ("x-derivative columns multiplied by xi in place of i xi", "src/kgdecay/propagator.py",
-     "ixi = 1j * xi[keep]", "ixi = xi[keep] + 0j"),
+     "ixi = 1j * xi", "ixi = xi + 0j"),
     ("boosts applied right to left", "src/kgdecay/hyperboloid.py",
      "jets[axes[1:]], axes[0], slc.points[:, axes[0]]",
      "jets[axes[:-1]], axes[-1], slc.points[:, axes[-1]]"),
