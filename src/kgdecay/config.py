@@ -41,7 +41,10 @@ def parse_times(spec: str) -> tuple:
     try:
         if ":" in spec:
             lo, hi, n = spec.split(":")
-            return tuple(np.geomspace(_finite(lo), _finite(hi), int(n)))
+            ends = _finite(lo), _finite(hi)
+            if min(ends) <= 0.0:
+                raise ValueError("lo and hi must be positive")
+            return tuple(np.geomspace(*ends, int(n)))
         return tuple(_finite(s) for s in spec.split(","))
     except ValueError as exc:
         raise ConfigurationError(f"not a comma list of numbers or lo:hi:n ({exc})") from None

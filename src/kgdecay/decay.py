@@ -18,16 +18,12 @@ projected data at t = 0 ("origin" in the reports); their spectra are the
 projected spectra themselves, exactly zero off the band.  The localized check
 takes its data at t = 2 ("data2") and weights by plain t.
 
-A sup curve is one sweep per curve over the nonzero modes: the lattice modes
-where the data spectra are nonzero are found once, each mode -k is folded
-into its partner k, and at each time only they are evolved.  Each sup is a
-certified bracket: below, the maximum over the points sampled; above, a
-bound by Szegő's inequality for functions of exponential type (van der
-Corput and Schaake 1935; Boas, Entire Functions, 1954).  One real inverse
-FFT of phi, d_t phi and grad phi samples a coarse lattice sized by the
-data's band; only the cells of that lattice that can hold a maximizer are
-then sampled more finely, by one matrix product, until the brackets are
-narrow.  The reports read the upper ends.
+A sup curve is one sweep over the nonzero modes of its data, each mode -k
+folded into its partner k.  Each sup is a certified bracket: below, the
+maximum over the points sampled; above, that maximum over the cosine of
+Szegő's bound for functions of exponential type at the data's top frequency
+(van der Corput and Schaake 1935; Boas, Entire Functions, 1954).  The
+reports read the upper ends.
 """
 
 from __future__ import annotations
@@ -39,16 +35,12 @@ import numpy as np
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .errors import ConfigurationError
 from .grid import Field, Grid, l1_norm, signed_modes, sobolev_h_norm, upsample_values
-from .propagator import CauchyData, _evolved, hermitian_partners, nonzero_modes
+from .propagator import CauchyData, _evolved, hermitian_pairs, nonzero_modes
 
 DEGENERATE_NORM = 1e-12
 MIN_FIT_SAMPLES = 5  # fewest times in the fit window a decay exponent is fitted on
-# the relative width (upper / lower - 1) that the sup brackets' refinement
-# doubles towards
+# the largest relative width (upper / lower - 1) of a sup bracket
 BRACKET_WIDTH = 1e-2
-# the splits of the Szegő bound: those whose tail is at most this share of
-# the coarse maximum (the top split, with no tail, always among them)
-SPLIT_TAIL = 1e-3
 # modes x cells in one block of the refinement product
 REFINE_CHUNK_ENTRIES = 2**16
 
@@ -78,35 +70,43 @@ def _quantities(values) -> np.ndarray:
 class _Lattice:
     """The coarse lattice of a sup curve, m points per axis: the smallest
     power of two with m > 2 max |k_a| over the modes, so that its samples
-    determine the fields, and sigma_max delta0 <= 1 for the half-diagonal
-    delta0 = L sqrt(d) / (2 m) of its cells.  Cell i is the cube of
-    half-side L / (2 m) around the point -L/2 + i L / m; at resolution R it
-    is sampled at the R^d centres of its sub-cells, within delta0 / R of each
-    of its points.  Mode k's phase there is the cell's factor
-    exp(2 pi i (k.i mod m) / m), looked up in the m roots of unity, times
-    the offset's factor, kept for the last resolution."""
+    determine the fields, and ``reach`` = sigma_max delta0 <= 1 for the top
+    frequency sigma_max and the cells' half-diagonal delta0 = L sqrt(d) / (2 m).
+    Cell i is the cube of half-side L / (2 m) around -L/2 + i L / m; at
+    resolution R it is sampled at the R^d centres of its sub-cells, within
+    delta0 / R of each of its points.  The lattice's ``resolution`` is the
+    first R of 2, 4, 8, ... with 1 / cos(reach / R) - 1 <= ``BRACKET_WIDTH``.
+    Mode k's phase at a centre is the cell's factor exp(2 pi i (k.i mod m) / m),
+    from the m roots of unity, times the offset's, from a table built once."""
 
-    def __init__(self, grid: Grid, modes, xi, sigma):
+    def __init__(self, grid: Grid, modes, xi):
         self.grid, self.xi, self.signed, self.m = grid, xi, signed_modes(grid, modes), 2
-        reach = sigma[-1] * grid.box_length * np.sqrt(grid.dim) / 2
-        while self.m <= 2 * np.max(np.abs(self.signed)) or self.m < reach:
+        sigma_max = np.sqrt(np.max(np.sum(xi**2, axis=-1)))
+        while (self.m <= 2 * np.max(np.abs(self.signed))
+               or self.m < sigma_max * grid.box_length * np.sqrt(grid.dim) / 2):
             self.m *= 2
         self.delta0 = grid.box_length * np.sqrt(grid.dim) / (2 * self.m)
+        self.reach, self.resolution = sigma_max * self.delta0, 2
+        while 1.0 / np.cos(self.reach / self.resolution) - 1.0 > BRACKET_WIDTH:
+            self.resolution *= 2
         self.roots = np.exp(2j * np.pi / self.m * np.arange(self.m))
         self.phase = grid.alternating_phase.ravel()[modes] / grid.box_length**grid.dim
-        self.offsets = {}
+        self.offsets = self._offsets(self.resolution)
+
+    def _offsets(self, resolution: int) -> np.ndarray:
+        """exp(i xi.o) for the R^d sub-cell centres o, shape (R^d, M)."""
+        g = self.grid
+        steps = (2 * np.arange(resolution) + 1 - resolution) / (2 * resolution)
+        o = np.stack(np.meshgrid(*[steps * (g.box_length / self.m)] * g.dim, indexing="ij"))
+        return np.exp(1j * (o.reshape(g.dim, -1).T @ self.xi.T))
 
     def maxima(self, coefficients, cells, resolution: int) -> np.ndarray:
         """The maxima of ``_quantities`` over the sub-cell centres of the
         ``cells`` (flat lattice indices): one product
         (fields x offsets, M) @ (M, cells) per block of cells."""
         g, count = self.grid, len(self.signed)
-        if resolution not in self.offsets:
-            steps = (2 * np.arange(resolution) + 1 - resolution) / (2 * resolution)
-            o = np.stack(np.meshgrid(*[steps * (g.box_length / self.m)] * g.dim, indexing="ij"))
-            self.offsets = {resolution: np.exp(1j * (o.reshape(g.dim, -1).T @ self.xi.T))}
-        rows = (coefficients * self.phase)[:, None, :] * self.offsets[resolution]
-        rows = rows.reshape(-1, count)
+        offsets = self.offsets if resolution == self.resolution else self._offsets(resolution)
+        rows = ((coefficients * self.phase)[:, None, :] * offsets).reshape(-1, count)
         index, best = np.unravel_index(cells, (self.m,) * g.dim), np.zeros(4)
         chunk = max(1, REFINE_CHUNK_ENTRIES // count)
         for lo in range(0, len(cells), chunk):
@@ -117,87 +117,49 @@ class _Lattice:
         return best
 
 
-def _paired(grid: Grid, table) -> tuple:
-    """The nonzero-mode ``table`` (modes, xi, omega, f_hat, g_hat) with each
-    mode -k folded into its partner k, the first of the two: Re sum F_k
-    exp(i xi.x) keeps its value with F_k + conj F_-k at k, and the evolution
-    multipliers are real and even in xi.  A mode that is its own
-    ``hermitian_partners`` entry (the zero mode, a mode on a Nyquist plane)
-    stays as it is."""
-    modes, _, _, f_hat, g_hat = table
-    partner, count = hermitian_partners(grid, modes), np.arange(len(modes))
-    folded = partner > count
-    for c in (f_hat, g_hat):
-        c[folded] += np.conj(c[partner[folded]])
-    return tuple(a[partner >= count] for a in table)
-
-
 def sup_norms(data: CauchyData, times) -> tuple:
     """Brackets of the sups of |phi|, |d_t phi|, |grad phi| and |d phi|:
     arrays (upper, lower) of shape (T, 4), columns in ``SUP_FIELDS`` order,
-    from one sweep over the data's ``nonzero_modes`` by ascending |xi|.
+    from one sweep over the data's ``nonzero_modes``, each mode -k folded
+    into its partner k (``hermitian_pairs``): Re sum F_k exp(i xi.x) keeps
+    its value with F_k + conj F_-k at k, and the evolution multipliers are
+    real and even in xi.
 
     At each time one ``upsample_values`` pass samples the fields on the
-    curve's coarse ``_Lattice``; its maxima M0 are the first lower ends.  The
-    upper ends follow from Szegő's inequality: the modes up to a split j, of
-    norm sigma_j, have exponential type sigma_j along every line, the sum
-    T_j of the other amplitudes bounds the rest, and
-    f'^2 + sigma^2 f^2 <= sigma^2 ||f||^2 gives f >= ||f|| cos(sigma |x - x*|)
-    near a maximizer x*.  So over the splits J with T_j <= ``SPLIT_TAIL`` M0,
-    each low part's maximizer lies in a cell whose lattice point holds at
-    least min_J (M0 - T_j) cos(sigma_j delta0) - T_j, and sampling those
-    cells within delta, maximum M, bounds the sup by the sum of all
-    amplitudes and by min_J (M + T_j) / cos(sigma_j delta) + T_j.  A vector
-    field projected on its direction at its maximizer is scalar, with
-    amplitudes at most the modes' euclidean norms.
-
-    While a bracket is wider than ``BRACKET_WIDTH``, the candidate cells of
-    the wide fields are sampled at resolution R, the first of 2, 4, 8 at
-    which the top split alone gives a width 1 / cos(sigma_max delta0 / R) - 1
-    of at most ``BRACKET_WIDTH`` (sigma_max delta0 <= 1), so one pass per
-    time narrows them; R doubles only if rounding leaves a bracket wide.
+    curve's coarse ``_Lattice``, maxima M0.  The fields have exponential type
+    sigma_max along every line, and a vector field projected on its
+    direction at its maximizer x* is scalar, so Szegő's inequality
+    f'^2 + sigma_max^2 f^2 <= sigma_max^2 ||f||^2 gives
+    f >= ||f|| cos(sigma_max |x - x*|) within pi / (2 sigma_max) of x*.  So
+    x* lies in a cell whose lattice point holds at least
+    M0 cos(sigma_max delta0), and a field that is 0 on the lattice is 0
+    everywhere (sigma_max delta0 <= 1 < pi / 2).  Those cells of the nonzero
+    fields are sampled once at the lattice's resolution R, within delta0 / R
+    of x*: with M the larger of M0 and their maximum, the sup lies in
+    [M, M / cos(sigma_max delta0 / R)], of relative width at most
+    ``BRACKET_WIDTH``.
     """
-    g, table = data.grid, nonzero_modes(data)
-    order = np.argsort(g.frequency_norm.ravel()[table[0]], kind="stable")
-    modes, xi, omega, f_hat, g_hat = _paired(g, [a[order] for a in table])
-    del table, order  # the sweep holds one copy of the per-mode arrays
-    sigma = g.frequency_norm.ravel()[modes]
+    g = data.grid
+    modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
+    spectra = np.stack([f_hat, g_hat])
+    lead, weight, minus = hermitian_pairs(g, modes, spectra)
+    f_hat, g_hat = weight * (spectra[:, lead] + np.conj(minus))
+    modes, xi, omega = modes[lead], xi[lead], omega[lead]
     upper, lower = np.zeros((len(times), 4)), np.zeros((len(times), 4))
     if not len(modes):
         return upper, lower
-    lattice, resolution = _Lattice(g, modes, xi, sigma), 2
-    while 1.0 / np.cos(sigma[-1] * lattice.delta0 / resolution) - 1.0 > BRACKET_WIDTH:
-        resolution *= 2
+    lattice = _Lattice(g, modes, xi)
     for i, t in enumerate(times):
         phi_hat, dphi_hat = _evolved(t - data.t0, omega, f_hat, g_hat)
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
         del phi_hat, dphi_hat
-        c = np.abs(coefficients) ** 2
-        grad_sq = np.sum(c[2:], axis=0)
-        amplitudes = np.sqrt([c[0], c[1], grad_sq, c[1] + grad_sq]) / g.box_length**g.dim
-        total = np.sum(amplitudes, axis=-1)
-        tails = total[:, None] - np.cumsum(amplitudes, axis=-1)
         coarse = upsample_values(g, modes, coefficients, lattice.m)
         coarse = _quantities(coarse.reshape(len(coarse), -1))
-        lower[i] = np.max(coarse, axis=-1)
-        splits = tails <= SPLIT_TAIL * lower[i][:, None]
-
-        def upper_ends(delta):
-            bounds = (lower[i][:, None] + tails) / np.cos(sigma * delta) + tails
-            return np.minimum(total, np.min(bounds, axis=-1, where=splits, initial=np.inf))
-
-        reach = (lower[i][:, None] - tails) * np.cos(sigma * lattice.delta0) - tails
-        threshold = np.min(reach, axis=-1, where=splits, initial=np.inf)
-        upper[i] = upper_ends(lattice.delta0)
-        wide = widths(upper[i], lower[i]) > BRACKET_WIDTH
-        while np.any(wide):
-            cells = np.flatnonzero(np.any(coarse[wide] >= threshold[wide, None], axis=0))
-            refined = lattice.maxima(coefficients, cells, resolution)
-            lower[i, wide] = np.maximum(lower[i], refined)[wide]
-            upper[i, wide] = upper_ends(lattice.delta0 / resolution)[wide]
-            wide &= widths(upper[i], lower[i]) > BRACKET_WIDTH
-            if np.any(wide):
-                resolution *= 2
+        top = np.max(coarse, axis=-1)
+        threshold = np.where(top > 0.0, top * np.cos(lattice.reach), np.inf)
+        cells = np.flatnonzero(np.any(coarse >= threshold[:, None], axis=0))
+        lower[i] = np.maximum(top, lattice.maxima(coefficients, cells, lattice.resolution))
+        upper[i] = lower[i] / np.cos(lattice.reach / lattice.resolution)
     return upper, lower
 
 

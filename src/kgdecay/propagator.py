@@ -136,17 +136,25 @@ def jet_columns(dim: int, order: int) -> list:
     return sorted(columns, key=lambda k: (sum(k), -k[-1], [-a for a in k]))
 
 
-def hermitian_partners(grid: Grid, modes) -> np.ndarray:
-    """For each of the lattice ``modes`` (flat indices), the position in
-    ``modes`` of its partner, mode -k, or its own position where -k is not
-    listed or k lies on a Nyquist plane: a component -N/2, whose negation
-    +N/2 the lattice does not list.  Real data have F_-k = conj F_k."""
+def hermitian_pairs(grid: Grid, modes, spectra) -> tuple:
+    """Each of the lattice ``modes`` (flat indices) once with its partner -k:
+    (lead, weight, minus), ``lead`` marking the first mode of each pair and
+    ``minus`` the ``spectra`` (S, M) at their partners.  A mode is its own
+    partner where -k is not listed or k lies on a Nyquist plane (a component
+    -N/2, whose negation the lattice does not list); there ``minus`` is the
+    conjugate of its own spectra, as real data have F_-k = conj F_k, and
+    ``weight`` is 0.5, so weight (F + conj minus) is F_k + conj F_-k for a
+    pair and F for a mode on its own."""
     n, count, signed = grid.points_per_axis, np.arange(len(modes)), signed_modes(grid, modes)
     position = np.full(n**grid.dim, -1)
     position[modes] = count
     partner = position[np.ravel_multi_index(tuple((-signed % n).T), grid.shape)]
-    own = (partner < 0) | np.any(signed == -n // 2, axis=-1)
-    return np.where(own, count, partner)
+    partner = np.where((partner < 0) | np.any(signed == -n // 2, axis=-1), count, partner)
+    lead = partner >= count
+    own = partner[lead] == count[lead]
+    minus = np.where(own, np.conj(spectra[:, lead]), spectra[:, partner[lead]])
+    weight = np.where(own, 0.5, 1.0)
+    return lead, weight, minus
 
 
 def _jet_coefficients(columns, xi, omega, f_hat, g_hat) -> np.ndarray:
@@ -200,7 +208,7 @@ def evaluate_at_points(data: CauchyData, times, points, order: int = 0) -> np.nd
     ``inverse_transform`` assumes) give c-(-xi) = conj c+(xi), so the
     half-wave (-xi, -w) adds the real term of (xi, +w): the sum runs over the
     + half-waves with doubled coefficients.  Each mode k is taken with its
-    ``hermitian_partners`` entry -k: with P and Q their columns' doubled
+    partner -k (``hermitian_pairs``): with P and Q their columns' doubled
     coefficients and A = exp(i dt w), the pair adds
 
         Re A (exp(i xi.x) P + exp(-i xi.x) Q)
@@ -223,12 +231,8 @@ def evaluate_at_points(data: CauchyData, times, points, order: int = 0) -> np.nd
     dt = times - data.t0
     modes, xi, omega, fh, gh = nonzero_modes(data)
     columns = jet_columns(g.dim, order)
-    partner, count = hermitian_partners(g, modes), np.arange(len(modes))
-    lead = partner >= count  # each pair once, at its first mode
-    own = partner[lead] == count[lead]
     spectra = np.stack([fh, gh])
-    minus = np.where(own, np.conj(spectra[:, lead]), spectra[:, partner[lead]])
-    weight = np.where(own, 0.5, 1.0)
+    lead, weight, minus = hermitian_pairs(g, modes, spectra)
     w = omega[lead]
     coeff = weight * _jet_coefficients(columns, xi[lead], w, *spectra[:, lead])
     mirror = weight * _jet_coefficients(columns, -xi[lead], w, *minus)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +25,22 @@ def small_overrides(out, suite="lp"):
     ]
 
 
-def test_parse_times():
+def test_parse_times(tmp_path, capsys):
     assert parse_times("1,2,4") == (1.0, 2.0, 4.0)
     t = parse_times("8:64:5")
     assert len(t) == 5
     assert abs(t[0] - 8.0) < 1e-12 and abs(t[-1] - 64.0) < 1e-12
     with pytest.raises(ConfigurationError):
         parse_times("8:64")
+    # a lo:hi:n whose ends are not both positive is rejected for that reason
+    # before numpy sees it: no NaN times, no warning
+    for spec in ("-1:64:8", "8:-64:8", "0:64:8", "8:0:8"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="lo and hi must be positive"):
+                parse_times(spec)
+            assert main(["--suite", "lp", f"--times={spec}", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.count("lo and hi must be positive") == 1
 
 
 def test_config_file_and_overrides(tmp_path):

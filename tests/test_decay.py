@@ -11,7 +11,6 @@ from kgdecay.bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from kgdecay.bumps import bump_derivative_field, bump_field
 from kgdecay.decay import (
     BRACKET_WIDTH,
-    SPLIT_TAIL,
     SUP_FIELDS,
     DecayCurve,
     _band_data,
@@ -387,21 +386,19 @@ def test_sup_brackets_hold_the_dense_maximum(case):
 
 def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
     # cell i of the coarse lattice at resolution R is sampled at
-    # -L/2 + (i + (2 s + 1 - R) / (2 R)) L / m, s = 0, ..., R - 1 per axis;
-    # the cells are the five of largest |phi|
+    # -L/2 + (i + (2 s + 1 - R) / (2 R)) L / m, s = 0, ..., R - 1 per axis,
+    # at the lattice's own resolution and at others; the cells are the five
+    # of largest |phi|
     for case, t in (("band_4", 7.3), ("bump_2d", 3.0)):
         data = oracle_case(case)[0]
         g = data.grid
-        modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
-        sigma = g.frequency_norm.ravel()[modes]
-        order = np.argsort(sigma, kind="stable")
-        modes, xi, sigma = modes[order], xi[order], sigma[order]
-        lattice = _Lattice(g, modes, xi, sigma)
+        modes, xi, *_ = nonzero_modes(data)
+        lattice = _Lattice(g, modes, xi)
         phi_hat, dphi_hat = (F.coefficients.ravel()[modes] for F in evolve_spectra(data, t))
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
         coarse = upsample_values(g, modes, coefficients[:1], lattice.m)
         cells = np.argsort(np.abs(coarse.ravel()))[-5:]
-        for resolution in (2, 4):
+        for resolution in (2, 4, lattice.resolution):
             got = lattice.maxima(coefficients, cells, resolution)
             steps = (2 * np.arange(resolution) + 1 - resolution) / (2 * resolution)
             offsets = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
@@ -415,9 +412,8 @@ def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
 def edge_mode_data():
     """Modes k = 899, 900 and 901 of amplitude 1 at phases (0, pi/2, 0), whose
     sup is sqrt(5) < 3 on a slow envelope, and a mode k = 902 of amplitude
-    1.5e-3 in f, and the same shifted by 0.5 in phase in g: the split below
-    that top mode, with a tail of 6.7e-4 of the sup, gives a lower candidate
-    threshold than the top split."""
+    1.5e-3 in f, and the same shifted by 0.5 in phase in g: a top mode far
+    too small to matter for the sup, which still sets sigma_max."""
     grid = Grid(1, 4096, 256.0)
     spectra = []
     for shift in (0.0, 0.5):
@@ -430,14 +426,38 @@ def edge_mode_data():
     return CauchyData.from_spectra(*spectra, 0.0, 1.0)
 
 
+def refinement(data, t):
+    """The coarse samples of phi, d_t phi and grad phi that ``sup_norms``
+    takes at time t, its lattice, the cells it refines, and its brackets."""
+    coarse, refined = [], []
+
+    def upsample_spy(grid, modes, coefficients, m):
+        values = upsample(grid, modes, coefficients, m)
+        coarse.append(values.copy())
+        return values
+
+    def maxima_spy(lattice, coefficients, cells, resolution):
+        refined.append((lattice, cells))
+        return maxima(lattice, coefficients, cells, resolution)
+
+    upsample, maxima = decay_module.upsample_values, _Lattice.maxima
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decay_module, "upsample_values", upsample_spy)
+        patch.setattr(_Lattice, "maxima", maxima_spy)
+        upper, lower = sup_norms(data, [t])
+    (lattice, cells), = refined
+    return coarse[0], lattice, cells, upper[0], lower[0]
+
+
 @pytest.mark.parametrize("case", [4, "bump", "bump_2d", "wide_band_4", "edge_mode"])
-def test_refinement_samples_every_cell_the_splits_allow(case):
-    # every maximizer of a low part (the modes up to split j, of norm
-    # sigma_j, with tail T_j <= SPLIT_TAIL M0) lies within delta0 of a
-    # lattice point holding at least (M0 - T_j) cos(sigma_j delta0) - T_j,
-    # so the first refinement of each time samples each cell at or above
-    # the least of these over the splits, for each field (all wide at these
-    # times), from the coarse values and the folded modes it was given
+def test_refinement_samples_every_cell_the_bound_allows(case):
+    # a maximizer of a field of coarse maximum M0 > 0 and top frequency
+    # sigma_max lies within delta0 of a lattice point holding at least
+    # M0 cos(sigma_max delta0), so the refinement of each time samples every
+    # cell at or above that for each nonzero field.  edge_mode: a tiny top
+    # mode sets sigma_max, and the bound holds for the whole field, that
+    # mode included, so it locates the field's own maximizers with no
+    # lower cut-off frequency and no tail
     if case == "wide_band_4":
         data, times = wide_band_data(4), HIGHFREQ_LATE_TIMES
     elif case == "edge_mode":
@@ -445,36 +465,32 @@ def test_refinement_samples_every_cell_the_splits_allow(case):
     else:
         data, times = bracket_case(case)
     g = data.grid
+    sigma_max = np.max(g.frequency_norm.ravel()[nonzero_modes(data)[0]])
     for t in times:
-        coarse, refined = [], []
-
-        def upsample_spy(grid, modes, coefficients, m):
-            values = upsample(grid, modes, coefficients, m)
-            coarse.append((coefficients, values.copy()))
-            return values
-
-        def maxima_spy(lattice, coefficients, cells, resolution):
-            refined.append((lattice, cells))
-            return maxima(lattice, coefficients, cells, resolution)
-
-        upsample, maxima = decay_module.upsample_values, _Lattice.maxima
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(decay_module, "upsample_values", upsample_spy)
-            patch.setattr(_Lattice, "maxima", maxima_spy)
-            sup_norms(data, [t])
-        (coefficients, (phi, dphi, *grad)), (lattice, cells) = coarse[0], refined[0]
-        c = np.abs(coefficients) ** 2
-        grad_sq = np.sum(c[2:], axis=0)
-        amplitudes = np.sqrt([c[0], c[1], grad_sq, c[1] + grad_sq]) / g.box_length**g.dim
-        tails = np.sum(amplitudes, axis=-1, keepdims=True) - np.cumsum(amplitudes, axis=-1)
-        sigma = np.sqrt(np.sum(lattice.xi**2, axis=-1))
+        (phi, dphi, *grad), lattice, cells, _, _ = refinement(data, t)
+        delta0 = g.box_length * np.sqrt(g.dim) / (2 * lattice.m)
         required = np.zeros(lattice.m**g.dim, dtype=bool)
-        for values, tail in zip(sup_quantities(phi, dphi, np.array(grad)), tails):
-            top = np.max(values)
-            splits = tail <= SPLIT_TAIL * top
-            reach = (top - tail[splits]) * np.cos(sigma[splits] * lattice.delta0) - tail[splits]
-            required |= values.ravel() >= np.min(reach)
+        for values in sup_quantities(phi, dphi, np.array(grad)):
+            assert np.max(values) > 0.0
+            required |= values.ravel() >= np.max(values) * np.cos(sigma_max * delta0)
         assert np.all(np.isin(np.flatnonzero(required), cells))
+
+
+def test_a_field_zero_on_the_lattice_marks_no_cells():
+    # band data (f, 0) at t = 0 have d_t phi = 0 on the lattice, so 0
+    # everywhere: its bracket is [0, 0], and the refinement samples exactly
+    # the cells that phi, grad phi and |d phi| mark (a threshold of
+    # 0 cos(sigma_max delta0) = 0 would mark every cell)
+    f, _ = bump_pair(BRACKET)
+    data = _band_data(f, Field(BRACKET, np.zeros(BRACKET.shape)), 1.0, 2)
+    (phi, dphi, *grad), lattice, cells, upper, lower = refinement(data, 0.0)
+    assert not dphi.any() and upper[1] == lower[1] == 0.0
+    assert np.all(lower[[0, 2, 3]] > 0.0)
+    marked = np.zeros(lattice.m**BRACKET.dim, dtype=bool)
+    for values in np.delete(sup_quantities(phi, dphi, np.array(grad)), 1, axis=0):
+        marked |= values.ravel() >= np.max(values) * np.cos(lattice.reach)
+    assert 0 < len(cells) < lattice.m**BRACKET.dim
+    assert np.array_equal(np.flatnonzero(marked), cells)
 
 
 def test_sup_norms_upsampling_factor_follows_the_band(factors):
@@ -524,24 +540,28 @@ def test_sup_norms_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_sup_norms_build_one_offset_table_per_curve_and_resolution(monkeypatch):
-    # band 4 of highfreq's sweep starts at the resolution its top split
-    # needs, x8 (x4 would leave it wider than BRACKET_WIDTH), and keeps one
-    # table of x8 offsets for all thirteen times
-    tables = []
+    # band 4 of highfreq's sweep is sampled at the resolution its top
+    # frequency needs, x8 (x4 would leave it wider than BRACKET_WIDTH), from
+    # the one table of x8 offsets its lattice built, for all thirteen times;
+    # every width is 1 / cos(sigma_max delta0 / 8) - 1
+    calls = []
 
     def spy(lattice, coefficients, cells, resolution):
-        best = maxima(lattice, coefficients, cells, resolution)
-        tables.append((resolution, lattice.offsets[resolution]))  # kept alive
-        reach = np.max(np.linalg.norm(lattice.xi, axis=-1)) * lattice.delta0
-        assert 1.0 / np.cos(reach / (resolution / 2)) - 1.0 > BRACKET_WIDTH
-        assert 1.0 / np.cos(reach / resolution) - 1.0 <= BRACKET_WIDTH
-        return best
+        calls.append((lattice, resolution, lattice.offsets))
+        return maxima(lattice, coefficients, cells, resolution)
 
     maxima = _Lattice.maxima
     monkeypatch.setattr(_Lattice, "maxima", spy)
-    sup_norms(wide_band_data(4), HIGHFREQ_LATE_TIMES)
-    assert [r for r, _ in tables] == [8] * len(HIGHFREQ_LATE_TIMES)
-    assert len({id(table) for _, table in tables}) == 1
+    data = wide_band_data(4)
+    upper, lower = sup_norms(data, HIGHFREQ_LATE_TIMES)
+    lattice = calls[0][0]
+    assert [r for _, r, _ in calls] == [8] * len(HIGHFREQ_LATE_TIMES)
+    assert all(table is lattice.offsets for *_, table in calls)
+    modes = nonzero_modes(data)[0]
+    assert lattice.offsets.shape == (8, len(lattice.signed)) and len(lattice.signed) < len(modes)
+    reach = np.max(data.grid.frequency_norm.ravel()[modes]) * lattice.delta0
+    assert 1.0 / np.cos(reach / 4) - 1.0 > BRACKET_WIDTH
+    assert np.all(np.abs(widths(upper, lower) - (1.0 / np.cos(reach / 8) - 1.0)) <= 1e-13)
 
 
 def test_lowfreq_zero_data_skipped():

@@ -20,6 +20,7 @@ from kgdecay.propagator import (
     data_support_radius,
     evaluate_at_points,
     flat_energy,
+    hermitian_pairs,
     jet_columns,
 )
 from kgdecay.hyperboloid import build_slice
@@ -286,6 +287,29 @@ def test_slice_points_come_in_mirror_pairs(grid):
         assert all((t, *(-x)) in on_slice for t, x in zip(slc.t, slc.points))
         rows, mirrors = _mirror_pairs(slc.t, slc.points)
         assert 2 * len(mirrors) + 1 == slc.n_points == len(rows) + len(mirrors)
+
+
+def test_hermitian_pairs_fold_each_pair_once():
+    # on an 8 x 8 lattice of random Hermitian spectra, every mode leads its
+    # pair or is the partner of one lead; weight (F + conj minus) is exactly
+    # F_k + conj F_-k for a pair, and F for the zero mode, the Nyquist-plane
+    # modes and a mode whose -k is not listed
+    grid, rng = Grid(2, 8, 4.0), np.random.default_rng(5)
+    c = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
+    c = (c + np.conj(c[:, -np.arange(8) % 8][:, :, -np.arange(8) % 8])).reshape(2, -1)
+    modes = np.delete(np.arange(64), 9 * 7)  # drops k = (7, 7), so (1, 1) has no partner
+    spectra = c[:, modes]
+    lead, weight, minus = hermitian_pairs(grid, modes, spectra)
+    k = np.stack(np.unravel_index(modes, grid.shape), axis=-1)
+    negated = np.ravel_multi_index(tuple((-k % 8).T), grid.shape)
+    alone = (k == 4).any(axis=-1) | (negated == modes) | (negated == 63)
+    paired = np.count_nonzero(~alone)
+    assert np.count_nonzero(lead) == np.count_nonzero(alone) + paired // 2
+    assert np.array_equal(weight == 0.5, alone[lead])
+    folded = weight * (spectra[:, lead] + np.conj(minus))
+    own, partner = alone[lead], np.where(alone, modes, negated)[lead]
+    assert np.array_equal(folded[:, ~own], (c[:, modes[lead]] + np.conj(c[:, partner]))[:, ~own])
+    assert np.array_equal(folded[:, own], spectra[:, lead][:, own])
 
 
 def test_jet_columns_count_and_order():

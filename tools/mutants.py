@@ -61,10 +61,10 @@ MUTANTS = [
     ("localized td1_grad_phi_sq weighted by t^(d-2)", "src/kgdecay/decay.py",
      '("grad", 0, d - 1.0, 2))', '("grad", 0, d - 2.0, 2))'),
     ("Szego cosine factor set to 1", "src/kgdecay/decay.py",
-     "/ np.cos(sigma * delta) + tails", "/ 1.0 + tails"),
+     "lower[i] / np.cos(lattice.reach / lattice.resolution)", "lower[i] / 1.0"),
     ("mass-0 zero-mode term dropped", "src/kgdecay/propagator.py",
      "vals[:, 0] += dt * np.sum(gh[omega == 0.0].real)", "pass"),
-    # Hermitian pairing of the point evaluator's half-waves
+    # Hermitian pairing of the modes, shared by the point evaluator and the sup sweep
     ("Nyquist-plane modes doubled too, their - half-waves dropped",
      "src/kgdecay/propagator.py",
      "np.where(own, np.conj(spectra[:, lead]), spectra[:, partner[lead]])\n"
@@ -75,7 +75,7 @@ MUTANTS = [
     ("+ half-waves not doubled", "src/kgdecay/propagator.py",
      "weight = np.where(own, 0.5, 1.0)", "weight = 0.5"),
     ("Nyquist-plane modes paired with their alias", "src/kgdecay/propagator.py",
-     "own = (partner < 0) | np.any(signed == -n // 2, axis=-1)", "own = partner < 0"),
+     "(partner < 0) | np.any(signed == -n // 2, axis=-1)", "partner < 0"),
     # mode and mirror pairing of the point evaluator
     ("mirror values written with U and V swapped", "src/kgdecay/propagator.py",
      "vals[pairs] = (even_part - odd_part)", "vals[pairs] = (even_part + odd_part)"),
@@ -105,15 +105,14 @@ MUTANTS = [
     ("grad row overwritten by |d phi|^2 before its maximum is read", "src/kgdecay/decay.py",
      "    np.add(out[1], out[2], out=out[3])\n",
      "    out[3] = np.add(out[1], out[2], out=out[2])\n"),
-    ("candidate threshold taken as the max over the splits", "src/kgdecay/decay.py",
-     "threshold = np.min(reach, axis=-1, where=splits, initial=np.inf)",
-     "threshold = np.max(reach, axis=-1, where=splits, initial=-np.inf)"),
-    ("tails dropped from the candidate threshold", "src/kgdecay/decay.py",
-     "reach = (lower[i][:, None] - tails) * np.cos(sigma * lattice.delta0) - tails",
-     "reach = lower[i][:, None] * np.cos(sigma * lattice.delta0) + 0.0 * tails"),
     ("fine delta in place of delta0 in the candidate threshold", "src/kgdecay/decay.py",
-     "np.cos(sigma * lattice.delta0) - tails",
-     "np.cos(sigma * lattice.delta0 / resolution) - tails"),
+     "top * np.cos(lattice.reach), np.inf)",
+     "top * np.cos(lattice.reach / lattice.resolution), np.inf)"),
+    ("zero-field mask dropped", "src/kgdecay/decay.py",
+     "np.where(top > 0.0,", "np.where(top >= 0.0,"),
+    ("upper end read at twice the refined spacing", "src/kgdecay/decay.py",
+     "np.cos(lattice.reach / lattice.resolution)",
+     "np.cos(2 * lattice.reach / lattice.resolution)"),
     ("cell offsets halved", "src/kgdecay/decay.py",
      "/ (2 * resolution)", "/ (4 * resolution)"),
     # resolution gates
