@@ -3,13 +3,11 @@ validated as a whole so an invalid config reports every violation at once."""
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .decay import MIN_FIT_SAMPLES
 from .errors import ConfigurationError
 from .grid import Grid
 
@@ -24,6 +22,7 @@ HIGHFREQ_LATE_TIMES = tuple(np.geomspace(64.0, 960.0, 13))
 # decay exponents are fitted on t in this window; localized and lowfreq's
 # canonical run sample it at mass-commensurate times whatever `times` says
 FIT_WINDOW = (8.0, 64.0)
+MIN_FIT_SAMPLES = 5  # fewest times in the fit window a decay exponent is fitted on
 # the partition suite's cutoffs sum to one on [-4, 4]^d, which the box must hold
 PARTITION_ACTIVE_RADIUS = 4.0
 
@@ -216,6 +215,8 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     file that cannot be read or parsed is a ConfigurationError."""
     cfg = RunConfig()
     if path is not None:
+        import configparser  # only a run with a config file reads INI
+
         parser = configparser.ConfigParser()
         try:
             parser.read_string(Path(path).read_text(), source=str(path))

@@ -33,16 +33,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
+from .config import MIN_FIT_SAMPLES
 from .errors import ConfigurationError
 from .grid import Field, Grid, l1_norm, signed_modes, sobolev_h_norm, upsample_values
 from .propagator import CauchyData, _evolved, hermitian_pairs, nonzero_modes
 
 DEGENERATE_NORM = 1e-12
-MIN_FIT_SAMPLES = 5  # fewest times in the fit window a decay exponent is fitted on
 # the largest relative width (upper / lower - 1) of a sup bracket
 BRACKET_WIDTH = 1e-2
 # modes x cells in one block of the refinement product
 REFINE_CHUNK_ENTRIES = 2**16
+# fields x offsets x modes in one block of the refinement rows
+REFINE_BLOCK_ENTRIES = 2**18
 
 SUP_FIELDS = ("phi", "dphi_dt", "grad", "partial")
 
@@ -100,20 +102,43 @@ class _Lattice:
         o = np.stack(np.meshgrid(*[steps * (g.box_length / self.m)] * g.dim, indexing="ij"))
         return np.exp(1j * (o.reshape(g.dim, -1).T @ self.xi.T))
 
+    def _phases(self, index) -> np.ndarray:
+        """exp(2 pi i k.i / m) for the modes k and the lattice indices i of
+        some cells, shape (M, cells), from integer turns built in place."""
+        turns = np.multiply.outer(self.signed[:, 0], index[0])
+        for k, i in zip(self.signed.T[1:], index[1:]):
+            turns += np.multiply.outer(k, i)
+        turns &= self.m - 1
+        return np.take(self.roots, turns)
+
     def maxima(self, coefficients, cells, resolution: int) -> np.ndarray:
         """The maxima of ``_quantities`` over the sub-cell centres of the
         ``cells`` (flat lattice indices): one product
-        (fields x offsets, M) @ (M, cells) per block of cells."""
+        (fields x offsets, M) @ (M, cells) per block of cells and block of
+        offsets, so that the rows stay bounded whatever R^d is.  Rows that
+        fit in one block are built once; otherwise each block of rows is
+        rebuilt for every block of cells, which then holds as many entries."""
         g, count = self.grid, len(self.signed)
         offsets = self.offsets if resolution == self.resolution else self._offsets(resolution)
-        rows = ((coefficients * self.phase)[:, None, :] * offsets).reshape(-1, count)
+        weighted = (coefficients * self.phase)[:, None, :]
+        step = max(1, REFINE_BLOCK_ENTRIES // weighted.size)
+        kept = (weighted * offsets).reshape(-1, count) if step >= len(offsets) else None
+
+        def rows(start: int) -> np.ndarray:
+            # called inside the product, so a rebuilt block is freed once used
+            if kept is not None:
+                return kept
+            return (weighted * offsets[start : start + step]).reshape(-1, count)
+
+        chunk = max(1, (REFINE_BLOCK_ENTRIES if kept is None else REFINE_CHUNK_ENTRIES) // count)
         index, best = np.unravel_index(cells, (self.m,) * g.dim), np.zeros(4)
-        chunk = max(1, REFINE_CHUNK_ENTRIES // count)
         for lo in range(0, len(cells), chunk):
-            turns = sum(k[:, None] * i[lo : lo + chunk] for k, i in zip(self.signed.T, index))
-            values = (rows @ np.take(self.roots, turns & (self.m - 1))).real
-            np.maximum(best, np.max(_quantities(values.reshape(len(coefficients), -1)), axis=-1),
-                       out=best)
+            phases = self._phases([i[lo : lo + chunk] for i in index])
+            for start in range(0, len(offsets), step):
+                values = (rows(start) @ phases).real
+                values = _quantities(values.reshape(len(coefficients), -1))
+                np.maximum(best, np.max(values, axis=-1), out=best)
+            del phases  # freed before the next block of cells builds its own
         return best
 
 

@@ -15,7 +15,6 @@ from .bumps import bump_derivative_field, bump_field
 from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
 from .errors import ConfigurationError
 from .grid import Grid, sobolev_order
-from .hyperboloid import build_slice, slice_samples
 from .propagator import CauchyData, data_support_radius
 
 # slice suites need steeper data: the jet they sample differentiates it up to
@@ -151,6 +150,8 @@ class RunPlan:
     @cached_property
     def slices(self) -> dict:
         """tau -> the slice reaching past the slice data's support cone."""
+        from .hyperboloid import build_slice  # only the slice suites load it
+
         data, r0 = self.slice_data, data_support_radius(self.slice_data)
         return {tau: build_slice(tau, data.grid, r0, data.t0) for tau in self.config.taus}
 
@@ -158,6 +159,8 @@ class RunPlan:
     def samples(self) -> dict:
         """tau -> the samples on the tau-slice of the slice data and, for
         sobolev and pointwise, its iterated boosts up to the Sobolev order."""
+        from .hyperboloid import slice_samples
+
         boosted = set(BOOSTED_SUITES) & set(self.config.selected_suites)
         order = sobolev_order(self.config.dim) if boosted else 0
         return {tau: slice_samples(self.slice_data, slc, order) for tau, slc in self.slices.items()}

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .decay import DecayCurve, DecayReport
+if TYPE_CHECKING:
+    from .decay import DecayCurve, DecayReport
 
 
 def curve_to_rows(curve: DecayCurve) -> list:

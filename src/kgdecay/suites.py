@@ -9,20 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bands import LittlewoodPaleyBank
 from .bumps import bump_derivative_field, bump_field
 from .config import FIT_WINDOW, PARTITION_ACTIVE_RADIUS, RunConfig
-from .decay import (
-    highfreq_check,
-    interpolation_check,
-    lowfreq_check,
-    localized_decay_check,
-)
 from .grid import Field, l2_norm, linf_norm
-from .hyperboloid import (
-    SOBOLEV_CONSTANTS_1D, SOBOLEV_ELLS, energy, global_sobolev_check, pointwise_energy_check,
-)
-from .partition import build_partition, overlap_bound, w_k1_comparability
 from .plan import RunPlan
 from .propagator import CauchyData
 
@@ -61,8 +50,10 @@ def random_bump_pair(config: RunConfig, rng):
     return f, g
 
 
-def suite_lp(config: RunConfig, rng) -> dict:
-    grid = config.grid
+def suite_lp(config: RunConfig) -> dict:
+    from .bands import LittlewoodPaleyBank
+
+    grid, rng = config.grid, np.random.default_rng(config.seed)
     bank = LittlewoodPaleyBank.for_grid(grid)
     checks = [_check("completeness_residual", bank.completeness_residual(), 1e-10)]
     sym_lo = min(float(np.min(bank.symbol(k))) for k in bank.bands)
@@ -100,8 +91,10 @@ def suite_lp(config: RunConfig, rng) -> dict:
     }
 
 
-def suite_partition(config: RunConfig, rng) -> dict:
-    dim = config.dim
+def suite_partition(config: RunConfig) -> dict:
+    from .partition import build_partition, overlap_bound, w_k1_comparability
+
+    dim, rng = config.dim, np.random.default_rng(config.seed)
     part = build_partition(dim, active_radius=PARTITION_ACTIVE_RADIUS)
     pts = rng.uniform(-PARTITION_ACTIVE_RADIUS, PARTITION_ACTIVE_RADIUS, size=(200, dim))
     sums = part.partition_sum(pts)
@@ -150,7 +143,9 @@ def _per_tau(config: RunConfig, check) -> dict:
     return {tau: check(plan.slice_data, samples) for tau, samples in plan.samples.items()}
 
 
-def suite_energy(config: RunConfig, rng) -> dict:
+def suite_energy(config: RunConfig) -> dict:
+    from .hyperboloid import energy
+
     checks = []
     per_tau = _per_tau(config, energy)
     for tau, bound in per_tau.items():
@@ -165,7 +160,7 @@ def suite_energy(config: RunConfig, rng) -> dict:
     }
 
 
-def suite_sobolev(config: RunConfig, rng) -> dict:
+def suite_sobolev(config: RunConfig) -> dict:
     """The global Sobolev rows' ratios per tau, at most SOBOLEV_CONSTANTS_1D
     in d = 1: on the slice psi(x) = phi(t(x), x) has psi' = L phi / t, any
     compact g has g(x0)^2 <= int |g g'| dx, and the rhs is int (t/tau)^ell
@@ -173,6 +168,8 @@ def suite_sobolev(config: RunConfig, rng) -> dict:
     (psi^2 + (L phi)^2) / 2, so sup tau phi^2 <= rhs / 2.  g = t^(1/2) psi:
     g g' = psi L phi + (x/t) psi^2 / 2, |g g'| <= psi^2 + (L phi)^2 / 2, so
     sup t phi^2 <= rhs."""
+    from .hyperboloid import SOBOLEV_CONSTANTS_1D, SOBOLEV_ELLS, global_sobolev_check
+
     checks = []
     ratio_table = {}
     per_tau = _per_tau(config, global_sobolev_check).values()
@@ -192,7 +189,9 @@ def suite_sobolev(config: RunConfig, rng) -> dict:
     }
 
 
-def suite_pointwise(config: RunConfig, rng) -> dict:
+def suite_pointwise(config: RunConfig) -> dict:
+    from .hyperboloid import pointwise_energy_check
+
     ratios = [b.ratio for b in _per_tau(config, pointwise_energy_check).values()]
     checks = [
         _check("ratio_positive", min(ratios), 0.0, op=">="),
@@ -206,7 +205,9 @@ def suite_pointwise(config: RunConfig, rng) -> dict:
     }
 
 
-def suite_localized(config: RunConfig, rng) -> dict:
+def suite_localized(config: RunConfig) -> dict:
+    from .decay import localized_decay_check
+
     d = config.dim
     plan = RunPlan.of(config)
     data = plan.localized_data
@@ -235,8 +236,10 @@ def suite_localized(config: RunConfig, rng) -> dict:
     }
 
 
-def suite_lowfreq(config: RunConfig, rng) -> dict:
-    d = config.dim
+def suite_lowfreq(config: RunConfig) -> dict:
+    from .decay import lowfreq_check
+
+    d, rng = config.dim, np.random.default_rng(config.seed)
     plan = RunPlan.of(config)
     # canonical envelope-sampled run measures the decay exponent
     f0 = bump_field(config.grid, width=1.0, sharpness=DATA_SHARPNESS)
@@ -275,7 +278,9 @@ def _slope_vs_band(reports, attr: str = "unnormalized_constant"):
     return float(slope)
 
 
-def suite_highfreq(config: RunConfig, rng) -> dict:
+def suite_highfreq(config: RunConfig) -> dict:
+    from .decay import highfreq_check
+
     d = config.dim
     plan = RunPlan.of(config)
     grid = config.grid
@@ -337,7 +342,9 @@ def suite_highfreq(config: RunConfig, rng) -> dict:
     }
 
 
-def suite_interpolation(config: RunConfig, rng) -> dict:
+def suite_interpolation(config: RunConfig) -> dict:
+    from .decay import interpolation_check
+
     d = config.dim
     grid = config.grid
     k = config.bands[len(config.bands) // 2]
@@ -388,11 +395,13 @@ SUITE_RUNNERS = {
 
 
 def run_selected_suites(config: RunConfig) -> dict:
-    """Run the configured suites; the rng is re-seeded per suite so each
-    suite's draws do not depend on which others ran."""
+    """Run the configured suites.  The suites that draw random data (lowfreq,
+    lp and partition) each seed a ``default_rng(config.seed)`` of their own,
+    so a suite's draws do not depend on which others ran.  Each runner imports
+    the layers it uses, so a single-suite process loads only its own suite's
+    code, and numpy.random only for a drawing suite."""
     results = {}
     for name in config.selected_suites:
-        rng = np.random.default_rng(config.seed)
-        results[name] = SUITE_RUNNERS[name](config, rng)
+        results[name] = SUITE_RUNNERS[name](config)
         results[name]["passed"] = all(c["passed"] for c in results[name]["checks"])
     return results

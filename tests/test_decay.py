@@ -173,15 +173,23 @@ def test_nonzero_modes_hold_exactly_the_band():
     assert vals.shape == (3, 2) and not vals.any()
 
 
-def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
-    # 2-D bump data keep all 4096 modes (2049 once folded), sampled on a
-    # coarse lattice of 256^2 points and refined to resolution 8 in their
-    # candidate cells; one call peaks at 17.1 MB, most of it the 64 offsets'
-    # rows of the refinement product
-    grid = Grid(2, 64, 16.0)
+def full_spectrum_2d(n, box):
+    """2-D bump data at t0 = 2 that keep all N^2 modes, their spectra taken."""
+    grid = Grid(2, n, box)
     f = bump_field(grid, width=1.0, sharpness=1.0)
     data = CauchyData(f, bump_derivative_field(grid, 0, width=1.0, sharpness=1.0), 2.0, 1.0)
-    data.spectra  # transformed before the measured call
+    data.spectra
+    return data
+
+
+@pytest.mark.parametrize("n, box, mb", [(64, 16.0, 14), (128, 32.0, 40)])
+def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data(n, box, mb):
+    # 2-D bump data keep all N^2 modes (2049 and 8320 once folded), sampled
+    # on a coarse lattice of (4 N)^2 points and refined to resolution 8 in
+    # their candidate cells; the 64 offsets' rows of the refinement product
+    # are built in blocks of at most REFINE_BLOCK_ENTRIES, so one call peaks
+    # at 13.1 and 35.7 MB (15.0 and 52.6 MB with all the rows at once)
+    data = full_spectrum_2d(n, box)  # transformed before the measured call
     tracemalloc.start()
     try:
         upper, _ = sup_norms(data, [3.0])
@@ -189,7 +197,7 @@ def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data():
     finally:
         tracemalloc.stop()
     assert upper[0, 0] > 0.0
-    assert peak <= 24 * 2**20
+    assert peak <= mb * 2**20
 
 
 def test_sup_norms_memory_is_bounded_on_wide_band_data():
@@ -299,8 +307,9 @@ def sup_quantities(phi, dphi, grad):
 @pytest.mark.parametrize("case", [LOW_PASS_BAND, 2, 4, "bump", "bump_2d"])
 def test_sup_norms_bracketed_by_direct_evaluation(case, factors):
     # the direct-sum oracle's maximum on a lattice of spacing h / 64, or
-    # h / 128 where the final refinement spacing is h / 32 (bump_2d: at
-    # h / 16 no split of the Szegő bound gives a width below 1.5e-2), at
+    # h / 128 where the final refinement spacing is h / 32 (bump_2d: the
+    # single Szegő bound's width 1 / cos(sigma_max delta0 / R) - 1 is 2.0e-2
+    # at R = 4, so R = 8 on its lattice of 4 N points per axis), at
     # least 4 times finer than that spacing, within two such spacings of the
     # maximizer on the lattice of that spacing, lies in each bracket (up to
     # rounding, for a maximizer at a sampled point, which the oracle's
@@ -520,19 +529,26 @@ def wide_band_data(band):
     return _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, band)
 
 
-def test_sup_norms_do_not_depend_on_the_block_size(monkeypatch):
-    # the maxima of each block of cells merge exactly, so one cell per block
-    # gives the same brackets up to the rounding of the product: band 0, the
-    # localized suite's full-spectrum bump and a 2-D bump
+@pytest.mark.parametrize(
+    "blocks, entries",
+    [("REFINE_CHUNK_ENTRIES", 1), ("REFINE_BLOCK_ENTRIES", 2**12), ("REFINE_BLOCK_ENTRIES", 2**30)],
+)
+def test_sup_norms_do_not_depend_on_the_block_size(monkeypatch, blocks, entries):
+    # the maxima of each block of cells and of offsets merge exactly, so one
+    # cell per block, rows of at most 2^12 entries (1 or 2 offsets here) or
+    # all the rows at once (where the N = 64 bump's make 3 blocks) give the
+    # same brackets up to the rounding of the product: band 0, the localized
+    # suite's full-spectrum bump and two 2-D bumps
     data_2d, t, _ = oracle_case("bump_2d")
     f, g = bump_pair(Grid(1, 4096, 256.0), sharpness=1.0)
     cases = [
         (wide_band_data(0), HIGHFREQ_LATE_TIMES[:3]),
         (CauchyData(f, g, 2.0, 1.0), TIMES[:3]),
         (data_2d, (t, 2 * t)),
+        (full_spectrum_2d(64, 16.0), (3.0,)),
     ]
     want = [sup_norms(data, times) for data, times in cases]
-    monkeypatch.setattr(decay_module, "REFINE_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(decay_module, blocks, entries)
     got = [sup_norms(data, times) for data, times in cases]
     for g, w in zip(got, want):
         for a, b in zip(g, w):

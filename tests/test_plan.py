@@ -24,10 +24,6 @@ SLICE_SUITES = (suite_energy, suite_sobolev, suite_pointwise)
 NAMES_A_KEY = re.compile(r"\b(" + "|".join(RunConfig().summary_dict()) + r")\b")
 
 
-def _run(suite, config):
-    return suite(config, np.random.default_rng(config.seed))
-
-
 def _count_calls(monkeypatch) -> dict:
     calls = {"evaluate_at_points": 0}
     original = hyperboloid.evaluate_at_points
@@ -44,12 +40,12 @@ def test_slice_samples_and_boosts_are_computed_once(monkeypatch):
     config = RunConfig(taus=(2.0, 4.0))
     calls = _count_calls(monkeypatch)
     RunPlan.of.cache_clear()
-    shared = [_run(suite, config) for suite in SLICE_SUITES]
+    shared = [suite(config) for suite in SLICE_SUITES]
     # two taus, each sampled in one pass for the slice data's jet
     assert calls == {"evaluate_at_points": 2}
     for suite, result in zip(SLICE_SUITES, shared):
         RunPlan.of.cache_clear()
-        assert _run(suite, config) == result
+        assert suite(config) == result
 
 
 @pytest.mark.parametrize("suite", ["all", "sobolev", "energy"])
@@ -62,7 +58,7 @@ def test_one_evaluator_pass_per_tau_after_validation(monkeypatch, suite):
     config.validate()
     for run in SLICE_SUITES:
         if suite in ("all", run.__name__.removeprefix("suite_")):
-            _run(run, config)
+            run(config)
     assert calls == {"evaluate_at_points": 2}
 
 

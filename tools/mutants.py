@@ -115,6 +115,11 @@ MUTANTS = [
      "np.cos(2 * lattice.reach / lattice.resolution)"),
     ("cell offsets halved", "src/kgdecay/decay.py",
      "/ (2 * resolution)", "/ (4 * resolution)"),
+    ("each block of refinement rows cut to its first offset", "src/kgdecay/decay.py",
+     "offsets[start : start + step]", "offsets[start : start + 1]"),
+    # what a single-suite process loads
+    ("every suite process loads the decay layer", "src/kgdecay/suites.py",
+     "from .plan import RunPlan\n", "from .plan import RunPlan\nfrom . import decay  # noqa: F401\n"),
     # resolution gates
     ("resolution gates switched off", "src/kgdecay/plan.py",
      "if tail <= limit:", "if True:"),
