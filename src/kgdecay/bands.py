@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bumps import radial_transition
-from .grid import Field, Grid, SpectralField, forward_transform, inverse_transform
+from .grid import Field, Grid, SpectralField, inverse_transform
 
 LOW_PASS_BAND = -1
 
@@ -70,17 +70,14 @@ class LittlewoodPaleyBank:
 
     def project(self, f: Field, k: int) -> Field:
         """Apply the band-k projector; real in, real out."""
-        return inverse_transform(self.project_spectrum(forward_transform(f), k))
+        return inverse_transform(self.project_spectrum(f.spectrum, k))
 
     def project_spectrum(self, F: SpectralField, k: int) -> SpectralField:
         return SpectralField(self.grid, self.symbol(k) * F.coefficients)
 
     def decompose(self, f: Field) -> dict:
         """All band pieces keyed by k; their sum reproduces f."""
-        F = forward_transform(f)
-        return {
-            k: inverse_transform(self.project_spectrum(F, k)) for k in self.bands
-        }
+        return {k: inverse_transform(self.project_spectrum(f.spectrum, k)) for k in self.bands}
 
     def completeness_residual(self) -> float:
         """max |1 - sum of all band symbols| over the frequency lattice."""

@@ -16,7 +16,7 @@ Each check computes the sup curve of its data once and reads every
 inequality from it as one row of a table.  The band checks place the
 projected data at t = 0 ("origin" in the reports); their spectra are the
 projected spectra themselves, exactly zero off the band.  The localized check
-takes its data at t = 2 ("data2") and weights by plain t.
+takes its data at t = 2 ("data2"), in the unit ball, and weights by plain t.
 
 A sup curve is one sweep over the nonzero modes of its data, each mode -k
 folded into its partner k.  Each sup is a certified bracket: below, the
@@ -36,7 +36,8 @@ from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .config import MIN_FIT_SAMPLES
 from .errors import ConfigurationError
 from .grid import Field, Grid, l1_norm, signed_modes, sobolev_h_norm, upsample_values
-from .propagator import CauchyData, _evolved, hermitian_pairs, nonzero_modes
+from .propagator import (MAX_MASS_OUTSIDE, CauchyData, _evolved, hermitian_pairs,
+                         mass_outside_fraction, nonzero_modes)
 
 DEGENERATE_NORM = 1e-12
 # the largest relative width (upper / lower - 1) of a sup bracket
@@ -93,14 +94,10 @@ class _Lattice:
             self.resolution *= 2
         self.roots = np.exp(2j * np.pi / self.m * np.arange(self.m))
         self.phase = grid.alternating_phase.ravel()[modes] / grid.box_length**grid.dim
-        self.offsets = self._offsets(self.resolution)
-
-    def _offsets(self, resolution: int) -> np.ndarray:
-        """exp(i xi.o) for the R^d sub-cell centres o, shape (R^d, M)."""
-        g = self.grid
-        steps = (2 * np.arange(resolution) + 1 - resolution) / (2 * resolution)
-        o = np.stack(np.meshgrid(*[steps * (g.box_length / self.m)] * g.dim, indexing="ij"))
-        return np.exp(1j * (o.reshape(g.dim, -1).T @ self.xi.T))
+        # exp(i xi.o) for the R^d sub-cell centres o, shape (R^d, M)
+        steps = (2 * np.arange(self.resolution) + 1 - self.resolution) / (2 * self.resolution)
+        o = np.stack(np.meshgrid(*[steps * (grid.box_length / self.m)] * grid.dim, indexing="ij"))
+        self.offsets = np.exp(1j * (o.reshape(grid.dim, -1).T @ xi.T))
 
     def _phases(self, index) -> np.ndarray:
         """exp(2 pi i k.i / m) for the modes k and the lattice indices i of
@@ -111,15 +108,14 @@ class _Lattice:
         turns &= self.m - 1
         return np.take(self.roots, turns)
 
-    def maxima(self, coefficients, cells, resolution: int) -> np.ndarray:
+    def maxima(self, coefficients, cells) -> np.ndarray:
         """The maxima of ``_quantities`` over the sub-cell centres of the
         ``cells`` (flat lattice indices): one product
         (fields x offsets, M) @ (M, cells) per block of cells and block of
         offsets, so that the rows stay bounded whatever R^d is.  Rows that
         fit in one block are built once; otherwise each block of rows is
         rebuilt for every block of cells, which then holds as many entries."""
-        g, count = self.grid, len(self.signed)
-        offsets = self.offsets if resolution == self.resolution else self._offsets(resolution)
+        g, count, offsets = self.grid, len(self.signed), self.offsets
         weighted = (coefficients * self.phase)[:, None, :]
         step = max(1, REFINE_BLOCK_ENTRIES // weighted.size)
         kept = (weighted * offsets).reshape(-1, count) if step >= len(offsets) else None
@@ -183,7 +179,7 @@ def sup_norms(data: CauchyData, times) -> tuple:
         top = np.max(coarse, axis=-1)
         threshold = np.where(top > 0.0, top * np.cos(lattice.reach), np.inf)
         cells = np.flatnonzero(np.any(coarse >= threshold[:, None], axis=0))
-        lower[i] = np.maximum(top, lattice.maxima(coefficients, cells, lattice.resolution))
+        lower[i] = np.maximum(top, lattice.maxima(coefficients, cells))
         upper[i] = lower[i] / np.cos(lattice.reach / lattice.resolution)
     return upper, lower
 
@@ -315,16 +311,6 @@ def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, b
     return reports
 
 
-def mass_outside_fraction(data: CauchyData) -> float:
-    """Fraction of the combined |f|+|g| mass lying outside the unit ball."""
-    r2 = np.sum(data.grid.lattice_points() ** 2, axis=-1).reshape(data.grid.shape)
-    combined = np.abs(data.f.values) + np.abs(data.g.values)
-    total = np.sum(combined)
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(combined[r2 > 1.0]) / total)
-
-
 def localized_decay_check(data: CauchyData, times, fit_window=None) -> list:
     """Localized-data decay: weighted squared sups against Sobolev data norms.
 
@@ -333,8 +319,8 @@ def localized_decay_check(data: CauchyData, times, fit_window=None) -> list:
     """
     if data.t0 != 2.0:
         raise ConfigurationError("localized decay check prescribes data at t0 = 2")
-    if mass_outside_fraction(data) > 1e-8:
-        raise ConfigurationError("data mass outside the unit ball exceeds 1e-8")
+    if mass_outside_fraction(data) > MAX_MASS_OUTSIDE:
+        raise ConfigurationError(f"data mass outside the unit ball exceeds {MAX_MASS_OUTSIDE:g}")
     d = data.grid.dim
     n_f = sobolev_h_norm(data.f, d // 2 + 2) ** 2
     n_g = sobolev_h_norm(data.g, d // 2 + 1) ** 2

@@ -1,5 +1,7 @@
-"""Periodic sampling grid, Fourier transform conventions, spectral
-derivatives, and the norms used throughout the package.
+"""Periodic sampling grid, Fourier transform conventions, the spectral
+derivative (``partial_derivative``, one multi-index at a time, from the
+field's cached ``Field.spectrum``), and the norms used throughout the
+package.
 
 Transform normalization
 -----------------------
@@ -182,13 +184,6 @@ def sobolev_order(dim: int) -> int:
     return dim // 2 + 1
 
 
-def coordinate_field(grid: Grid, axis: int) -> Field:
-    """The centered coordinate x^axis sampled on the grid."""
-    if not 0 <= axis < grid.dim:
-        raise IndexError(f"axis {axis} out of range for dim {grid.dim}")
-    return Field(grid, grid.coordinate_arrays()[axis])
-
-
 def forward_transform(f: Field) -> SpectralField:
     g = f.grid
     coeff = np.fft.fftn(f.values) * (g.cell_volume * g.alternating_phase)
@@ -216,16 +211,6 @@ def derivative_multiplier(grid: Grid, axis: int, order: int) -> np.ndarray:
     return (1j * xi.reshape(shape)) ** order
 
 
-def spatial_derivative(f: Field, axis: int) -> Field:
-    """Spectral partial derivative along one axis."""
-    if not 0 <= axis < f.grid.dim:
-        raise IndexError(f"axis {axis} out of range for dim {f.grid.dim}")
-    F = forward_transform(f)
-    return inverse_transform(
-        SpectralField(f.grid, F.coefficients * derivative_multiplier(f.grid, axis, 1))
-    )
-
-
 def partial_derivative(f: Field, alpha) -> Field:
     """Spectral mixed derivative for a multi-index alpha (one entry per axis)."""
     alpha = tuple(alpha)
@@ -233,16 +218,11 @@ def partial_derivative(f: Field, alpha) -> Field:
         raise ValueError(f"multi-index length {len(alpha)} does not match dim {f.grid.dim}")
     if all(a == 0 for a in alpha):
         return f
-    coeff = forward_transform(f).coefficients.copy()
+    coeff = f.spectrum.coefficients.copy()
     for axis, order in enumerate(alpha):
         if order:
             coeff *= derivative_multiplier(f.grid, axis, order)
     return inverse_transform(SpectralField(f.grid, coeff))
-
-
-def laplacian(f: Field) -> Field:
-    F = forward_transform(f)
-    return inverse_transform(SpectralField(f.grid, -(f.grid.frequency_norm**2) * F.coefficients))
 
 
 def signed_modes(grid: Grid, modes) -> np.ndarray:
@@ -304,7 +284,7 @@ def sobolev_h_norm(f: Field, s: float) -> float:
     if s < 0:
         raise ValueError(f"sobolev order s must be >= 0, got {s}")
     g = f.grid
-    F = forward_transform(f).coefficients
+    F = f.spectrum.coefficients
     weights = (1.0 + g.frequency_norm**2) ** s
     return float(np.sqrt(np.sum(weights * np.abs(F) ** 2) / g.box_length**g.dim))
 

@@ -17,13 +17,7 @@ import numpy as np
 
 from .bumps import mollifier
 from .errors import ConfigurationError
-from .grid import (
-    Field,
-    Grid,
-    multi_indices,
-    partial_derivative,
-    sobolev_w_k1_norm,
-)
+from .grid import Field, Grid, multi_indices, partial_derivative, sobolev_w_k1_norm
 
 
 def overlap_bound(dim: int) -> int:
@@ -156,10 +150,6 @@ class UnitBallPartition:
             if len(pts) and np.min(np.linalg.norm(pts - c, axis=-1)) < 1.0:
                 out.append(i)
         return out
-
-
-def build_partition(dim: int, active_radius: float) -> UnitBallPartition:
-    return UnitBallPartition.build(dim, active_radius)
 
 
 def ball_restricted_w_k1(f: Field, center: np.ndarray, k: int) -> float:

@@ -15,7 +15,7 @@ from .bumps import bump_derivative_field, bump_field
 from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
 from .errors import ConfigurationError
 from .grid import Grid, sobolev_order
-from .propagator import CauchyData, data_support_radius
+from .propagator import MAX_MASS_OUTSIDE, CauchyData, data_support_radius, mass_outside_fraction
 
 # slice suites need steeper data: the jet they sample differentiates it up to
 # one order past the Sobolev order, which weights its spectral tail by |xi|
@@ -144,8 +144,17 @@ class RunPlan:
         ]
 
     def localized_problems(self) -> list:
-        """Why localized cannot run on this plan: unresolved data."""
-        return self._unresolved("localized data", self.localized_data, MAX_NYQUIST_TAIL)
+        """Why localized cannot run on this plan: unresolved data, or data
+        with mass outside the unit ball."""
+        data, c = self.localized_data, self.config
+        problems = self._unresolved("localized data", data, MAX_NYQUIST_TAIL)
+        outside = mass_outside_fraction(data)
+        if outside > MAX_MASS_OUTSIDE:
+            problems.append(
+                f"grid_n {c.grid_n} at box_length {c.box_length} puts {outside:.1e} of the "
+                f"localized data's mass outside the unit ball (> {MAX_MASS_OUTSIDE:g})"
+            )
+        return problems
 
     @cached_property
     def slices(self) -> dict:

@@ -16,6 +16,9 @@ its negation, and a point and its mirror, share exp(i dt omega): each pair
 of modes at each pair of points costs one cos and one sin.  A derivative
 d_x^alpha d_t^j phi multiplies each half-wave's coefficient by
 (i xi)^alpha (+-i w)^j and keeps its phase, so one pass sums all of them.
+
+The run plan's checks of the data's support in space (``data_support_radius``,
+``mass_outside_fraction``) live here, so the plan does not load ``decay``.
 """
 
 from __future__ import annotations
@@ -29,13 +32,11 @@ from .grid import (
     Field,
     Grid,
     SpectralField,
-    coordinate_field,
     inverse_transform,
     l2_norm,
-    laplacian,
     multi_indices,
+    partial_derivative,
     signed_modes,
-    spatial_derivative,
 )
 
 # cap on point pairs x mode pairs per block of a direct Fourier evaluation
@@ -43,6 +44,8 @@ from .grid import (
 # their cos and sin, the complex phase, one product) are 7 float64 per
 # entry, under 2 MB; more columns widen a block
 EVAL_CHUNK_ENTRIES = 2**15
+# the largest share of localized data's |f| + |g| mass outside the unit ball
+MAX_MASS_OUTSIDE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -272,6 +275,16 @@ def data_support_radius(data: CauchyData) -> float:
     return float(np.sqrt(max((np.max(r2[a > 1e-5 * a.max()]) for a in v if a.any()), default=0.0)))
 
 
+def mass_outside_fraction(data: CauchyData) -> float:
+    """Fraction of the combined |f|+|g| mass lying outside the unit ball."""
+    r2 = np.sum(data.grid.lattice_points() ** 2, axis=-1).reshape(data.grid.shape)
+    combined = np.abs(data.f.values) + np.abs(data.g.values)
+    total = np.sum(combined)
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(combined[r2 > 1.0]) / total)
+
+
 def boost_commuted_data(data: CauchyData, axis: int) -> CauchyData:
     """Cauchy data at t0 for the boosted solution (x^i d_t + t d_i) phi, the
     tests' second path to the boosts the slice suites read from the jet.
@@ -287,11 +300,12 @@ def boost_commuted_data(data: CauchyData, axis: int) -> CauchyData:
     g = data.grid
     if not 0 <= axis < g.dim:
         raise IndexError(f"axis {axis} out of range for dim {g.dim}")
-    x = coordinate_field(g, axis)
-    df = spatial_derivative(data.f, axis)
-    dg = spatial_derivative(data.g, axis)
+    x, unit = Field(g, g.coordinate_arrays()[axis]), np.eye(g.dim, dtype=int).tolist()
+    df = partial_derivative(data.f, unit[axis])
+    dg = partial_derivative(data.g, unit[axis])
+    laplacian = sum(partial_derivative(data.f, [2 * a for a in e]) for e in unit)
     f_new = df * 2.0 + x * data.g
-    g_new = df + dg * 2.0 + x * laplacian(data.f) - x * data.f * data.mass**2
+    g_new = df + dg * 2.0 + x * laplacian - x * data.f * data.mass**2
     out = CauchyData(f_new, g_new, data.t0, data.mass)
     margin = g.box_length / 2.0 - data_support_radius(out)
     if margin < 1.0:
@@ -305,6 +319,6 @@ def boost_commuted_data(data: CauchyData, axis: int) -> CauchyData:
 def flat_energy(data: CauchyData) -> float:
     """The constant-time energy integral g^2 + |grad f|^2 + m^2 f^2."""
     total = l2_norm(data.g) ** 2 + (data.mass * l2_norm(data.f)) ** 2
-    for a in range(data.grid.dim):
-        total += l2_norm(spatial_derivative(data.f, a)) ** 2
+    for alpha in np.eye(data.grid.dim, dtype=int).tolist():
+        total += l2_norm(partial_derivative(data.f, alpha)) ** 2
     return total

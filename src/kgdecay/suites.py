@@ -92,10 +92,10 @@ def suite_lp(config: RunConfig) -> dict:
 
 
 def suite_partition(config: RunConfig) -> dict:
-    from .partition import build_partition, overlap_bound, w_k1_comparability
+    from .partition import UnitBallPartition, overlap_bound, w_k1_comparability
 
     dim, rng = config.dim, np.random.default_rng(config.seed)
-    part = build_partition(dim, active_radius=PARTITION_ACTIVE_RADIUS)
+    part = UnitBallPartition.build(dim, active_radius=PARTITION_ACTIVE_RADIUS)
     pts = rng.uniform(-PARTITION_ACTIVE_RADIUS, PARTITION_ACTIVE_RADIUS, size=(200, dim))
     sums = part.partition_sum(pts)
     checks = [

@@ -23,7 +23,7 @@ from kgdecay.grid import (
     forward_transform,
     inverse_transform,
     l2_norm,
-    spatial_derivative,
+    partial_derivative,
 )
 from kgdecay.hyperboloid import build_slice, slice_samples
 from kgdecay.propagator import CauchyData, data_support_radius, evolve_spectra, jet_columns
@@ -44,7 +44,7 @@ def evolve(data: CauchyData, t: float) -> EvolvedState:
     """Propagate the data to time t on its own grid."""
     phi_hat, dphi_hat = evolve_spectra(data, t)
     phi = inverse_transform(phi_hat)
-    grad = tuple(spatial_derivative(phi, a) for a in range(phi.grid.dim))
+    grad = tuple(partial_derivative(phi, e) for e in np.eye(phi.grid.dim, dtype=int).tolist())
     return EvolvedState(data, t, phi, inverse_transform(dphi_hat), grad)
 
 

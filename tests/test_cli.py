@@ -427,3 +427,18 @@ def test_resolution_gate_accepts_resolved_localized_data(grid_n, tail):
     config = RunConfig(suite="localized", grid_n=grid_n)
     config.validate()
     assert nyquist_tail(RunPlan.of(config).localized_data) == pytest.approx(tail, rel=0.05)
+
+
+def test_validation_rejects_localized_data_outside_the_unit_ball(tmp_path, capsys, monkeypatch):
+    # in 2-D the tensor-product bump fills the square [-1, 1]^2, whose corners
+    # leave the unit ball: on this grid 3.9e-3 of its mass lies outside, which
+    # localized_decay_check would reject mid-run
+    monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
+    argv = ["--suite", "localized", "--dim", "2", "--grid-n", "512", "--box-length", "160"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid configuration:\n")
+    assert ("grid_n 512 at box_length 160.0 puts 3.9e-03 of the localized data's mass "
+            "outside the unit ball (> 1e-08)") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()

@@ -288,9 +288,9 @@ def factors(monkeypatch):
     factor h / spacing = m R / N of its lattice m and resolution R."""
     factors = []
 
-    def spy(lattice, coefficients, cells, resolution):
-        factors.append(lattice.m * resolution / lattice.grid.points_per_axis)
-        return maxima(lattice, coefficients, cells, resolution)
+    def spy(lattice, coefficients, cells):
+        factors.append(lattice.m * lattice.resolution / lattice.grid.points_per_axis)
+        return maxima(lattice, coefficients, cells)
 
     maxima = _Lattice.maxima
     monkeypatch.setattr(_Lattice, "maxima", spy)
@@ -374,9 +374,9 @@ def test_sup_brackets_hold_the_dense_maximum(case):
         lattices.append(m)
         return upsample(grid, modes, coefficients, m)
 
-    def maxima_spy(lattice, coefficients, cells, resolution):
-        resolutions.append(resolution)
-        return maxima(lattice, coefficients, cells, resolution)
+    def maxima_spy(lattice, coefficients, cells):
+        resolutions.append(lattice.resolution)
+        return maxima(lattice, coefficients, cells)
 
     upsample, maxima = decay_module.upsample_values, _Lattice.maxima
     with pytest.MonkeyPatch.context() as patch:
@@ -396,8 +396,9 @@ def test_sup_brackets_hold_the_dense_maximum(case):
 def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
     # cell i of the coarse lattice at resolution R is sampled at
     # -L/2 + (i + (2 s + 1 - R) / (2 R)) L / m, s = 0, ..., R - 1 per axis,
-    # at the lattice's own resolution and at others; the cells are the five
-    # of largest |phi|
+    # at the lattice's own resolution and, with the bracket width that makes
+    # R the first to meet it, at R = 2 and 4; the cells are the five of
+    # largest |phi|
     for case, t in (("band_4", 7.3), ("bump_2d", 3.0)):
         data = oracle_case(case)[0]
         g = data.grid
@@ -408,7 +409,12 @@ def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
         coarse = upsample_values(g, modes, coefficients[:1], lattice.m)
         cells = np.argsort(np.abs(coarse.ravel()))[-5:]
         for resolution in (2, 4, lattice.resolution):
-            got = lattice.maxima(coefficients, cells, resolution)
+            width = 1.0 / np.cos(lattice.reach / resolution) - 1.0
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(decay_module, "BRACKET_WIDTH", width)
+                refined = _Lattice(g, modes, xi)
+            assert refined.resolution == resolution
+            got = refined.maxima(coefficients, cells)
             steps = (2 * np.arange(resolution) + 1 - resolution) / (2 * resolution)
             offsets = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
             index = np.stack(np.unravel_index(cells, (lattice.m,) * g.dim), -1)
@@ -445,9 +451,9 @@ def refinement(data, t):
         coarse.append(values.copy())
         return values
 
-    def maxima_spy(lattice, coefficients, cells, resolution):
+    def maxima_spy(lattice, coefficients, cells):
         refined.append((lattice, cells))
-        return maxima(lattice, coefficients, cells, resolution)
+        return maxima(lattice, coefficients, cells)
 
     upsample, maxima = decay_module.upsample_values, _Lattice.maxima
     with pytest.MonkeyPatch.context() as patch:
@@ -562,9 +568,9 @@ def test_sup_norms_build_one_offset_table_per_curve_and_resolution(monkeypatch):
     # every width is 1 / cos(sigma_max delta0 / 8) - 1
     calls = []
 
-    def spy(lattice, coefficients, cells, resolution):
-        calls.append((lattice, resolution, lattice.offsets))
-        return maxima(lattice, coefficients, cells, resolution)
+    def spy(lattice, coefficients, cells):
+        calls.append((lattice, lattice.resolution, lattice.offsets))
+        return maxima(lattice, coefficients, cells)
 
     maxima = _Lattice.maxima
     monkeypatch.setattr(_Lattice, "maxima", spy)

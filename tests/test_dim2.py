@@ -6,7 +6,7 @@ import pytest
 
 from kgdecay.bands import LittlewoodPaleyBank
 from kgdecay.bumps import bump_field, bump_profile
-from kgdecay.grid import Field, Grid, l1_norm, linf_norm, sobolev_w_k1_norm, spatial_derivative
+from kgdecay.grid import Field, Grid, l1_norm, linf_norm, partial_derivative, sobolev_w_k1_norm
 from kgdecay.hyperboloid import build_slice, slice_integral
 from kgdecay.propagator import CauchyData, evaluate_at_points, flat_energy
 
@@ -35,8 +35,8 @@ def test_evolve_single_mode_closed_form_2d():
 def test_gradient_axes_2d():
     f, _, (kx, ky) = mode_2d(2, 1)
     x, y = GRID.coordinate_arrays()
-    dfx = spatial_derivative(f, 0)
-    dfy = spatial_derivative(f, 1)
+    dfx = partial_derivative(f, (1, 0))
+    dfy = partial_derivative(f, (0, 1))
     assert np.max(np.abs(dfx.values + kx * np.sin(kx * x) * np.cos(ky * y))) <= 1e-10
     assert np.max(np.abs(dfy.values + ky * np.cos(kx * x) * np.sin(ky * y))) <= 1e-10
 

@@ -15,8 +15,8 @@ from kgdecay.grid import (
     multi_indices,
     sobolev_h_norm,
     sobolev_order,
+    partial_derivative,
     sobolev_w_k1_norm,
-    spatial_derivative,
     upsample_values,
 )
 from kgdecay.bands import LittlewoodPaleyBank
@@ -87,12 +87,12 @@ def test_parseval_random_fields():
 def test_derivative_on_lattice_mode_exact():
     x = GRID.axis_coordinates
     xi0 = 2.0 * np.pi * 7 / GRID.box_length
-    df = spatial_derivative(Field(GRID, np.sin(xi0 * x)), 0)
+    df = partial_derivative(Field(GRID, np.sin(xi0 * x)), (1,))
     assert np.max(np.abs(df.values - xi0 * np.cos(xi0 * x))) <= 1e-10
 
 
 def test_derivative_of_constant_is_zero():
-    df = spatial_derivative(Field(GRID, np.ones(GRID.shape)), 0)
+    df = partial_derivative(Field(GRID, np.ones(GRID.shape)), (1,))
     assert np.max(np.abs(df.values)) <= 1e-12
 
 
@@ -101,17 +101,17 @@ def test_derivative_matches_finite_difference_at_second_order():
     for n in (512, 1024):
         g = Grid(1, n, 32.0)
         f = bump_field(g, width=4.0)
-        spectral = spatial_derivative(f, 0).values
+        spectral = partial_derivative(f, (1,)).values
         fd = centered_difference(f.values, g.spacing, 0)
         errors[n] = np.max(np.abs(spectral - fd))
     order = np.log2(errors[512] / errors[1024])
     assert order >= 1.9
 
 
-def test_derivative_axis_out_of_range():
+def test_derivative_multi_index_of_the_wrong_length():
     f = Field(GRID, np.zeros(GRID.shape))
-    with pytest.raises(IndexError):
-        spatial_derivative(f, 1)
+    with pytest.raises(ValueError):
+        partial_derivative(f, (0, 1))
 
 
 def test_field_grid_mismatch_raises():

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from kgdecay.bumps import bump_field
+from kgdecay import grid as grid_module
 from kgdecay.errors import ConfigurationError
 from kgdecay.grid import Field, Grid, linf_norm, partial_derivative
-from kgdecay.partition import (
-    build_partition,
-    overlap_bound,
-    w_k1_comparability,
-)
+from kgdecay.partition import UnitBallPartition, overlap_bound, w_k1_comparability
 
 GRID = Grid(1, 1024, 32.0)
-PART = build_partition(1, active_radius=4.0)
+PART = UnitBallPartition.build(1, active_radius=4.0)
 
 
 def test_overlap_bound_values():
@@ -26,7 +23,7 @@ def test_partition_sums_to_one_on_active_region():
 
 
 def test_partition_sums_to_one_2d():
-    part = build_partition(2, active_radius=2.0)
+    part = UnitBallPartition.build(2, active_radius=2.0)
     rng = np.random.default_rng(1)
     pts = rng.uniform(-2.0, 2.0, size=(100, 2))
     assert np.max(np.abs(part.partition_sum(pts) - 1.0)) <= 1e-12
@@ -40,7 +37,7 @@ def test_cutoff_supported_in_unit_ball():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_overlap_count_within_bound(dim):
-    part = build_partition(dim, active_radius=2.0)
+    part = UnitBallPartition.build(dim, active_radius=2.0)
     rng = np.random.default_rng(2)
     pts = rng.uniform(-2.0, 2.0, size=(200, dim))
     counts = part.overlap_counts(pts)
@@ -112,7 +109,7 @@ def test_active_region_margin_validation():
     with pytest.raises(ConfigurationError):
         PART.cutoff_field(0, small)
     with pytest.raises(ConfigurationError):
-        build_partition(1, active_radius=-1.0)
+        UnitBallPartition.build(1, active_radius=-1.0)
 
 
 def test_comparability_zero_field():
@@ -143,6 +140,24 @@ def test_comparability_ratio_sweep_over_translates():
         assert rep.ratio_localized >= 1.0 - 1e-9
         assert rep.ratio_localized <= 100.0
         assert np.isfinite(rep.ratio_balls)
+
+
+def test_comparability_transforms_each_field_once(monkeypatch):
+    # the whole norm and every ball's restricted norm differentiate f from its
+    # one spectrum (Field.spectrum); each localized piece chi_i f is a field
+    # of its own, transformed once
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return transform(f)
+
+    transform = grid_module.forward_transform
+    monkeypatch.setattr(grid_module, "forward_transform", spy)
+    f = bump_field(GRID, center=0.3, width=1.2)
+    touching = PART.touching(f)
+    w_k1_comparability(PART, f, 1)
+    assert len(touching) >= 2 and len(calls) == 1 + len(touching)
 
 
 def test_comparability_order_validation():

@@ -55,6 +55,18 @@ def test_single_suite_process_loads_only_its_own_layers(tmp_path, suite, absent,
     assert "configparser" not in modules  # no --config file given
 
 
+def test_bare_package_import_loads_no_module():
+    # the package's interface is its modules, so importing the package alone
+    # loads none of them and offers none of their names
+    code = "import json, sys, kgdecay; print(json.dumps([sorted(sys.modules), dir(kgdecay)]))"
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True)
+    modules, names = json.loads(run.stdout)
+    assert "kgdecay" in modules
+    assert not [m for m in modules if m.startswith("kgdecay.")]
+    assert "Grid" not in names and "grid" not in names
+
+
 def test_each_suite_checks_the_same_alone_as_in_all():
     # lowfreq, lp and partition draw from a default_rng(seed) of their own,
     # so running the other suites first moves none of their draws

@@ -114,7 +114,7 @@ MUTANTS = [
      "np.cos(lattice.reach / lattice.resolution)",
      "np.cos(2 * lattice.reach / lattice.resolution)"),
     ("cell offsets halved", "src/kgdecay/decay.py",
-     "/ (2 * resolution)", "/ (4 * resolution)"),
+     "/ (2 * self.resolution)", "/ (4 * self.resolution)"),
     ("each block of refinement rows cut to its first offset", "src/kgdecay/decay.py",
      "offsets[start : start + step]", "offsets[start : start + 1]"),
     # what a single-suite process loads
@@ -126,8 +126,10 @@ MUTANTS = [
     ("slice resolution gate switched off", "src/kgdecay/plan.py",
      '+ self._unresolved("slice data", self.slice_data, limit, at)', "+ []"),
     ("localized resolution gate switched off", "src/kgdecay/plan.py",
-     'return self._unresolved("localized data", self.localized_data, MAX_NYQUIST_TAIL)',
-     "return []"),
+     'problems = self._unresolved("localized data", data, MAX_NYQUIST_TAIL)',
+     "problems = []"),
+    ("localized gate on mass outside the unit ball switched off", "src/kgdecay/plan.py",
+     "if outside > MAX_MASS_OUTSIDE:", "if False:"),
     ("fit-time gate on the mass switched off", "src/kgdecay/config.py",
      "n_fit is not None and n_fit < MIN_FIT_SAMPLES", "False"),
     ("partition box gate switched off", "src/kgdecay/config.py",
