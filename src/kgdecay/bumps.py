@@ -55,15 +55,13 @@ def bump_profile(r, sharpness: float = 1.0) -> np.ndarray:
 
 
 def bump_profile_derivative(r, sharpness: float = 1.0) -> np.ndarray:
-    """Closed-form d/dr of :func:`bump_profile`; exactly supported in |r| < 1."""
+    """Closed-form d/dr of :func:`bump_profile`: the profile times
+    -2 s r / (1 - r^2)^2 on |r| < 1, exactly supported there."""
     r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
+    out = bump_profile(r, sharpness)
     inside = np.abs(r) < 1.0
     ri = r[inside]
-    with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(-sharpness * ri**2 / (1.0 - ri**2)) * (
-            -2.0 * sharpness * ri / (1.0 - ri**2) ** 2
-        )
+    out[inside] *= -2.0 * sharpness * ri / (1.0 - ri**2) ** 2
     return out
 
 

@@ -5,6 +5,10 @@ Construction: chi_i(x) = eta(x - c_i) / sum_j eta(x - c_j) with eta the
 standard mollifier scaled to the unit ball.  The lattice spacing 1/sqrt(d)
 puts every point within distance 1/2 of a center, where eta is bounded
 below, so the quotient is smooth and the pieces sum to 1 identically.
+
+The denominator of chi_i sums only the neighbours |c_j - c_i| < 2, and only
+where eta(x - c_i) > 0: the full sum bit for bit, since eta underflows to 0
+beyond |x - c| > 0.9993, so every other center adds an exact 0.0 there.
 """
 
 from __future__ import annotations
@@ -23,35 +27,6 @@ from .grid import Field, Grid, multi_indices, partial_derivative, sobolev_w_k1_n
 def overlap_bound(dim: int) -> int:
     """Upper bound (16 d)^(d/2) on how many unit balls share a point."""
     return int(round((16.0 * dim) ** (dim / 2.0)))
-
-
-def _mother_cutoff_derivative_bound(dim: int, max_order: int) -> float:
-    """Sup-norm bound over all derivatives of order <= max_order of one cutoff.
-
-    The interior cutoffs are all translates of a single profile, evaluated
-    here on a fine periodic patch with a locally complete lattice sum and
-    differentiated spectrally.
-    """
-    n = 256 if dim == 1 else 128
-    half = 2.0
-    patch = Grid(dim, n, 2.0 * half)
-    coords = patch.coordinate_arrays()
-    spacing = 1.0 / np.sqrt(dim)
-    reach = int(np.ceil(2.0 / spacing))
-    den = np.zeros(patch.shape)
-    for steps in itertools.product(range(-reach, reach + 1), repeat=dim):
-        r2 = np.zeros(patch.shape)
-        for a in range(dim):
-            r2 += (coords[a] - steps[a] * spacing) ** 2
-        den += mollifier(np.sqrt(r2))
-    r2 = np.zeros(patch.shape)
-    for a in range(dim):
-        r2 += coords[a] ** 2
-    chi = Field(patch, mollifier(np.sqrt(r2)) / den)
-    bound = 0.0
-    for alpha in multi_indices(dim, max_order):
-        bound = max(bound, float(np.max(np.abs(partial_derivative(chi, alpha).values))))
-    return bound
 
 
 @dataclass(frozen=True)
@@ -85,36 +60,35 @@ class UnitBallPartition:
 
     @cached_property
     def derivative_bound(self) -> float:
-        """Uniform sup bound on the first d+2 derivatives of the family."""
-        return _mother_cutoff_derivative_bound(self.dim, self.dim + 2)
-
-    def _bump_values(self, i: int, points: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(points - self.centers[i], axis=-1)
-        return mollifier(d)
-
-    def _denominator(self, points: np.ndarray) -> np.ndarray:
-        den = np.zeros(points.shape[:-1])
-        for i in range(self.n_cutoffs):
-            den += self._bump_values(i, points)
-        return den
+        """Uniform sup bound on the first d+2 derivatives of the family, whose
+        interior cutoffs are translates of one profile: the origin cutoff of
+        the partition with active radius 2, which holds every neighbour of the
+        origin, sampled on [-2, 2)^d and differentiated spectrally."""
+        mother = UnitBallPartition.build(self.dim, active_radius=2.0)
+        origin = int(np.argmin(np.linalg.norm(mother.centers, axis=-1)))
+        chi = mother.cutoff_field(origin, Grid(self.dim, 256 if self.dim == 1 else 128, 4.0))
+        return max(
+            float(np.max(np.abs(partial_derivative(chi, alpha).values)))
+            for alpha in multi_indices(self.dim, self.dim + 2)
+        )
 
     def cutoff_values(self, i: int, points) -> np.ndarray:
-        """chi_i evaluated at arbitrary points (shape (..., dim))."""
+        """chi_i evaluated at arbitrary points (shape (..., dim)), with the
+        denominator summed over the neighbours of c_i in index order."""
         points = np.asarray(points, dtype=float)
-        num = self._bump_values(i, points)
-        out = np.zeros_like(num)
+        num = mollifier(np.linalg.norm(points - self.centers[i], axis=-1))
         mask = num > 0.0
-        if np.any(mask):
-            out[mask] = num[mask] / self._denominator(points[mask])
-        return out
+        inside = points[mask]
+        den = np.zeros(len(inside))
+        for c in self.centers[np.linalg.norm(self.centers - self.centers[i], axis=-1) < 2.0]:
+            den += mollifier(np.linalg.norm(inside - c, axis=-1))
+        num[mask] /= den
+        return num
 
     def partition_sum(self, points) -> np.ndarray:
-        """sum_i chi_i at arbitrary points; 1 wherever the lattice covers."""
-        points = np.asarray(points, dtype=float)
-        total = np.zeros(points.shape[:-1])
-        for i in range(self.n_cutoffs):
-            total += self.cutoff_values(i, points)
-        return total
+        """sum_i chi_i at arbitrary points, added in index order; 1 wherever
+        the lattice covers."""
+        return sum(self.cutoff_values(i, points) for i in range(self.n_cutoffs))
 
     def overlap_counts(self, points) -> np.ndarray:
         """Number of balls strictly containing each point."""
@@ -152,17 +126,6 @@ class UnitBallPartition:
         return out
 
 
-def ball_restricted_w_k1(f: Field, center: np.ndarray, k: int) -> float:
-    """W^{k,1} norm of f with integrals restricted to the unit ball at center."""
-    g = f.grid
-    r = np.linalg.norm(g.lattice_points() - np.asarray(center, float), axis=-1)
-    mask = (r < 1.0).reshape(g.shape)
-    total = 0.0
-    for alpha in multi_indices(g.dim, k):
-        total += g.cell_volume * np.sum(np.abs(partial_derivative(f, alpha).values[mask]))
-    return total
-
-
 @dataclass(frozen=True)
 class ComparabilityReport:
     """The three W^{k,1} quantities of the localization inequality chain."""
@@ -185,15 +148,19 @@ def w_k1_comparability(p: UnitBallPartition, f: Field, k: int) -> ComparabilityR
     """Evaluate ||f||_{W^{k,1}} <= sum ||chi_i f|| <~ sum ||f||_{W^{k,1}(B_i)} <~ ||f||.
 
     Only cutoffs whose ball meets the support of f contribute; the two
-    reported ratios are bounded by dimension-dependent constants.
+    reported ratios are bounded by dimension-dependent constants.  Each
+    |d^alpha f| is taken once, and the whole norm and every ball's
+    restricted norm sum those arrays.
     """
-    d = f.grid.dim
-    if not 0 <= k <= d + 2:
+    g = f.grid
+    if not 0 <= k <= g.dim + 2:
         raise ValueError(f"comparability order must satisfy 0 <= k <= d+2, got {k}")
-    whole = sobolev_w_k1_norm(f, k)
-    localized = 0.0
-    balls = 0.0
+    derivatives = [np.abs(partial_derivative(f, alpha).values) for alpha in multi_indices(g.dim, k)]
+    whole = sum(float(g.cell_volume * np.sum(a)) for a in derivatives)
+    localized = balls = 0.0
+    points = g.lattice_points()
     for i in p.touching(f):
         localized += sobolev_w_k1_norm(p.apply_cutoff(i, f), k)
-        balls += ball_restricted_w_k1(f, p.centers[i], k)
+        ball = (np.linalg.norm(points - p.centers[i], axis=-1) < 1.0).reshape(g.shape)
+        balls += sum(g.cell_volume * np.sum(a[ball]) for a in derivatives)
     return ComparabilityReport(k, whole, localized, balls)

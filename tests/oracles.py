@@ -9,13 +9,19 @@ single-mode solutions.  ``evolve`` is not an oracle: it turns the library's
 for the tests to read.
 Nor is ``data_slice_samples``: it samples data on a slice as the run plan
 does, for the slice checks to read.
+The partition oracles are the direct forms that the library's partition
+shortens: cutoffs over the full denominator, the cutoff derivative bound
+from a private lattice sum, and one ball's restricted norm with its own
+derivatives.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
+from kgdecay.bumps import mollifier
 from kgdecay.grid import (
     Field,
     Grid,
@@ -23,6 +29,7 @@ from kgdecay.grid import (
     forward_transform,
     inverse_transform,
     l2_norm,
+    multi_indices,
     partial_derivative,
 )
 from kgdecay.hyperboloid import build_slice, slice_samples
@@ -231,3 +238,63 @@ def single_mode_solution(xi0: float, mass: float, amp_f: float, amp_g: float):
         return -xi0 * osc * np.sin(xi0 * x)
 
     return phi, dphi_dt, dphi_dx
+
+
+def full_sum_cutoff_values(part, i: int, points) -> np.ndarray:
+    """chi_i of a ``UnitBallPartition`` at points, its denominator summed over
+    every center of the partition in index order."""
+    points = np.asarray(points, dtype=float)
+    num = mollifier(np.linalg.norm(points - part.centers[i], axis=-1))
+    out = np.zeros_like(num)
+    mask = num > 0.0
+    if np.any(mask):
+        den = np.zeros(points[mask].shape[:-1])
+        for c in part.centers:
+            den += mollifier(np.linalg.norm(points[mask] - c, axis=-1))
+        out[mask] = num[mask] / den
+    return out
+
+
+def full_sum_partition_sum(part, points) -> np.ndarray:
+    """sum_i chi_i from :func:`full_sum_cutoff_values`, added in index order."""
+    points = np.asarray(points, dtype=float)
+    total = np.zeros(points.shape[:-1])
+    for i in range(part.n_cutoffs):
+        total += full_sum_cutoff_values(part, i, points)
+    return total
+
+
+def lattice_cutoff_derivative_bound(dim: int, max_order: int) -> float:
+    """Sup over all derivatives of order <= max_order of the origin cutoff,
+    sampled on the periodic patch [-2, 2)^d with a lattice sum over every
+    center within reach of the patch, and differentiated spectrally."""
+    patch = Grid(dim, 256 if dim == 1 else 128, 4.0)
+    coords = patch.coordinate_arrays()
+    spacing = 1.0 / np.sqrt(dim)
+    reach = int(np.ceil(2.0 / spacing))
+    den = np.zeros(patch.shape)
+    for steps in itertools.product(range(-reach, reach + 1), repeat=dim):
+        r2 = np.zeros(patch.shape)
+        for a in range(dim):
+            r2 += (coords[a] - steps[a] * spacing) ** 2
+        den += mollifier(np.sqrt(r2))
+    r2 = np.zeros(patch.shape)
+    for a in range(dim):
+        r2 += coords[a] ** 2
+    chi = Field(patch, mollifier(np.sqrt(r2)) / den)
+    bound = 0.0
+    for alpha in multi_indices(dim, max_order):
+        bound = max(bound, float(np.max(np.abs(partial_derivative(chi, alpha).values))))
+    return bound
+
+
+def ball_restricted_w_k1(f: Field, center, k: int) -> float:
+    """W^{k,1} norm of f with integrals restricted to the unit ball at
+    center, each derivative of f taken afresh."""
+    g = f.grid
+    r = np.linalg.norm(g.lattice_points() - np.asarray(center, float), axis=-1)
+    mask = (r < 1.0).reshape(g.shape)
+    total = 0.0
+    for alpha in multi_indices(g.dim, k):
+        total += g.cell_volume * np.sum(np.abs(partial_derivative(f, alpha).values[mask]))
+    return total

@@ -4,8 +4,14 @@ import pytest
 from kgdecay.bumps import bump_field
 from kgdecay import grid as grid_module
 from kgdecay.errors import ConfigurationError
-from kgdecay.grid import Field, Grid, linf_norm, partial_derivative
+from kgdecay.grid import Field, Grid, linf_norm, partial_derivative, sobolev_w_k1_norm
 from kgdecay.partition import UnitBallPartition, overlap_bound, w_k1_comparability
+from oracles import (
+    ball_restricted_w_k1,
+    full_sum_cutoff_values,
+    full_sum_partition_sum,
+    lattice_cutoff_derivative_bound,
+)
 
 GRID = Grid(1, 1024, 32.0)
 PART = UnitBallPartition.build(1, active_radius=4.0)
@@ -27,6 +33,28 @@ def test_partition_sums_to_one_2d():
     rng = np.random.default_rng(1)
     pts = rng.uniform(-2.0, 2.0, size=(100, 2))
     assert np.max(np.abs(part.partition_sum(pts) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cutoffs_and_sum_equal_full_denominator_oracle(dim):
+    # the neighbour denominator drops only exact zeros: random points over and
+    # beyond the active region, and points within 1e-9 of every ball's edge
+    part = PART if dim == 1 else UnitBallPartition.build(2, active_radius=2.0)
+    rng = np.random.default_rng(5)
+    reach = part.active_radius + 2.0
+    u = rng.normal(size=(part.n_cutoffs, dim))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    edge = part.centers + (1.0 + rng.uniform(-1e-9, 1e-9, size=(part.n_cutoffs, 1))) * u
+    pts = np.concatenate([rng.uniform(-reach, reach, size=(300, dim)), edge])
+    for i in range(part.n_cutoffs):
+        assert np.array_equal(part.cutoff_values(i, pts), full_sum_cutoff_values(part, i, pts))
+    assert np.array_equal(part.partition_sum(pts), full_sum_partition_sum(part, pts))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_derivative_bound_equals_private_lattice_oracle(dim):
+    part = UnitBallPartition.build(dim, active_radius=4.0)
+    assert part.derivative_bound == lattice_cutoff_derivative_bound(dim, dim + 2)
 
 
 def test_cutoff_supported_in_unit_ball():
@@ -142,22 +170,46 @@ def test_comparability_ratio_sweep_over_translates():
         assert np.isfinite(rep.ratio_balls)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_comparability_norms_equal_per_ball_oracle(dim):
+    # the whole norm and the ball sum read one set of |d^alpha f| arrays, in
+    # the order of the per-ball norms they replace
+    if dim == 1:
+        grid, part, center = GRID, PART, 0.3
+    else:
+        grid, part, center = Grid(2, 64, 8.0), UnitBallPartition.build(2, 2.0), (0.3, -0.4)
+    f = bump_field(grid, center=center, width=1.2)
+    for k in range(dim + 3):
+        rep = w_k1_comparability(part, f, k)
+        balls = 0.0
+        for i in part.touching(f):
+            balls += ball_restricted_w_k1(f, part.centers[i], k)
+        assert rep.whole == sobolev_w_k1_norm(f, k)
+        assert rep.ball_sum == balls
+
+
 def test_comparability_transforms_each_field_once(monkeypatch):
-    # the whole norm and every ball's restricted norm differentiate f from its
-    # one spectrum (Field.spectrum); each localized piece chi_i f is a field
-    # of its own, transformed once
-    calls = []
+    # the whole norm and every ball's restricted norm read the derivatives of
+    # f taken once from its one spectrum (Field.spectrum); each localized
+    # piece chi_i f is a field of its own, transformed and differentiated once
+    calls = {"forward": [], "inverse": []}
 
-    def spy(f):
-        calls.append(f)
-        return transform(f)
+    def spy(name, transform):
+        def counted(f):
+            calls[name].append(f)
+            return transform(f)
+        return counted
 
-    transform = grid_module.forward_transform
-    monkeypatch.setattr(grid_module, "forward_transform", spy)
+    monkeypatch.setattr(grid_module, "forward_transform",
+                        spy("forward", grid_module.forward_transform))
+    monkeypatch.setattr(grid_module, "inverse_transform",
+                        spy("inverse", grid_module.inverse_transform))
     f = bump_field(GRID, center=0.3, width=1.2)
     touching = PART.touching(f)
     w_k1_comparability(PART, f, 1)
-    assert len(touching) >= 2 and len(calls) == 1 + len(touching)
+    assert len(touching) >= 2
+    assert len(calls["forward"]) == 1 + len(touching)
+    assert len(calls["inverse"]) == 1 + len(touching)
 
 
 def test_comparability_order_validation():

@@ -117,6 +117,11 @@ MUTANTS = [
      "/ (2 * self.resolution)", "/ (4 * self.resolution)"),
     ("each block of refinement rows cut to its first offset", "src/kgdecay/decay.py",
      "offsets[start : start + step]", "offsets[start : start + 1]"),
+    # the partition's neighbour denominator and the ball sums
+    ("cutoff denominator over centers within 1 of c_i", "src/kgdecay/partition.py",
+     "self.centers[i], axis=-1) < 2.0]", "self.centers[i], axis=-1) < 1.0]"),
+    ("ball sums read at radius 2", "src/kgdecay/partition.py",
+     "p.centers[i], axis=-1) < 1.0)", "p.centers[i], axis=-1) < 2.0)"),
     # what a single-suite process loads
     ("every suite process loads the decay layer", "src/kgdecay/suites.py",
      "from .plan import RunPlan\n", "from .plan import RunPlan\nfrom . import decay  # noqa: F401\n"),
