@@ -1,6 +1,6 @@
 """Smooth compactly supported profiles: the standard mollifier (used by the
 frequency-band and partition constructions), smooth steps built from it, and
-tensor-product bump fields used as test data.
+the radial bump fields used as test data.
 
 Test-data bumps take a ``sharpness`` parameter: the profile
 exp(-s r^2 / (1 - r^2)) keeps unit-ball support for every s but its spectrum
@@ -54,54 +54,42 @@ def bump_profile(r, sharpness: float = 1.0) -> np.ndarray:
     return out
 
 
-def bump_profile_derivative(r, sharpness: float = 1.0) -> np.ndarray:
-    """Closed-form d/dr of :func:`bump_profile`: the profile times
-    -2 s r / (1 - r^2)^2 on |r| < 1, exactly supported there."""
-    r = np.asarray(r, dtype=float)
-    out = bump_profile(r, sharpness)
-    inside = np.abs(r) < 1.0
-    ri = r[inside]
-    out[inside] *= -2.0 * sharpness * ri / (1.0 - ri**2) ** 2
-    return out
-
-
-def _bump_factors(grid: Grid, center, width):
-    center = np.zeros(grid.dim) if center is None else np.atleast_1d(np.asarray(center, float))
-    width = np.broadcast_to(np.asarray(width, dtype=float), (grid.dim,)).copy()
+def _scaled_offsets(grid: Grid, center, width):
+    """u_a = (x_a - c_a) / w_a on the grid, one array per axis, r = |u| and
+    the widths; in 1-D r == |u_0| bit for bit, as sqrt(u^2) == |u| in binary64."""
+    center = np.broadcast_to(np.asarray(0.0 if center is None else center, float), (grid.dim,))
+    width = np.broadcast_to(np.asarray(width, dtype=float), (grid.dim,))
     if np.any(width <= 0):
         raise ValueError("bump width must be positive")
-    return center, width
+    u = [(x - c) / w for x, c, w in zip(grid.coordinate_arrays(), center, width)]
+    r = sum(a * a for a in u)
+    return u, np.sqrt(r, out=r), width
 
 
 def bump_field(
     grid: Grid, center=None, width=1.0, amplitude: float = 1.0, sharpness: float = 1.0
 ) -> Field:
-    """Tensor-product bump supported in the product of |x_a - c_a| < w_a."""
-    center, width = _bump_factors(grid, center, width)
-    vals = np.ones(grid.shape)
-    for a, x in enumerate(grid.coordinate_arrays()):
-        vals = vals * bump_profile((x - center[a]) / width[a], sharpness)
-    return Field(grid, amplitude * vals)
+    """Radial bump amplitude * bump_profile(|u|), u_a = (x_a - c_a) / w_a:
+    supported in the ellipsoid |u| < 1, the ball B(c, w) for a scalar width."""
+    _, r, _ = _scaled_offsets(grid, center, width)
+    return Field(grid, amplitude * bump_profile(r, sharpness))
 
 
 def bump_derivative_field(
     grid: Grid, axis: int = 0, center=None, width=1.0, amplitude: float = 1.0,
     sharpness: float = 1.0,
 ) -> Field:
-    """Closed-form partial derivative of :func:`bump_field` along one axis.
+    """Closed-form partial derivative of :func:`bump_field` along one axis:
+    the profile times -2 s u_a / ((1 - r^2)^2 w_a) on r = |u| < 1.
 
     Unlike a spectral derivative of the sampled bump, this is exactly zero
     outside the bump's support.
     """
     if not 0 <= axis < grid.dim:
         raise IndexError(f"axis {axis} out of range for dim {grid.dim}")
-    center, width = _bump_factors(grid, center, width)
-    vals = np.ones(grid.shape)
-    for a, x in enumerate(grid.coordinate_arrays()):
-        u = (x - center[a]) / width[a]
-        if a == axis:
-            vals = vals * bump_profile_derivative(u, sharpness) / width[a]
-        else:
-            vals = vals * bump_profile(u, sharpness)
-    return Field(grid, amplitude * vals)
-
+    u, r, width = _scaled_offsets(grid, center, width)
+    vals = bump_profile(r, sharpness)
+    inside = r < 1.0
+    ri = r[inside]
+    vals[inside] *= -2.0 * sharpness * u[axis][inside] / (1.0 - ri**2) ** 2
+    return Field(grid, amplitude * (vals / width[axis]))

@@ -36,8 +36,7 @@ from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .config import MIN_FIT_SAMPLES
 from .errors import ConfigurationError
 from .grid import Field, Grid, l1_norm, signed_modes, sobolev_h_norm, upsample_values
-from .propagator import (MAX_MASS_OUTSIDE, CauchyData, _evolved, hermitian_pairs,
-                         mass_outside_fraction, nonzero_modes)
+from .propagator import CauchyData, _evolved, hermitian_pairs, nonzero_modes
 
 DEGENERATE_NORM = 1e-12
 # the largest relative width (upper / lower - 1) of a sup bracket
@@ -46,6 +45,9 @@ BRACKET_WIDTH = 1e-2
 REFINE_CHUNK_ENTRIES = 2**16
 # fields x offsets x modes in one block of the refinement rows
 REFINE_BLOCK_ENTRIES = 2**18
+
+# the largest share of localized data's |f| + |g| mass outside the unit ball
+MAX_MASS_OUTSIDE = 1e-8
 
 SUP_FIELDS = ("phi", "dphi_dt", "grad", "partial")
 
@@ -309,6 +311,16 @@ def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, b
                         float(max(width[:, columns].flat, default=0.0)))
         )
     return reports
+
+
+def mass_outside_fraction(data: CauchyData) -> float:
+    """Fraction of the combined |f|+|g| mass lying outside the unit ball."""
+    r2 = np.sum(data.grid.lattice_points() ** 2, axis=-1).reshape(data.grid.shape)
+    combined = np.abs(data.f.values) + np.abs(data.g.values)
+    total = np.sum(combined)
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(combined[r2 > 1.0]) / total)
 
 
 def localized_decay_check(data: CauchyData, times, fit_window=None) -> list:

@@ -15,7 +15,7 @@ from .bumps import bump_derivative_field, bump_field
 from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
 from .errors import ConfigurationError
 from .grid import Grid, sobolev_order
-from .propagator import MAX_MASS_OUTSIDE, CauchyData, data_support_radius, mass_outside_fraction
+from .propagator import CauchyData, data_support_radius
 
 # slice suites need steeper data: the jet they sample differentiates it up to
 # one order past the Sobolev order, which weights its spectral tail by |xi|
@@ -26,7 +26,7 @@ SLICE_DATA_SHARPNESS = 8.0
 LOCALIZED_DATA_SHARPNESS = 1.0
 # largest top-octave tail of the slice data or the localized data that the
 # suites accept: energy, sobolev and pointwise pass at tails up to 0.17
-# (N = 1024, L = 160), and energy fails (gaps > 1e-4) from 0.84 (d = 2,
+# (N = 1024, L = 160), and energy fails (gaps > 1e-4) from 0.88 (d = 2,
 # N = 128, L = 32); localized passes at 0.51 (N = 1024, L = 320) and fails at
 # 0.998 (N = 512, L = 256)
 MAX_NYQUIST_TAIL = 0.7
@@ -144,17 +144,9 @@ class RunPlan:
         ]
 
     def localized_problems(self) -> list:
-        """Why localized cannot run on this plan: unresolved data, or data
-        with mass outside the unit ball."""
-        data, c = self.localized_data, self.config
-        problems = self._unresolved("localized data", data, MAX_NYQUIST_TAIL)
-        outside = mass_outside_fraction(data)
-        if outside > MAX_MASS_OUTSIDE:
-            problems.append(
-                f"grid_n {c.grid_n} at box_length {c.box_length} puts {outside:.1e} of the "
-                f"localized data's mass outside the unit ball (> {MAX_MASS_OUTSIDE:g})"
-            )
-        return problems
+        """Why localized cannot run on this plan: unresolved data.  The data
+        lie in B(0, support_radius), which validate() keeps in the unit ball."""
+        return self._unresolved("localized data", self.localized_data, MAX_NYQUIST_TAIL)
 
     @cached_property
     def slices(self) -> dict:

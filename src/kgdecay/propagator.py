@@ -17,8 +17,8 @@ of modes at each pair of points costs one cos and one sin.  A derivative
 d_x^alpha d_t^j phi multiplies each half-wave's coefficient by
 (i xi)^alpha (+-i w)^j and keeps its phase, so one pass sums all of them.
 
-The run plan's checks of the data's support in space (``data_support_radius``,
-``mass_outside_fraction``) live here, so the plan does not load ``decay``.
+The run plan's measure of the data's support in space (``data_support_radius``)
+lives here, so the plan does not load ``decay``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .grid import (
 # their cos and sin, the complex phase, one product) are 7 float64 per
 # entry, under 2 MB; more columns widen a block
 EVAL_CHUNK_ENTRIES = 2**15
-# the largest share of localized data's |f| + |g| mass outside the unit ball
-MAX_MASS_OUTSIDE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -239,8 +237,9 @@ def evaluate_at_points(data: CauchyData, times, points, order: int = 0) -> np.nd
     w = omega[lead]
     coeff = weight * _jet_coefficients(columns, xi[lead], w, *spectra[:, lead])
     mirror = weight * _jet_coefficients(columns, -xi[lead], w, *minus)
-    # (C, 2 x mode pairs), used transposed: with column-major coefficients
-    # the block products round alike for any number of columns
+    # (C, 2 x mode pairs), used transposed.  BLAS picks its kernel by shape,
+    # so the block products of calls with different C need not round alike:
+    # orders 0 and 1 can differ in the last bits of the columns they share
     even = np.concatenate([(coeff + mirror).real, -(coeff + mirror).imag], axis=1)
     odd = np.concatenate([-(coeff - mirror).imag, -(coeff - mirror).real], axis=1)
     del coeff, mirror
@@ -273,16 +272,6 @@ def data_support_radius(data: CauchyData) -> float:
     r2 = np.sum(data.grid.lattice_points() ** 2, axis=-1)
     v = [np.abs(h.values).ravel() for h in (data.f, data.g)]
     return float(np.sqrt(max((np.max(r2[a > 1e-5 * a.max()]) for a in v if a.any()), default=0.0)))
-
-
-def mass_outside_fraction(data: CauchyData) -> float:
-    """Fraction of the combined |f|+|g| mass lying outside the unit ball."""
-    r2 = np.sum(data.grid.lattice_points() ** 2, axis=-1).reshape(data.grid.shape)
-    combined = np.abs(data.f.values) + np.abs(data.g.values)
-    total = np.sum(combined)
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(combined[r2 > 1.0]) / total)
 
 
 def boost_commuted_data(data: CauchyData, axis: int) -> CauchyData:

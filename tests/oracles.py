@@ -13,6 +13,8 @@ The partition oracles are the direct forms that the library's partition
 shortens: cutoffs over the full denominator, the cutoff derivative bound
 from a private lattice sum, and one ball's restricted norm with its own
 derivatives.
+``tensor_bump_values`` is the per-axis product the radial bump fields
+replaced; in 1-D the two agree bit for bit.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from kgdecay.bumps import mollifier
+from kgdecay.bumps import bump_profile, mollifier
 from kgdecay.grid import (
     Field,
     Grid,
@@ -191,6 +193,26 @@ def bump_mass_1d(width: float, amplitude: float = 1.0, sharpness: float = 1.0) -
 
     val, _ = quad(profile, -width, width, epsabs=1e-13, epsrel=1e-13, limit=200)
     return val
+
+
+def tensor_bump_values(grid, center=None, width=1.0, amplitude=1.0, sharpness=1.0, axis=None):
+    """The tensor-product bump prod_a p(u_a), u_a = (x_a - c_a) / w_a and
+    p = bump_profile, supported in the box |u_a| < 1; with ``axis``, its
+    closed-form partial derivative along that axis."""
+    center = np.zeros(grid.dim) if center is None else np.atleast_1d(np.asarray(center, float))
+    width = np.broadcast_to(np.asarray(width, dtype=float), (grid.dim,))
+    vals = np.ones(grid.shape)
+    for a, x in enumerate(grid.coordinate_arrays()):
+        u = (x - center[a]) / width[a]
+        p = bump_profile(u, sharpness)
+        if a == axis:
+            inside = np.abs(u) < 1.0
+            ui = u[inside]
+            p[inside] *= -2.0 * sharpness * ui / (1.0 - ui**2) ** 2
+            vals = vals * p / width[a]
+        else:
+            vals = vals * p
+    return amplitude * vals
 
 
 def slice_integral_radial_oracle(tau: float, profile, radius: float, dim: int) -> float:

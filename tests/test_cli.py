@@ -6,7 +6,7 @@ import pytest
 
 from kgdecay.cli import main
 from kgdecay.config import RunConfig, load_config, parse_times
-from kgdecay.decay import DecayCurve
+from kgdecay.decay import DecayCurve, mass_outside_fraction
 from kgdecay.errors import ConfigurationError
 from kgdecay.plan import RunPlan, nyquist_tail
 from kgdecay.reporting import write_curve_csv, write_loglog_svg
@@ -298,7 +298,7 @@ def _never_run_suites(config):
         (["--suite", "sobolev", "--grid-n", "512", "--box-length", "160"],
          {"slice data": "9.9e-01"}),
         (["--suite", "sobolev", "--dim", "2", "--grid-n", "128", "--box-length", "32"],
-         {"slice data": "8.4e-01"}),
+         {"slice data": "8.8e-01"}),
         (["--suite", "pointwise", "--dim", "2", "--grid-n", "256", "--box-length", "32"], {}),
     ],
     ids=["all_512_256", "sobolev_512_160", "sobolev_2d_128_32", "pointwise_2d_256_32"],
@@ -350,12 +350,12 @@ def test_resolution_gate_accepts_resolved_slice_data(dim, grid_n, box_length):
 
 @pytest.mark.parametrize(
     "dim, grid_n, box_length, tail",
-    [(2, 128, 32.0, "8.4e-01"), (1, 512, 160.0, "9.9e-01")],
+    [(2, 128, 32.0, "8.8e-01"), (1, 512, 160.0, "9.9e-01")],
 )
 def test_resolution_gate_rejects_unresolved_slice_data(
     tmp_path, capsys, monkeypatch, dim, grid_n, box_length, tail
 ):
-    # energy fails its gap checks on these grids (5.1e-3 and 2.5e-3 > 1e-4)
+    # energy fails its gap checks on these grids (5.5e-3 and 2.5e-3 > 1e-4)
     monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
     argv = ["--suite", "energy", "--dim", str(dim), "--grid-n", str(grid_n)]
     argv += ["--box-length", str(box_length), "--taus", "2,4", "--out", str(tmp_path)]
@@ -429,16 +429,14 @@ def test_resolution_gate_accepts_resolved_localized_data(grid_n, tail):
     assert nyquist_tail(RunPlan.of(config).localized_data) == pytest.approx(tail, rel=0.05)
 
 
-def test_validation_rejects_localized_data_outside_the_unit_ball(tmp_path, capsys, monkeypatch):
-    # in 2-D the tensor-product bump fills the square [-1, 1]^2, whose corners
-    # leave the unit ball: on this grid 3.9e-3 of its mass lies outside, which
-    # localized_decay_check would reject mid-run
+def test_validation_accepts_2d_localized_data_in_the_unit_ball(tmp_path, capsys, monkeypatch):
+    # the radial bump lies in the unit ball on every grid; the tensor-product
+    # bump it replaced filled the square [-1, 1]^2 and put 3.9e-3 of its mass
+    # outside the ball on this grid, which validate() then rejected
     monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
     argv = ["--suite", "localized", "--dim", "2", "--grid-n", "512", "--box-length", "160"]
-    assert main([*argv, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: invalid configuration:\n")
-    assert ("grid_n 512 at box_length 160.0 puts 3.9e-03 of the localized data's mass "
-            "outside the unit ball (> 1e-08)") in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "summary.json").exists()
+    with pytest.raises(AssertionError, match="run_selected_suites entered"):
+        main([*argv, "--out", str(tmp_path)])
+    assert "Traceback" not in capsys.readouterr().err
+    config = RunConfig(suite="localized", dim=2, grid_n=512, box_length=160.0)
+    assert mass_outside_fraction(RunPlan.of(config).localized_data) == 0.0

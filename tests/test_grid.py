@@ -20,7 +20,7 @@ from kgdecay.grid import (
     upsample_values,
 )
 from kgdecay.bands import LittlewoodPaleyBank
-from kgdecay.bumps import bump_field, bump_profile, bump_profile_derivative
+from kgdecay.bumps import bump_derivative_field, bump_field
 
 from oracles import bump_mass_1d, centered_difference, complex_upsample_oracle
 
@@ -138,18 +138,17 @@ def test_bump_l1_matches_quadrature_oracle():
 
 
 @pytest.mark.parametrize("sharpness", [0.3, 1.0, 4.0])
-def test_bump_profile_derivative_matches_centered_difference(sharpness):
-    h = 1e-4
-    r = np.arange(-1.2, 1.2, h)
-    exact = bump_profile_derivative(r, sharpness)
-    diff = centered_difference(bump_profile(r, sharpness), h, 0)
-    assert np.max(np.abs(exact - diff)[1:-1]) <= 1e-5 * np.max(np.abs(exact))
+def test_bump_derivative_field_matches_centered_difference(sharpness):
+    g = Grid(1, 2**15, 4.0)
+    exact = bump_derivative_field(g, sharpness=sharpness).values
+    diff = centered_difference(bump_field(g, sharpness=sharpness).values, g.spacing, 0)
+    assert np.max(np.abs(exact - diff)) <= 1e-5 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("sharpness", [0.0, -1.0])
-def test_bump_profile_derivative_rejects_non_positive_sharpness(sharpness):
+def test_bump_derivative_field_rejects_non_positive_sharpness(sharpness):
     with pytest.raises(ValueError):
-        bump_profile_derivative(np.linspace(-1.0, 1.0, 5), sharpness)
+        bump_derivative_field(Grid(1, 16, 4.0), sharpness=sharpness)
 
 
 def test_zero_field_norms():

@@ -122,6 +122,11 @@ MUTANTS = [
      "self.centers[i], axis=-1) < 2.0]", "self.centers[i], axis=-1) < 1.0]"),
     ("ball sums read at radius 2", "src/kgdecay/partition.py",
      "p.centers[i], axis=-1) < 1.0)", "p.centers[i], axis=-1) < 2.0)"),
+    # the radial bump
+    ("bump radius read as the max norm", "src/kgdecay/bumps.py",
+     "np.sqrt(r, out=r)", "np.max(np.abs(u), axis=0)"),
+    ("derivative factor with r in place of u_a", "src/kgdecay/bumps.py",
+     "-2.0 * sharpness * u[axis][inside]", "-2.0 * sharpness * ri"),
     # what a single-suite process loads
     ("every suite process loads the decay layer", "src/kgdecay/suites.py",
      "from .plan import RunPlan\n", "from .plan import RunPlan\nfrom . import decay  # noqa: F401\n"),
@@ -131,10 +136,8 @@ MUTANTS = [
     ("slice resolution gate switched off", "src/kgdecay/plan.py",
      '+ self._unresolved("slice data", self.slice_data, limit, at)', "+ []"),
     ("localized resolution gate switched off", "src/kgdecay/plan.py",
-     'problems = self._unresolved("localized data", data, MAX_NYQUIST_TAIL)',
-     "problems = []"),
-    ("localized gate on mass outside the unit ball switched off", "src/kgdecay/plan.py",
-     "if outside > MAX_MASS_OUTSIDE:", "if False:"),
+     'return self._unresolved("localized data", self.localized_data, MAX_NYQUIST_TAIL)',
+     "return []"),
     ("fit-time gate on the mass switched off", "src/kgdecay/config.py",
      "n_fit is not None and n_fit < MIN_FIT_SAMPLES", "False"),
     ("partition box gate switched off", "src/kgdecay/config.py",
