@@ -6,7 +6,7 @@ import pytest
 
 from kgdecay.cli import main
 from kgdecay.config import RunConfig, load_config, parse_times
-from kgdecay.decay import DecayCurve, mass_outside_fraction
+from kgdecay.decay import DecayCurve
 from kgdecay.errors import ConfigurationError
 from kgdecay.plan import RunPlan, nyquist_tail
 from kgdecay.reporting import write_curve_csv, write_loglog_svg
@@ -287,7 +287,7 @@ def test_report_files_written(tmp_path):
 
 
 def _never_run_suites(config):
-    raise AssertionError("run_selected_suites entered for a configuration validate() rejects")
+    raise AssertionError("run_selected_suites entered: validate() accepted the configuration")
 
 
 @pytest.mark.parametrize(
@@ -430,13 +430,11 @@ def test_resolution_gate_accepts_resolved_localized_data(grid_n, tail):
 
 
 def test_validation_accepts_2d_localized_data_in_the_unit_ball(tmp_path, capsys, monkeypatch):
-    # the radial bump lies in the unit ball on every grid; the tensor-product
-    # bump it replaced filled the square [-1, 1]^2 and put 3.9e-3 of its mass
-    # outside the ball on this grid, which validate() then rejected
+    # the radial bump lies in the unit ball on every grid (tests/test_plan.py
+    # checks its mass there); the tensor-product bump it replaced put 3.9e-3
+    # of its mass outside the ball on this grid, which validate() rejected
     monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
     argv = ["--suite", "localized", "--dim", "2", "--grid-n", "512", "--box-length", "160"]
     with pytest.raises(AssertionError, match="run_selected_suites entered"):
         main([*argv, "--out", str(tmp_path)])
     assert "Traceback" not in capsys.readouterr().err
-    config = RunConfig(suite="localized", dim=2, grid_n=512, box_length=160.0)
-    assert mass_outside_fraction(RunPlan.of(config).localized_data) == 0.0
