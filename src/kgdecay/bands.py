@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bumps import radial_transition
+from .bumps import smoothstep
 from .grid import Field, Grid, SpectralField, inverse_transform
 
 LOW_PASS_BAND = -1
@@ -27,7 +27,7 @@ LOW_PASS_BAND = -1
 
 def low_pass_profile(r) -> np.ndarray:
     """Radial symbol of the low-frequency projector: 1 below 1/2, 0 above 1."""
-    return radial_transition(r, 0.5, 1.0)
+    return smoothstep((1.0 - np.asarray(r, dtype=float)) / (1.0 - 0.5))
 
 
 def mother_bump(r) -> np.ndarray:

@@ -34,13 +34,6 @@ def smoothstep(t) -> np.ndarray:
     return qa / (qa + qb)
 
 
-def radial_transition(r, inner: float, outer: float) -> np.ndarray:
-    """Smooth radial cutoff: 1 for r <= inner, 0 for r >= outer."""
-    if not 0.0 <= inner < outer:
-        raise ValueError(f"need 0 <= inner < outer, got ({inner}, {outer})")
-    return smoothstep((outer - np.asarray(r, dtype=float)) / (outer - inner))
-
-
 def bump_profile(r, sharpness: float = 1.0) -> np.ndarray:
     """exp(-s r^2/(1-r^2)) on |r| < 1, zero outside; peak value 1 at r = 0."""
     if sharpness <= 0:

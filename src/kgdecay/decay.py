@@ -74,9 +74,10 @@ def _quantities(values) -> np.ndarray:
 
 class _Lattice:
     """The coarse lattice of a sup curve, m points per axis: the smallest
-    power of two with m > 2 max |k_a| over the modes, so that its samples
-    determine the fields, and ``reach`` = sigma_max delta0 <= 1 for the top
-    frequency sigma_max and the cells' half-diagonal delta0 = L sqrt(d) / (2 m).
+    power of two with ``reach`` = sigma_max delta0 <= 1 for the top frequency
+    sigma_max and the cells' half-diagonal delta0 = L sqrt(d) / (2 m).  As
+    sigma_max >= 2 pi max |k_a| / L over the modes, m >= pi sqrt(d) max |k_a|
+    > 2 max |k_a|, so its samples determine the fields.
     Cell i is the cube of half-side L / (2 m) around -L/2 + i L / m; at
     resolution R it is sampled at the R^d centres of its sub-cells, within
     delta0 / R of each of its points.  The lattice's ``resolution`` is the
@@ -87,8 +88,7 @@ class _Lattice:
     def __init__(self, grid: Grid, modes, xi):
         self.grid, self.xi, self.signed, self.m = grid, xi, signed_modes(grid, modes), 2
         sigma_max = np.sqrt(np.max(np.sum(xi**2, axis=-1)))
-        while (self.m <= 2 * np.max(np.abs(self.signed))
-               or self.m < sigma_max * grid.box_length * np.sqrt(grid.dim) / 2):
+        while self.m < sigma_max * grid.box_length * np.sqrt(grid.dim) / 2:
             self.m *= 2
         self.delta0 = grid.box_length * np.sqrt(grid.dim) / (2 * self.m)
         self.reach, self.resolution = sigma_max * self.delta0, 2

@@ -1,8 +1,8 @@
 """The run plan: every grid, time set and horizon a configuration derives,
-the slice data, its slice per tau and its samples there (the data's and,
-for the suites that read them, its boosts', from one evaluator pass per tau)
-and the localized data, built once per config value.  ``validate()`` checks
-them and the suites read them."""
+the slice data, its slice per tau and its samples there (the data's and its
+boosts' up to the Sobolev order, from one evaluator pass per tau, whichever
+slice suites run) and the localized data, built once per config value.
+``validate()`` checks them and the suites read them."""
 
 from __future__ import annotations
 
@@ -35,8 +35,6 @@ MAX_NYQUIST_TAIL = 0.7
 # L = 256), 1.2e-4 at 8.6e-3 (N = 128, L = 12) and 4.5e-7 at 1.1e-3 (defaults)
 SMALL_TAU = 2.0
 SMALL_TAU_NYQUIST_TAIL = 3e-3
-# the slice suites whose rows sum over the slice data's boosts
-BOOSTED_SUITES = ("sobolev", "pointwise")
 
 
 def mass_commensurate_times(m0: float) -> np.ndarray:
@@ -158,12 +156,12 @@ class RunPlan:
 
     @cached_property
     def samples(self) -> dict:
-        """tau -> the samples on the tau-slice of the slice data and, for
-        sobolev and pointwise, its iterated boosts up to the Sobolev order."""
+        """tau -> the samples on the tau-slice of the slice data and its
+        iterated boosts up to the Sobolev order, whichever slice suites run
+        (energy reads only the first, the data's)."""
         from .hyperboloid import slice_samples
 
-        boosted = set(BOOSTED_SUITES) & set(self.config.selected_suites)
-        order = sobolev_order(self.config.dim) if boosted else 0
+        order = sobolev_order(self.config.dim)
         return {tau: slice_samples(self.slice_data, slc, order) for tau, slc in self.slices.items()}
 
     def slice_problems(self) -> list:

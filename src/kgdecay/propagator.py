@@ -239,7 +239,8 @@ def evaluate_at_points(data: CauchyData, times, points, order: int = 0) -> np.nd
     mirror = weight * _jet_coefficients(columns, -xi[lead], w, *minus)
     # (C, 2 x mode pairs), used transposed.  BLAS picks its kernel by shape,
     # so the block products of calls with different C need not round alike:
-    # orders 0 and 1 can differ in the last bits of the columns they share
+    # orders 0 and 1 can differ in the last bits of the columns they share,
+    # which is why the run plan samples the slice data at one order
     even = np.concatenate([(coeff + mirror).real, -(coeff + mirror).imag], axis=1)
     odd = np.concatenate([-(coeff - mirror).imag, -(coeff - mirror).real], axis=1)
     del coeff, mirror

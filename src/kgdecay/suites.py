@@ -269,9 +269,9 @@ def suite_lowfreq(config: RunConfig) -> dict:
     }
 
 
-def _slope_vs_band(reports, attr: str = "unnormalized_constant"):
+def _slope_vs_band(reports):
     ks = np.array([r.band for r in reports], dtype=float)
-    vals = np.array([getattr(r, attr) for r in reports], dtype=float)
+    vals = np.array([r.unnormalized_constant for r in reports], dtype=float)
     if np.any(vals <= 0):
         return float("nan")
     slope, _ = np.polyfit(ks, np.log2(vals), 1)

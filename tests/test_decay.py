@@ -393,6 +393,29 @@ def test_sup_brackets_hold_the_dense_maximum(case):
     assert np.all(widths(upper, lower) <= 1e-2)
 
 
+@st.composite
+def lattice_mode_sets(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((8, 64, 1024) if dim == 1 else (8, 16, 64)))
+    grid = Grid(dim, n, draw(st.floats(0.5, 1000.0)))
+    modes = draw(st.lists(st.integers(0, n**dim - 1), min_size=1, max_size=12, unique=True))
+    return grid, np.sort(modes)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=lattice_mode_sets())
+def test_lattice_is_the_smallest_power_of_two_within_reach(case):
+    # reach <= 1 alone sizes the coarse lattice: it already gives
+    # m >= pi sqrt(d) max |k_a| > 2 max |k_a|, so the samples determine the
+    # fields, and half the lattice would leave reach > 1
+    grid, modes = case
+    xi = grid.axis_frequencies[np.stack(np.unravel_index(modes, grid.shape), axis=-1)]
+    lattice = _Lattice(grid, modes, xi)
+    assert lattice.m > 2 * np.max(np.abs(lattice.signed))
+    assert lattice.reach <= 1.0
+    assert lattice.m == 2 or 2.0 * lattice.reach > 1.0
+
+
 def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
     # cell i of the coarse lattice at resolution R is sampled at
     # -L/2 + (i + (2 s + 1 - R) / (2 R)) L / m, s = 0, ..., R - 1 per axis,

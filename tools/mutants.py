@@ -130,6 +130,10 @@ MUTANTS = [
     # what a single-suite process loads
     ("every suite process loads the decay layer", "src/kgdecay/suites.py",
      "from .plan import RunPlan\n", "from .plan import RunPlan\nfrom . import decay  # noqa: F401\n"),
+    # one sample order for every slice suite
+    ("energy alone sampled at order 0", "src/kgdecay/plan.py",
+     "order = sobolev_order(self.config.dim)",
+     'order = 0 if self.config.suite == "energy" else sobolev_order(self.config.dim)'),
     # resolution gates
     ("resolution gates switched off", "src/kgdecay/plan.py",
      "if tail <= limit:", "if True:"),
