@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .config import RunConfig, load_config
 from .errors import ConfigurationError
+from .plan import RunPlan
 from .reporting import dump_json, emit_report_files, report_to_dict
 from .suites import run_selected_suites
 
@@ -41,13 +42,14 @@ def _mass_tag(mass: float) -> str:
 
 
 def run(config: RunConfig) -> int:
-    config.validate()
+    plan = RunPlan(config)
+    plan.validate()
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"out_dir {out} cannot be made a directory: {exc}") from exc
-    results = run_selected_suites(config)
+    results = run_selected_suites(plan)
 
     summary = {"config": config.summary_dict(), "suites": {}}
     for name, result in sorted(results.items()):

@@ -1,5 +1,6 @@
 """Run configuration: a declarative key=value file plus flag overrides,
-validated as a whole so an invalid config reports every violation at once."""
+parsed into a RunConfig.  The run plan built on it (plan.py) validates it as
+a whole, so an invalid config reports every violation at once."""
 
 from __future__ import annotations
 
@@ -71,112 +72,6 @@ class RunConfig:
     @property
     def selected_suites(self) -> tuple:
         return SUITES if self.suite == "all" else (self.suite,)
-
-    def validate(self) -> None:
-        """Raise ConfigurationError listing every violated constraint.  The
-        horizons, slices and slice data checked are the run plan's, which the
-        suites then read."""
-        from .plan import RunPlan  # the plan is built on this module
-
-        plan = RunPlan.of(self)
-        problems = []
-        if self.dim < 1:
-            problems.append(f"dim must be >= 1 (got {self.dim})")
-        n = self.grid_n
-        if n < 2 or (n & (n - 1)) != 0:
-            problems.append(f"grid_n must be a power of two (got {n})")
-        if self.box_length <= 0:
-            problems.append(f"box_length must be positive (got {self.box_length})")
-        if not 0.0 <= self.mass <= self.max_mass:
-            problems.append(
-                f"mass must lie in [0, max_mass={self.max_mass}] (got {self.mass})"
-            )
-        if self.suite != "all" and self.suite not in SUITES:
-            problems.append(f"unknown suite {self.suite!r}; choose from {SUITES} or 'all'")
-        if any(t <= 0 for t in self.times) or np.any(np.diff(self.times) <= 0):
-            problems.append("times must be positive and strictly increasing")
-        if any(tau <= 0 for tau in self.taus):
-            problems.append("taus must be positive")
-        # a repeated tau (by the label that names its checks) or band would be
-        # sampled and reported twice
-        labels = [f"{tau:g}" for tau in self.taus]
-        if len(set(labels)) < len(labels):
-            problems.append(f"taus must not repeat (labels {', '.join(labels)})")
-        if len(set(self.bands)) < len(self.bands):
-            problems.append(f"bands must not repeat (got {list(self.bands)})")
-        if self.seed < 0:
-            problems.append(f"seed must be non-negative (got {self.seed})")
-        if not self.support_radius > 0:
-            problems.append(f"support_radius must be positive (got {self.support_radius})")
-        # the plan's data and slices can only be built from valid values
-        buildable = not problems
-
-        active = self.selected_suites
-        if self.dim >= 1 and n >= 2 and self.box_length > 0:
-            nyquist = np.pi * n / self.box_length
-            for k in self.bands:
-                if k < 0:
-                    problems.append(f"band {k} must be >= 0")
-                elif 2.0 ** (k + 1) > nyquist and any(
-                    s in active for s in ("highfreq", "interpolation")
-                ):
-                    problems.append(
-                        f"band {k} extends to |xi| = {2.0 ** (k + 1):.1f}, above "
-                        f"the grid Nyquist frequency {nyquist:.1f}"
-                    )
-        if any(s in active for s in TIME_SUITES):
-            fitted = [s for s in ("localized", "lowfreq") if s in active]
-            n_fit = len(plan.fit_times[self.mass]) if fitted and self.mass > 0.0 else None
-            if self.mass == 0.0:
-                problems.append(
-                    f"mass must be positive for the time-series suites {TIME_SUITES} "
-                    "(sample times pi k / m0, mass-weighted constants)"
-                )
-            elif n_fit is not None and n_fit < MIN_FIT_SAMPLES:
-                problems.append(
-                    f"mass {self.mass} puts {n_fit} sample times pi k / mass in the fit "
-                    f"window {FIT_WINDOW}, fewer than the {MIN_FIT_SAMPLES} the "
-                    f"decay-exponent fit of {' and '.join(fitted)} needs"
-                )
-            if not self.times:
-                problems.append(f"times is empty; the time-series suites {TIME_SUITES} need times")
-            if "localized" in active and self.support_radius > 1.0:
-                problems.append(
-                    f"support_radius must be at most 1 for localized, whose data lie "
-                    f"in the unit ball (got {self.support_radius})"
-                )
-            if "localized" in active and buildable:
-                problems.extend(plan.localized_problems())
-            for label, box, horizon, t_max in plan.horizons:
-                needed = 2.0 * (self.support_radius + t_max + 2.0)
-                if box < needed:
-                    problems.append(
-                        f"{label} {box} below the anti-wraparound bound "
-                        f"2*(support_radius + {horizon} + 2) = {needed}"
-                    )
-        if "partition" in active and 0.0 < self.box_length < 2.0 * PARTITION_ACTIVE_RADIUS:
-            problems.append(
-                f"box_length {self.box_length} below twice the partition's active "
-                f"radius {PARTITION_ACTIVE_RADIUS:g}, whose cutoff fields the box must hold"
-            )
-        if any(s in active for s in SLICE_SUITES) and self.taus and buildable:
-            problems.extend(plan.slice_problems())
-        # the uniformity checks compare constants across taus and across bands
-        uniform = [s for s in ("sobolev", "pointwise") if s in active]
-        if uniform and len(set(self.taus)) < 2:
-            problems.append(
-                f"the tau-uniformity checks of {' and '.join(uniform)} need at "
-                f"least two distinct taus (got {list(self.taus)})"
-            )
-        if "highfreq" in active and len(set(self.bands)) < 2:
-            problems.append(
-                "the band-scaling checks of highfreq need at least two distinct "
-                f"bands (got {list(self.bands)})"
-            )
-        if problems:
-            raise ConfigurationError(
-                "invalid configuration:\n  - " + "\n  - ".join(problems)
-            )
 
     def summary_dict(self) -> dict:
         out = {k: v for k, v in vars(self).items() if k != "out_dir"}

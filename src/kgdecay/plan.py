@@ -1,18 +1,22 @@
-"""The run plan: every grid, time set and horizon a configuration derives,
-the slice data, its slice per tau and its samples there (the data's and its
-boosts' up to the Sobolev order, from one evaluator pass per tau, whichever
-slice suites run) and the localized data, built once per config value.
-``validate()`` checks them and the suites read them."""
+"""The run plan of one configuration: every grid, time set and horizon it
+derives, the slice data, its slice per tau and its samples there (the data's
+and its boosts' up to the Sobolev order, from one evaluator pass per tau)
+and the localized data, each built once per plan.  ``validate()`` checks the
+configuration against them, and the CLI hands the same plan to the suites,
+which read them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .bumps import bump_derivative_field, bump_field
-from .config import FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, RunConfig
+from .config import (
+    FIT_WINDOW, HIGHFREQ_LATE_TIMES, HIGHFREQ_WIDE_FACTOR, MIN_FIT_SAMPLES,
+    PARTITION_ACTIVE_RADIUS, SLICE_SUITES, SUITES, TIME_SUITES, RunConfig,
+)
 from .errors import ConfigurationError
 from .grid import Grid, sobolev_order
 from .propagator import CauchyData, data_support_radius
@@ -73,12 +77,6 @@ def nyquist_tail(data: CauchyData) -> float:
 @dataclass(frozen=True)
 class RunPlan:
     config: RunConfig
-
-    @classmethod
-    @lru_cache(maxsize=4)
-    def of(cls, config: RunConfig) -> RunPlan:
-        """One plan per config value, so what it derives is derived once."""
-        return cls(config)
 
     @cached_property
     def fit_times(self) -> dict:
@@ -177,3 +175,102 @@ class RunPlan:
         except ConfigurationError as exc:
             problems.append(f"support_radius {c.support_radius} and taus {list(c.taus)}: {exc}")
         return problems + self._unresolved("slice data", self.slice_data, limit, at)
+
+    def validate(self) -> None:
+        """Raise ConfigurationError listing every violated constraint of the
+        config.  The horizons, slices and slice data checked are this plan's,
+        which the suites then read."""
+        c, problems = self.config, []
+        if c.dim < 1:
+            problems.append(f"dim must be >= 1 (got {c.dim})")
+        n = c.grid_n
+        if n < 2 or (n & (n - 1)) != 0:
+            problems.append(f"grid_n must be a power of two (got {n})")
+        if c.box_length <= 0:
+            problems.append(f"box_length must be positive (got {c.box_length})")
+        if not 0.0 <= c.mass <= c.max_mass:
+            problems.append(f"mass must lie in [0, max_mass={c.max_mass}] (got {c.mass})")
+        if c.suite != "all" and c.suite not in SUITES:
+            problems.append(f"unknown suite {c.suite!r}; choose from {SUITES} or 'all'")
+        if any(t <= 0 for t in c.times) or np.any(np.diff(c.times) <= 0):
+            problems.append("times must be positive and strictly increasing")
+        if any(tau <= 0 for tau in c.taus):
+            problems.append("taus must be positive")
+        # a repeated tau (by the label that names its checks) or band would be
+        # sampled and reported twice
+        labels = [f"{tau:g}" for tau in c.taus]
+        if len(set(labels)) < len(labels):
+            problems.append(f"taus must not repeat (labels {', '.join(labels)})")
+        if len(set(c.bands)) < len(c.bands):
+            problems.append(f"bands must not repeat (got {list(c.bands)})")
+        if c.seed < 0:
+            problems.append(f"seed must be non-negative (got {c.seed})")
+        if not c.support_radius > 0:
+            problems.append(f"support_radius must be positive (got {c.support_radius})")
+        # the plan's data and slices can only be built from valid values
+        buildable = not problems
+
+        active = c.selected_suites
+        if c.dim >= 1 and n >= 2 and c.box_length > 0:
+            nyquist = np.pi * n / c.box_length
+            for k in c.bands:
+                if k < 0:
+                    problems.append(f"band {k} must be >= 0")
+                elif 2.0 ** (k + 1) > nyquist and any(
+                    s in active for s in ("highfreq", "interpolation")
+                ):
+                    problems.append(
+                        f"band {k} extends to |xi| = {2.0 ** (k + 1):.1f}, above "
+                        f"the grid Nyquist frequency {nyquist:.1f}"
+                    )
+        if any(s in active for s in TIME_SUITES):
+            fitted = [s for s in ("localized", "lowfreq") if s in active]
+            n_fit = len(self.fit_times[c.mass]) if fitted and c.mass > 0.0 else None
+            if c.mass == 0.0:
+                problems.append(
+                    f"mass must be positive for the time-series suites {TIME_SUITES} "
+                    "(sample times pi k / m0, mass-weighted constants)"
+                )
+            elif n_fit is not None and n_fit < MIN_FIT_SAMPLES:
+                problems.append(
+                    f"mass {c.mass} puts {n_fit} sample times pi k / mass in the fit "
+                    f"window {FIT_WINDOW}, fewer than the {MIN_FIT_SAMPLES} the "
+                    f"decay-exponent fit of {' and '.join(fitted)} needs"
+                )
+            if not c.times:
+                problems.append(f"times is empty; the time-series suites {TIME_SUITES} need times")
+            if "localized" in active and c.support_radius > 1.0:
+                problems.append(
+                    f"support_radius must be at most 1 for localized, whose data lie "
+                    f"in the unit ball (got {c.support_radius})"
+                )
+            if "localized" in active and buildable:
+                problems.extend(self.localized_problems())
+            for label, box, horizon, t_max in self.horizons:
+                needed = 2.0 * (c.support_radius + t_max + 2.0)
+                if box < needed:
+                    problems.append(
+                        f"{label} {box} below the anti-wraparound bound "
+                        f"2*(support_radius + {horizon} + 2) = {needed}"
+                    )
+        if "partition" in active and 0.0 < c.box_length < 2.0 * PARTITION_ACTIVE_RADIUS:
+            problems.append(
+                f"box_length {c.box_length} below twice the partition's active "
+                f"radius {PARTITION_ACTIVE_RADIUS:g}, whose cutoff fields the box must hold"
+            )
+        if any(s in active for s in SLICE_SUITES) and c.taus and buildable:
+            problems.extend(self.slice_problems())
+        # the uniformity checks compare constants across taus and across bands
+        uniform = [s for s in ("sobolev", "pointwise") if s in active]
+        if uniform and len(set(c.taus)) < 2:
+            problems.append(
+                f"the tau-uniformity checks of {' and '.join(uniform)} need at "
+                f"least two distinct taus (got {list(c.taus)})"
+            )
+        if "highfreq" in active and len(set(c.bands)) < 2:
+            problems.append(
+                "the band-scaling checks of highfreq need at least two distinct "
+                f"bands (got {list(c.bands)})"
+            )
+        if problems:
+            raise ConfigurationError("invalid configuration:\n  - " + "\n  - ".join(problems))

@@ -2,7 +2,9 @@
 at the configured desk scale and returns named checks with thresholds.
 
 Every suite maps to exactly one verified statement, recorded as a citation
-string in the summary.  Checks are deterministic functions of (config, seed).
+string in the summary.  Each suite takes the run plan and reads its config
+and the data, slices and samples it holds.  Checks are deterministic
+functions of (config, seed).
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ def random_bump_pair(config: RunConfig, rng):
     return f, g
 
 
-def suite_lp(config: RunConfig) -> dict:
+def suite_lp(plan: RunPlan) -> dict:
     from .bands import LittlewoodPaleyBank
 
+    config = plan.config
     grid, rng = config.grid, np.random.default_rng(config.seed)
     bank = LittlewoodPaleyBank.for_grid(grid)
     checks = [_check("completeness_residual", bank.completeness_residual(), 1e-10)]
@@ -91,9 +94,10 @@ def suite_lp(config: RunConfig) -> dict:
     }
 
 
-def suite_partition(config: RunConfig) -> dict:
+def suite_partition(plan: RunPlan) -> dict:
     from .partition import UnitBallPartition, overlap_bound, w_k1_comparability
 
+    config = plan.config
     dim, rng = config.dim, np.random.default_rng(config.seed)
     part = UnitBallPartition.build(dim, active_radius=PARTITION_ACTIVE_RADIUS)
     pts = rng.uniform(-PARTITION_ACTIVE_RADIUS, PARTITION_ACTIVE_RADIUS, size=(200, dim))
@@ -137,17 +141,16 @@ def suite_partition(config: RunConfig) -> dict:
     }
 
 
-def _per_tau(config: RunConfig, check) -> dict:
+def _per_tau(plan: RunPlan, check) -> dict:
     """tau -> check(slice data, its samples) over the plan's slice samples."""
-    plan = RunPlan.of(config)
     return {tau: check(plan.slice_data, samples) for tau, samples in plan.samples.items()}
 
 
-def suite_energy(config: RunConfig) -> dict:
+def suite_energy(plan: RunPlan) -> dict:
     from .hyperboloid import energy
 
     checks = []
-    per_tau = _per_tau(config, energy)
+    per_tau = _per_tau(plan, energy)
     for tau, bound in per_tau.items():
         checks.append(_check(f"equality_gap_tau_{tau:g}", abs(bound.relative_gap), 1e-4))
         checks.append(_check(f"components_min_tau_{tau:g}", min(bound.lhs_terms), 0.0, op=">="))
@@ -160,7 +163,7 @@ def suite_energy(config: RunConfig) -> dict:
     }
 
 
-def suite_sobolev(config: RunConfig) -> dict:
+def suite_sobolev(plan: RunPlan) -> dict:
     """The global Sobolev rows' ratios per tau, at most SOBOLEV_CONSTANTS_1D
     in d = 1: on the slice psi(x) = phi(t(x), x) has psi' = L phi / t, any
     compact g has g(x0)^2 <= int |g g'| dx, and the rhs is int (t/tau)^ell
@@ -172,13 +175,13 @@ def suite_sobolev(config: RunConfig) -> dict:
 
     checks = []
     ratio_table = {}
-    per_tau = _per_tau(config, global_sobolev_check).values()
+    per_tau = _per_tau(plan, global_sobolev_check).values()
     for ell in SOBOLEV_ELLS:
         ratios = [bounds[ell].ratio for bounds in per_tau]
         ratio_table[f"ell_{ell:g}"] = [float(r) for r in ratios]
         checks.append(_check(f"ratio_positive_ell_{ell:g}", min(ratios), 0.0, op=">="))
         checks.append(_check(f"tau_spread_ell_{ell:g}", _spread(ratios), 4.0))
-        if config.dim == 1:
+        if plan.config.dim == 1:
             checks.append(_check(f"ratio_max_ell_{ell:g}", max(ratios), SOBOLEV_CONSTANTS_1D[ell]))
     return {
         "citation": "global Sobolev inequality on hyperboloids: "
@@ -189,10 +192,10 @@ def suite_sobolev(config: RunConfig) -> dict:
     }
 
 
-def suite_pointwise(config: RunConfig) -> dict:
+def suite_pointwise(plan: RunPlan) -> dict:
     from .hyperboloid import pointwise_energy_check
 
-    ratios = [b.ratio for b in _per_tau(config, pointwise_energy_check).values()]
+    ratios = [b.ratio for b in _per_tau(plan, pointwise_energy_check).values()]
     checks = [
         _check("ratio_positive", min(ratios), 0.0, op=">="),
         _check("tau_spread", _spread(ratios), 4.0),
@@ -205,11 +208,10 @@ def suite_pointwise(config: RunConfig) -> dict:
     }
 
 
-def suite_localized(config: RunConfig) -> dict:
+def suite_localized(plan: RunPlan) -> dict:
     from .decay import localized_decay_check
 
-    d = config.dim
-    plan = RunPlan.of(config)
+    d = plan.config.dim
     data = plan.localized_data
     reports = localized_decay_check(data, plan.fit_times[data.mass], FIT_WINDOW)
     by_q = {r.quantity: r for r in reports}
@@ -236,11 +238,11 @@ def suite_localized(config: RunConfig) -> dict:
     }
 
 
-def suite_lowfreq(config: RunConfig) -> dict:
+def suite_lowfreq(plan: RunPlan) -> dict:
     from .decay import lowfreq_check
 
+    config = plan.config
     d, rng = config.dim, np.random.default_rng(config.seed)
-    plan = RunPlan.of(config)
     # canonical envelope-sampled run measures the decay exponent
     f0 = bump_field(config.grid, width=1.0, sharpness=DATA_SHARPNESS)
     zero = Field(config.grid, np.zeros(config.grid.shape))
@@ -278,12 +280,11 @@ def _slope_vs_band(reports):
     return float(slope)
 
 
-def suite_highfreq(config: RunConfig) -> dict:
+def suite_highfreq(plan: RunPlan) -> dict:
     from .decay import highfreq_check
 
-    d = config.dim
-    plan = RunPlan.of(config)
-    grid = config.grid
+    config = plan.config
+    d, grid = config.dim, config.grid
     # narrow bump so every swept band is well populated
     f = bump_field(grid, width=0.25, sharpness=DATA_SHARPNESS)
     zero = Field(grid, np.zeros(grid.shape))
@@ -342,11 +343,11 @@ def suite_highfreq(config: RunConfig) -> dict:
     }
 
 
-def suite_interpolation(config: RunConfig) -> dict:
+def suite_interpolation(plan: RunPlan) -> dict:
     from .decay import interpolation_check
 
-    d = config.dim
-    grid = config.grid
+    config = plan.config
+    d, grid = config.dim, config.grid
     k = config.bands[len(config.bands) // 2]
     f = bump_field(grid, width=0.5, sharpness=DATA_SHARPNESS)
     zero = Field(grid, np.zeros(grid.shape))
@@ -394,14 +395,15 @@ SUITE_RUNNERS = {
 }
 
 
-def run_selected_suites(config: RunConfig) -> dict:
-    """Run the configured suites.  The suites that draw random data (lowfreq,
-    lp and partition) each seed a ``default_rng(config.seed)`` of their own,
-    so a suite's draws do not depend on which others ran.  Each runner imports
-    the layers it uses, so a single-suite process loads only its own suite's
-    code, and numpy.random only for a drawing suite."""
+def run_selected_suites(plan: RunPlan) -> dict:
+    """Run the plan's selected suites, each on that plan.  The suites that
+    draw random data (lowfreq, lp and partition) each seed a
+    ``default_rng(config.seed)`` of their own, so a suite's draws do not
+    depend on which others ran.  Each runner imports the layers it uses, so a
+    single-suite process loads only its own suite's code, and numpy.random
+    only for a drawing suite."""
     results = {}
-    for name in config.selected_suites:
-        results[name] = SUITE_RUNNERS[name](config)
+    for name in plan.config.selected_suites:
+        results[name] = SUITE_RUNNERS[name](plan)
         results[name]["passed"] = all(c["passed"] for c in results[name]["checks"])
     return results

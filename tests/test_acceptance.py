@@ -14,7 +14,7 @@ from kgdecay.cli import main
 from kgdecay.config import RunConfig
 from kgdecay.grid import Field, Grid, linf_norm
 from kgdecay.hyperboloid import energy, global_sobolev_check
-from kgdecay.plan import SLICE_DATA_SHARPNESS, bump_pair_data
+from kgdecay.plan import SLICE_DATA_SHARPNESS, RunPlan, bump_pair_data
 from kgdecay.propagator import CauchyData, boost_commuted_data
 from kgdecay.suites import (
     suite_highfreq,
@@ -39,7 +39,7 @@ def record(num: int, description: str, passed: bool, detail: str):
 @pytest.fixture(scope="module")
 def highfreq_result():
     start = time.time()
-    result = suite_highfreq(CONFIG)
+    result = suite_highfreq(RunPlan(CONFIG))
     result["elapsed"] = time.time() - start
     return result
 
@@ -124,7 +124,7 @@ def test_criterion_4_global_sobolev_tau_uniformity():
 
 
 def test_criterion_5_lowfreq_decay():
-    result = suite_lowfreq(CONFIG)
+    result = suite_lowfreq(RunPlan(CONFIG))
     checks = {c["name"]: c for c in result["checks"]}
     exp_err = checks["phi_exponent_error"]["value"]
     spread = checks["constant_spread"]["value"]
@@ -156,7 +156,7 @@ def test_criterion_6_highfreq_band_scaling(highfreq_result):
 
 
 def test_criterion_7_interpolation_endpoints():
-    result = suite_interpolation(CONFIG)
+    result = suite_interpolation(RunPlan(CONFIG))
     checks = {c["name"]: c for c in result["checks"]}
     kg_spread = checks["endpoint_kg_spread"]["value"]
     wave_spread = checks["endpoint_wave_spread"]["value"]
@@ -170,8 +170,8 @@ def test_criterion_7_interpolation_endpoints():
 
 
 def test_criterion_8_lp_and_partition_invariants():
-    lp = suite_lp(CONFIG)
-    part = suite_partition(CONFIG)
+    lp = suite_lp(RunPlan(CONFIG))
+    part = suite_partition(RunPlan(CONFIG))
     lp_checks = {c["name"]: c for c in lp["checks"]}
     part_checks = {c["name"]: c for c in part["checks"]}
     recon = lp_checks["reconstruction_residual"]["value"]

@@ -10,7 +10,7 @@ from kgdecay.decay import DecayCurve
 from kgdecay.errors import ConfigurationError
 from kgdecay.plan import RunPlan, nyquist_tail
 from kgdecay.reporting import write_curve_csv, write_loglog_svg
-from kgdecay.suites import _spread
+from kgdecay.suites import _spread, run_selected_suites
 
 
 def small_overrides(out, suite="lp"):
@@ -70,7 +70,7 @@ def test_validation_reports_every_violation():
         times=(8.0, 64.0),
     )
     with pytest.raises(ConfigurationError) as err:
-        cfg.validate()
+        RunPlan(cfg).validate()
     msg = str(err.value)
     assert "power of two" in msg
     assert "anti-wraparound" in msg
@@ -80,7 +80,7 @@ def test_validation_reports_every_violation():
 def test_validation_slice_suites_tau_bound():
     cfg = RunConfig(suite="energy", taus=(2.0, 40.0))
     with pytest.raises(ConfigurationError) as err:
-        cfg.validate()
+        RunPlan(cfg).validate()
     assert "support edge" in str(err.value)
 
 
@@ -97,7 +97,7 @@ def test_validation_slice_suites_tau_bound():
 def test_validation_uniformity_checks_need_two_values(suite, field, value):
     # one tau or band would pass a spread check at exactly 1 with nothing compared
     with pytest.raises(ConfigurationError) as err:
-        RunConfig(suite=suite, **{field: value}).validate()
+        RunPlan(RunConfig(suite=suite, **{field: value})).validate()
     assert f"at least two distinct {field}" in str(err.value)
 
 
@@ -150,16 +150,16 @@ def test_cli_rejects_values_that_would_fail_or_repeat(tmp_path, capsys, suite, a
 def test_validation_band_above_nyquist():
     cfg = RunConfig(suite="highfreq", grid_n=512, box_length=256.0, bands=(0, 6))
     with pytest.raises(ConfigurationError) as err:
-        cfg.validate()
+        RunPlan(cfg).validate()
     assert "Nyquist" in str(err.value)
 
 
 def test_validation_highfreq_internal_box():
     # d = 1 highfreq sweeps late times up to 960 on an 8x wider box
     with pytest.raises(ConfigurationError) as err:
-        RunConfig(suite="highfreq", box_length=200.0).validate()
+        RunPlan(RunConfig(suite="highfreq", box_length=200.0)).validate()
     assert "highfreq's internal box_length 1600.0" in str(err.value)
-    RunConfig(suite="highfreq").validate()  # 2048 >= 2 (1 + 960 + 2) = 1926
+    RunPlan(RunConfig(suite="highfreq")).validate()  # 2048 >= 2 (1 + 960 + 2) = 1926
 
 
 @pytest.mark.parametrize("suite", ["localized", "lowfreq", "all"])
@@ -172,7 +172,9 @@ def test_cli_rejects_box_below_fit_window_horizon(tmp_path, capsys, suite):
     assert "box_length 64.0 below the anti-wraparound bound" in err
     assert "fit window's end" in err
     assert "Traceback" not in err
-    RunConfig(suite="interpolation", box_length=64.0, grid_n=1024, times=(4.0, 16.0)).validate()
+    RunPlan(
+        RunConfig(suite="interpolation", box_length=64.0, grid_n=1024, times=(4.0, 16.0))
+    ).validate()
 
 
 @pytest.mark.parametrize("suite", ["localized", "lowfreq", "highfreq", "interpolation"])
@@ -181,7 +183,7 @@ def test_cli_rejects_empty_times_for_time_suites(tmp_path, capsys, suite):
     err = capsys.readouterr().err
     assert "times is empty" in err
     assert "Traceback" not in err
-    RunConfig(suite="lp", times=()).validate()
+    RunPlan(RunConfig(suite="lp", times=())).validate()
 
 
 @pytest.mark.parametrize("suite", ["localized", "lowfreq", "highfreq", "interpolation"])
@@ -195,8 +197,8 @@ def test_cli_rejects_zero_mass_for_time_suites(tmp_path, capsys, suite):
 @pytest.mark.parametrize("suite", ["localized", "lowfreq"])
 def test_fit_time_gate_accepts_mass_from_five_pi_over_64(suite):
     # the rejections at mass 0.2 are cases of the test above
-    assert len(RunPlan.of(RunConfig(mass=0.25)).fit_times[0.25]) == 5
-    RunConfig(suite=suite, mass=0.25).validate()
+    assert len(RunPlan(RunConfig(mass=0.25)).fit_times[0.25]) == 5
+    RunPlan(RunConfig(suite=suite, mass=0.25)).validate()
 
 
 def test_spread_of_nonpositive_values_is_infinite():
@@ -256,6 +258,27 @@ def test_cli_lp_suite_run(tmp_path, capsys):
     assert "[pass] suite lp" in out
 
 
+def test_cli_hands_the_validated_plan_to_the_suites_once(tmp_path, monkeypatch):
+    # the benchmark wraps cli.run_selected_suites to time the suites' start:
+    # run() must call it once, after validation, with the plan it validated
+    validated, handed = [], []
+    validate = RunPlan.validate
+
+    def recorded_validate(plan):
+        validated.append(plan)
+        validate(plan)
+
+    def hook(plan):
+        handed.append(plan)
+        return run_selected_suites(plan)
+
+    monkeypatch.setattr(RunPlan, "validate", recorded_validate)
+    monkeypatch.setattr("kgdecay.cli.run_selected_suites", hook)
+    assert main(small_overrides(tmp_path / "out")) == 0
+    assert len(validated) == 1 and len(handed) == 1
+    assert handed[0] is validated[0]
+
+
 def test_cli_determinism_with_rng_suite(tmp_path):
     # lowfreq draws random data; identical seeds must give identical bytes
     args1 = small_overrides(tmp_path / "a", suite="partition") + ["--seed", "3"]
@@ -286,7 +309,7 @@ def test_report_files_written(tmp_path):
     assert "demo" in text
 
 
-def _never_run_suites(config):
+def _never_run_suites(plan):
     raise AssertionError("run_selected_suites entered: validate() accepted the configuration")
 
 
@@ -343,9 +366,9 @@ def test_cli_runs_the_boosted_slice_suites_in_2d(tmp_path, capsys, suite):
 )
 def test_resolution_gate_accepts_resolved_slice_data(dim, grid_n, box_length):
     # top-octave tails 1.1e-3, 4.6e-2 and 0.17; energy passes on each
-    RunConfig(
+    RunPlan(RunConfig(
         suite="energy", dim=dim, grid_n=grid_n, box_length=box_length, taus=(2.0, 4.0)
-    ).validate()
+    )).validate()
 
 
 @pytest.mark.parametrize(
@@ -396,7 +419,7 @@ def test_resolution_gate_rejects_unresolved_small_taus(tmp_path, capsys, monkeyp
 def test_resolution_gate_accepts_resolved_small_taus(suite, grid_n, taus):
     # the defaults' slice data tail is 1.1e-3 and 4.6e-2 at N = 2048; energy's
     # tau = 0.25 gap is 1.7e-7
-    RunConfig(suite=suite, grid_n=grid_n, taus=taus).validate()
+    RunPlan(RunConfig(suite=suite, grid_n=grid_n, taus=taus)).validate()
 
 
 @pytest.mark.parametrize(
@@ -424,9 +447,9 @@ def test_resolution_gate_rejects_unresolved_localized_data(
 def test_resolution_gate_accepts_resolved_localized_data(grid_n, tail):
     # localized passes on these grids, with brackets 4.8e-3 wide; the tail
     # falls as N doubles
-    config = RunConfig(suite="localized", grid_n=grid_n)
-    config.validate()
-    assert nyquist_tail(RunPlan.of(config).localized_data) == pytest.approx(tail, rel=0.05)
+    plan = RunPlan(RunConfig(suite="localized", grid_n=grid_n))
+    plan.validate()
+    assert nyquist_tail(plan.localized_data) == pytest.approx(tail, rel=0.05)
 
 
 def test_validation_accepts_2d_localized_data_in_the_unit_ball(tmp_path, capsys, monkeypatch):

@@ -315,22 +315,21 @@ def test_finite_speed_support_containment():
 # first-order boost from boost_values of the data's own sample (not from the
 # commuted data the checks sample), E(phi) from flat_energy by the energy
 # identity, and each lhs term from its formula on the raw sample.
-GATED = RunConfig(suite="pointwise", taus=(2.0, 4.0))
+GATED = RunPlan(RunConfig(suite="pointwise", taus=(2.0, 4.0)))
 
 
 def gated_slices():
     """(data, tau, slice, sample, t, L phi) for each tau of GATED."""
     GATED.validate()
-    plan = RunPlan.of(GATED)
-    data = plan.slice_data
-    for tau, slc in plan.slices.items():
+    data = GATED.slice_data
+    for tau, slc in GATED.slices.items():
         s = sample_on_slice(data, slc)
         yield data, tau, slc, s, slc.t, boost_values(s, 0)
 
 
 def plan_samples(tau):
     """The plan's samples of GATED's slice data and its boost on the tau-slice."""
-    return RunPlan.of(GATED).samples[tau]
+    return GATED.samples[tau]
 
 
 def test_energy_sides_from_the_raw_sample_and_the_flat_energy():
@@ -432,7 +431,7 @@ def test_small_tau_slice_reaches_past_the_backward_cone():
     # reaches out to r0 + (t0 - t): one unit past that edge, the solution
     # has vanished on the slice's truncation sphere
     GATED.validate()
-    data = RunPlan.of(GATED).slice_data
+    data = GATED.slice_data
     r0 = data_support_radius(data)
     edge = support_edge_radius(0.5, data.t0, r0)
     assert edge > r0

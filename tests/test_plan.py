@@ -21,46 +21,43 @@ from kgdecay.decay import mass_outside_fraction
 from kgdecay.plan import RunPlan
 from kgdecay.suites import suite_energy, suite_pointwise, suite_sobolev
 
+from test_suites import SMALL_ARGS
+
 SLICE_SUITES = (suite_energy, suite_sobolev, suite_pointwise)
 NAMES_A_KEY = re.compile(r"\b(" + "|".join(RunConfig().summary_dict()) + r")\b")
 
 
 def _count_calls(monkeypatch) -> dict:
-    calls = {"evaluate_at_points": 0}
-    original = hyperboloid.evaluate_at_points
+    calls = dict.fromkeys(("build_slice", "evaluate_at_points"), 0)
+    for name in calls:
+        def counted(*args, name=name, original=getattr(hyperboloid, name), **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    def counted(*args):
-        calls["evaluate_at_points"] += 1
-        return original(*args)
-
-    monkeypatch.setattr(hyperboloid, "evaluate_at_points", counted)
+        monkeypatch.setattr(hyperboloid, name, counted)
     return calls
 
 
 def test_slice_samples_and_boosts_are_computed_once(monkeypatch):
-    config = RunConfig(taus=(2.0, 4.0))
+    plan = RunPlan(RunConfig(taus=(2.0, 4.0)))
     calls = _count_calls(monkeypatch)
-    RunPlan.of.cache_clear()
-    shared = [suite(config) for suite in SLICE_SUITES]
-    # two taus, each sampled in one pass for the slice data's jet
-    assert calls == {"evaluate_at_points": 2}
+    shared = [suite(plan) for suite in SLICE_SUITES]
+    # two taus, each with one slice, sampled in one pass for the slice data's jet
+    assert calls == {"build_slice": 2, "evaluate_at_points": 2}
     for suite, result in zip(SLICE_SUITES, shared):
-        RunPlan.of.cache_clear()
-        assert suite(config) == result
+        assert suite(RunPlan(plan.config)) == result
 
 
 @pytest.mark.parametrize("suite", ["all", "sobolev", "energy"])
-def test_one_evaluator_pass_per_tau_after_validation(monkeypatch, suite):
-    # as the CLI runs them: validate(), then the slice suites in `--suite
-    # all` order in one process
-    config = RunConfig(suite=suite, taus=(2.0, 4.0))
+def test_one_evaluator_pass_per_tau_after_validation(tmp_path, monkeypatch, suite):
+    # validate() builds the slices and does not sample; the suites sample
+    # them, so a suite run on a plan other than the validated one builds
+    # each slice a second time
     calls = _count_calls(monkeypatch)
-    RunPlan.of.cache_clear()
-    config.validate()
-    for run in SLICE_SUITES:
-        if suite in ("all", run.__name__.removeprefix("suite_")):
-            run(config)
-    assert calls == {"evaluate_at_points": 2}
+    argv = ["--suite", suite, *SMALL_ARGS, "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert calls == {"build_slice": 2, "evaluate_at_points": 2}
 
 
 @pytest.mark.parametrize("suite", ["sobolev", "energy"])
@@ -69,7 +66,7 @@ def test_plan_samples_follow_the_order_of_its_boosts(suite):
     # to the Sobolev order, whichever slice suite is selected: in 1-D energy
     # alone holds the 1 + d samples sobolev does, the data's and L phi's,
     # whose values are x d_t phi + t d_x phi of the data's sample
-    plan = RunPlan.of(RunConfig(suite=suite, taus=(2.0, 4.0)))
+    plan = RunPlan(RunConfig(suite=suite, taus=(2.0, 4.0)))
     for tau, samples in plan.samples.items():
         slc = plan.slices[tau]
         assert len(samples) == 2 and all(s.slice is slc for s in samples)
@@ -80,12 +77,11 @@ def test_plan_samples_follow_the_order_of_its_boosts(suite):
         assert np.max(np.abs(samples[1].phi - boost)) <= 1e-12 * np.max(np.abs(boost))
 
 
-def test_plan_is_shared_per_config_value():
-    assert RunPlan.of(RunConfig(taus=(2.0, 4.0))) is RunPlan.of(RunConfig(taus=(2.0, 4.0)))
-    plan = RunPlan.of(RunConfig(dim=2, grid_n=64, box_length=32.0))
+def test_highfreq_widens_the_box_in_one_dimension_only():
+    plan = RunPlan(RunConfig(dim=2, grid_n=64, box_length=32.0))
     assert plan.highfreq_grid == plan.config.grid
     assert plan.highfreq_times == plan.config.times
-    assert RunPlan.of(RunConfig()).highfreq_grid.box_length == 8 * 256.0
+    assert RunPlan(RunConfig()).highfreq_grid.box_length == 8 * 256.0
 
 
 @st.composite
@@ -173,7 +169,7 @@ def test_plan_data_have_no_mass_outside_the_unit_ball(dim, grid_n, box_length, s
     # the radial bumps vanish off B(0, support_radius); the tensor-product
     # bumps they replaced put 3.9e-3 of the 2-D localized data's mass outside
     # the unit ball at N = 512, L = 160
-    plan = RunPlan.of(RunConfig(dim=dim, grid_n=grid_n, box_length=box_length,
-                                support_radius=support_radius))
+    plan = RunPlan(RunConfig(dim=dim, grid_n=grid_n, box_length=box_length,
+                             support_radius=support_radius))
     assert mass_outside_fraction(plan.localized_data) == 0.0
     assert mass_outside_fraction(plan.slice_data) == 0.0

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from kgdecay.config import SUITES, load_config
+from kgdecay.plan import RunPlan
 from kgdecay.suites import run_selected_suites
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -78,12 +79,12 @@ def test_each_suite_checks_the_same_alone_as_in_all(overrides):
     # suites read samples taken at one order whichever of them run, so
     # energy's values match to the last bit (at the benchmark settings an
     # order-0 sample rounds some of them differently)
-    config = load_config(overrides=overrides)
-    config.validate()
-    together = run_selected_suites(config)
+    plan = RunPlan(load_config(overrides=overrides))
+    plan.validate()
+    together = run_selected_suites(plan)
     assert tuple(together) == SUITES
     for name in SUITES:
-        alone = replace(config, suite=name)
+        alone = RunPlan(replace(plan.config, suite=name))
         alone.validate()
         result = run_selected_suites(alone)
         assert list(result) == [name]

@@ -142,10 +142,13 @@ MUTANTS = [
     ("localized resolution gate switched off", "src/kgdecay/plan.py",
      'return self._unresolved("localized data", self.localized_data, MAX_NYQUIST_TAIL)',
      "return []"),
-    ("fit-time gate on the mass switched off", "src/kgdecay/config.py",
+    ("fit-time gate on the mass switched off", "src/kgdecay/plan.py",
      "n_fit is not None and n_fit < MIN_FIT_SAMPLES", "False"),
-    ("partition box gate switched off", "src/kgdecay/config.py",
-     "0.0 < self.box_length < 2.0 * PARTITION_ACTIVE_RADIUS", "False"),
+    ("partition box gate switched off", "src/kgdecay/plan.py",
+     "0.0 < c.box_length < 2.0 * PARTITION_ACTIVE_RADIUS", "False"),
+    # one plan per run: the one validated is the one the suites read
+    ("suites run on a fresh plan", "src/kgdecay/cli.py",
+     "run_selected_suites(plan)", "run_selected_suites(RunPlan(config))"),
 ]
 
 
