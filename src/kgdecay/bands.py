@@ -14,8 +14,7 @@ which equals 1 identically on the grid's frequency lattice once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,26 +37,19 @@ def mother_bump(r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LittlewoodPaleyBank:
-    """Symbols P_{-1}, P_0, ..., P_{k_max} evaluated on a grid's dual lattice."""
+    """Projectors P_{-1}, P_0, ..., P_{k_max} on a grid's dual lattice.  Each
+    band's symbol is evaluated when that band is first asked for, and kept."""
 
     grid: Grid
     k_max: int
+    _symbols: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    @lru_cache(maxsize=16)
     def for_grid(cls, grid: Grid) -> "LittlewoodPaleyBank":
-        """The bank closing on ``grid``, built once per grid value."""
+        """A new bank closing on ``grid``, with no symbol evaluated yet."""
         # smallest K with 2^K >= max |xi| closes the telescoped sum exactly
         xi_max = float(np.max(grid.frequency_norm))
         return cls(grid, max(0, math.ceil(math.log2(xi_max))))
-
-    @cached_property
-    def _symbols(self) -> dict:
-        r = self.grid.frequency_norm
-        table = {LOW_PASS_BAND: low_pass_profile(r)}
-        for k in range(self.k_max + 1):
-            table[k] = mother_bump(r / 2.0**k)
-        return table
 
     @property
     def bands(self) -> list:
@@ -65,7 +57,11 @@ class LittlewoodPaleyBank:
 
     def symbol(self, k: int) -> np.ndarray:
         if k not in self._symbols:
-            raise ValueError(f"band {k} out of range [-1, {self.k_max}]")
+            if k not in self.bands:
+                raise ValueError(f"band {k} out of range [-1, {self.k_max}]")
+            r = self.grid.frequency_norm
+            low = k == LOW_PASS_BAND
+            self._symbols[k] = low_pass_profile(r) if low else mother_bump(r / 2.0**k)
         return self._symbols[k]
 
     def project(self, f: Field, k: int) -> Field:

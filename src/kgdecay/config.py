@@ -4,7 +4,8 @@ a whole, so an invalid config reports every violation at once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,16 +66,17 @@ class RunConfig:
     suite: str = "all"
     out_dir: str = "out"
 
-    @property
+    @cached_property
     def grid(self) -> Grid:
-        return Grid.shared(self.dim, self.grid_n, self.box_length)
+        """The configured grid, built once per config object."""
+        return Grid(self.dim, self.grid_n, self.box_length)
 
     @property
     def selected_suites(self) -> tuple:
         return SUITES if self.suite == "all" else (self.suite,)
 
     def summary_dict(self) -> dict:
-        out = {k: v for k, v in vars(self).items() if k != "out_dir"}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
         times = [float(t) for t in self.times]
         return {**out, "bands": list(self.bands), "taus": list(self.taus), "times": times}
 

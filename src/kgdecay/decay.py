@@ -189,6 +189,14 @@ def sup_norms(data: CauchyData, times) -> tuple:
     return upper, lower
 
 
+def increasing_times(times) -> np.ndarray:
+    """``times`` as a float array; ValueError unless strictly increasing."""
+    t = np.asarray(list(times), dtype=float)
+    if len(t) and np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing")
+    return t
+
+
 @dataclass(frozen=True)
 class DecayCurve:
     """Time series of one weighted sup-norm and its raw counterpart."""
@@ -199,10 +207,7 @@ class DecayCurve:
     data_norms: dict
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if len(t) and np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "times", increasing_times(self.times))
         for name in ("weighted_sup", "raw_sup"):
             v = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(v)) or np.any(v < 0):
@@ -286,7 +291,7 @@ class _Row:
 
 def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, band) -> list:
     """One sup_norms sweep over the time grid, one DecayReport per row."""
-    t = np.asarray(list(times), dtype=float)
+    t = increasing_times(times)
     window = fit_window or ((t[0], t[-1]) if len(t) else (1.0, 2.0))
     upper, lower = sup_norms(data, t)
     series, width = dict(zip(SUP_FIELDS, upper.T)), widths(upper, lower)

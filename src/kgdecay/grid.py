@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +37,10 @@ class Grid:
         Samples per axis N; must be a power of two.
     box_length : float
         Physical box extent L; spacing is h = L/N so N*h = L exactly.
+
+    Each instance builds its coordinate and frequency arrays on first read
+    and keeps them; callers must not write into them.  Equal instances share
+    none, so a run builds each grid once (``RunConfig.grid``).
     """
 
     dim: int
@@ -51,13 +55,6 @@ class Grid:
             raise ValueError(f"points_per_axis must be a power of two, got {n}")
         if not self.box_length > 0:
             raise ValueError(f"box_length must be positive, got {self.box_length}")
-
-    @classmethod
-    @lru_cache(maxsize=16)
-    def shared(cls, dim: int, points_per_axis: int, box_length: float) -> "Grid":
-        """One instance per grid value, so its cached arrays are built once.
-        Callers must not write into those arrays."""
-        return cls(dim, points_per_axis, box_length)
 
     @property
     def spacing(self) -> float:

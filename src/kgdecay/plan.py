@@ -94,10 +94,12 @@ class RunPlan:
         correspondingly longer box; in higher d at the configured times."""
         return HIGHFREQ_WIDE_FACTOR if self.config.dim == 1 else 1
 
-    @property
+    @cached_property
     def highfreq_grid(self) -> Grid:
+        """The grid highfreq's band sweep runs on: the configured one, or a
+        new wide one when the scale is above 1."""
         c, s = self.config, self.highfreq_scale
-        return Grid.shared(c.dim, c.grid_n * s, c.box_length * s)
+        return c.grid if s == 1 else Grid(c.dim, c.grid_n * s, c.box_length * s)
 
     @property
     def highfreq_times(self) -> tuple:

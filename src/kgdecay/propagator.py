@@ -70,22 +70,19 @@ class CauchyData:
         cls, f_hat: SpectralField, g_hat: SpectralField, t0: float, mass: float
     ) -> CauchyData:
         """Data whose fields are the inverse transforms of ``f_hat`` and
-        ``g_hat``, which become its ``spectra`` as they are, so modes that are
-        exactly zero stay exactly zero."""
+        ``g_hat``, which become the fields' ``Field.spectrum`` as they are
+        (read-only), so modes that are exactly zero stay exactly zero."""
         data = cls(inverse_transform(f_hat), inverse_transform(g_hat), t0, mass)
-        kept = f_hat.coefficients, g_hat.coefficients
-        for c in kept:
-            c.setflags(write=False)
-        data.__dict__["_spectra"] = kept
+        for h, F in ((data.f, f_hat), (data.g, g_hat)):
+            F.coefficients.setflags(write=False)
+            h.__dict__["spectrum"] = F
         return data
 
     @property
     def spectra(self) -> tuple:
-        """(f_hat, g_hat), the fields' spectra (``Field.spectrum``) unless
-        given to ``from_spectra``; read-only."""
-        return self.__dict__.get("_spectra") or (
-            self.f.spectrum.coefficients, self.g.spectrum.coefficients
-        )
+        """(f_hat, g_hat), the coefficients of the fields' ``Field.spectrum``;
+        read-only."""
+        return self.f.spectrum.coefficients, self.g.spectrum.coefficients
 
 
 def _omega(grid: Grid, mass: float) -> np.ndarray:

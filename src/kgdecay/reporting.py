@@ -106,8 +106,8 @@ def write_loglog_svg(path, curve: DecayCurve, title: str = "") -> None:
 
 
 def emit_report_files(out_dir, name: str, report: DecayReport) -> None:
+    """Write the report's CSV and SVG into ``out_dir``, which cli.run made."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(out / f"{name}.csv", report.curve)
     label = f"{report.inequality_id} {report.quantity}"
     if report.band is not None:

@@ -33,6 +33,17 @@ def test_completeness_2d():
     assert LittlewoodPaleyBank.for_grid(g).completeness_residual() <= 1e-10
 
 
+def test_each_bank_computes_a_symbol_when_its_band_is_asked_for():
+    g = Grid(1, 256, 32.0)
+    assert LittlewoodPaleyBank.for_grid(g) is not LittlewoodPaleyBank.for_grid(g)
+    bank, r = LittlewoodPaleyBank.for_grid(g), g.frequency_norm
+    assert np.array_equal(bank.symbol(LOW_PASS_BAND), low_pass_profile(r))
+    assert np.array_equal(bank.symbol(3), mother_bump(r / 8.0))
+    assert bank.symbol(3) is bank.symbol(3)
+    with pytest.raises(ValueError, match="out of range"):
+        bank.symbol(bank.k_max + 1)
+
+
 def test_symbols_are_in_unit_interval():
     for k in BANK.bands:
         s = BANK.symbol(k)

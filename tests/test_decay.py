@@ -242,6 +242,7 @@ def test_band_data_spectra_vanish_off_band(band):
     off = bank.symbol(band) == 0.0
     assert np.any(off)
     for spectrum, field, source in zip(data.spectra, (data.f, data.g), (f, g)):
+        assert field.spectrum.coefficients is spectrum
         assert not spectrum.flags.writeable
         assert np.all(spectrum[off] == 0.0)
         assert np.array_equal(field.values, bank.project(source, band).values)
@@ -734,7 +735,11 @@ def test_localized_constant_scale_invariance():
     )
 
 
-def test_time_grid_must_increase():
+def test_time_grid_must_increase(monkeypatch):
+    # the time grid is rejected before any sup_norms sweep runs
+    sweeps = []
+    monkeypatch.setattr(decay_module, "sup_norms", lambda *a: sweeps.append(a))
     f = bump_field(GRID, width=1.0, sharpness=4.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="times must be strictly increasing"):
         lowfreq_check(f, ZERO, 1.0, (8.0, 8.0, 9.0))
+    assert sweeps == []

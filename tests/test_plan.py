@@ -8,6 +8,7 @@ import io
 import json
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +79,13 @@ def test_plan_samples_follow_the_order_of_its_boosts(suite):
 
 
 def test_highfreq_widens_the_box_in_one_dimension_only():
-    plan = RunPlan(RunConfig(dim=2, grid_n=64, box_length=32.0))
-    assert plan.highfreq_grid == plan.config.grid
+    c = RunConfig(dim=2, grid_n=64, box_length=32.0)
+    # each config builds its grid once; equal configs do not share one
+    assert c.grid is c.grid
+    assert RunConfig().grid is not RunConfig().grid
+    assert set(c.summary_dict()) == {f.name for f in fields(RunConfig)} - {"out_dir"}
+    plan = RunPlan(c)
+    assert plan.highfreq_grid is plan.config.grid
     assert plan.highfreq_times == plan.config.times
     assert RunPlan(RunConfig()).highfreq_grid.box_length == 8 * 256.0
 

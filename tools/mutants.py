@@ -149,6 +149,13 @@ MUTANTS = [
     # one plan per run: the one validated is the one the suites read
     ("suites run on a fresh plan", "src/kgdecay/cli.py",
      "run_selected_suites(plan)", "run_selected_suites(RunPlan(config))"),
+    # what each object derives and keeps
+    ("band data re-transform their fields", "src/kgdecay/propagator.py",
+     '            h.__dict__["spectrum"] = F\n', ""),
+    ("one symbol for every band", "src/kgdecay/bands.py",
+     "return self._symbols[k]", "return next(iter(self._symbols.values()))"),
+    ("highfreq sweep on the configured grid in d = 1", "src/kgdecay/plan.py",
+     "return HIGHFREQ_WIDE_FACTOR if self.config.dim == 1 else 1", "return 1"),
 ]
 
 
