@@ -19,11 +19,14 @@ projected spectra themselves, exactly zero off the band.  The localized check
 takes its data at t = 2 ("data2"), in the unit ball, and weights by plain t.
 
 A sup curve is one sweep over the nonzero modes of its data, each mode -k
-folded into its partner k.  Each sup is a certified bracket: below, the
-maximum over the points sampled; above, that maximum over the cosine of
-Szegő's bound for functions of exponential type at the data's top frequency
-(van der Corput and Schaake 1935; Boas, Entire Functions, 1954).  The
-reports read the upper ends.
+folded into its partner k; what depends on the modes alone (the lattice, its
+fold plan, its phase tables) is built once per curve.  Each sup is a
+certified bracket: below, the maximum over the points sampled; above, that
+maximum over the cosine of Szegő's bound for functions of exponential type
+at the data's top frequency (van der Corput and Schaake 1935; Boas, Entire
+Functions, 1954).  The candidate cells are marked on squares, and each
+field is refined only in its own candidate cells.  The reports read the
+upper ends.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .config import MIN_FIT_SAMPLES
 from .errors import ConfigurationError
-from .grid import Field, Grid, l1_norm, signed_modes, sobolev_h_norm, upsample_values
+from .grid import Field, FoldPlan, Grid, l1_norm, signed_modes, sobolev_h_norm, upsample_values
 from .propagator import CauchyData, _evolved, hermitian_pairs, nonzero_modes
 
 DEGENERATE_NORM = 1e-12
@@ -62,17 +65,22 @@ def widths(upper, lower) -> np.ndarray:
     return np.divide(upper, lower, out=empty, where=lower != 0.0) - 1.0
 
 
-def _quantities(values) -> np.ndarray:
-    """|phi|, |d_t phi|, |grad phi| and |d phi| as rows, in ``SUP_FIELDS``
-    order, from sampled phi, d_t phi and grad phi, shape (2 + d, P)."""
-    phi, dphi, *grad = values
-    out = np.empty((4, phi.size))
-    np.abs(phi, out=out[0])
-    np.square(dphi, out=out[1])
-    np.sum(np.square(grad), axis=0, out=out[2])
-    np.add(out[1], out[2], out=out[3])
-    np.sqrt(out[1:], out=out[1:])
+def _derivative_squares(values) -> np.ndarray:
+    """(d_t phi)^2, |grad phi|^2 and |d phi|^2 as rows from sampled d_t phi
+    and grad phi, shape (1 + d, P)."""
+    dphi, *grad = values
+    out = np.empty((3, dphi.size))
+    np.square(dphi, out=out[0])
+    np.sum(np.square(grad), axis=0, out=out[1])
+    np.add(out[0], out[1], out=out[2])
     return out
+
+
+def _quantities(values) -> np.ndarray:
+    """|phi|^2, (d_t phi)^2, |grad phi|^2 and |d phi|^2 as rows, in
+    ``SUP_FIELDS`` order, from sampled phi, d_t phi and grad phi, shape
+    (2 + d, P)."""
+    return np.concatenate([np.square(values[:1]), _derivative_squares(values[1:])])
 
 
 class _Lattice:
@@ -80,7 +88,8 @@ class _Lattice:
     power of two with ``reach`` = sigma_max delta0 <= 1 for the top frequency
     sigma_max and the cells' half-diagonal delta0 = L sqrt(d) / (2 m).  As
     sigma_max >= 2 pi max |k_a| / L over the modes, m >= pi sqrt(d) max |k_a|
-    > 2 max |k_a|, so its samples determine the fields.
+    > 2 max |k_a|, so its samples determine the fields; its ``fold`` plan
+    samples them there at every time of the curve.
     Cell i is the cube of half-side L / (2 m) around -L/2 + i L / m; at
     resolution R it is sampled at the R^d centres of its sub-cells, within
     delta0 / R of each of its points.  The lattice's ``resolution`` is the
@@ -93,6 +102,7 @@ class _Lattice:
         sigma_max = np.sqrt(np.max(np.sum(xi**2, axis=-1)))
         while self.m < sigma_max * grid.box_length * np.sqrt(grid.dim) / 2:
             self.m *= 2
+        self.fold = FoldPlan(grid, modes, self.m)
         self.delta0 = grid.box_length * np.sqrt(grid.dim) / (2 * self.m)
         self.reach, self.resolution = sigma_max * self.delta0, 2
         while 1.0 / np.cos(self.reach / self.resolution) - 1.0 > BRACKET_WIDTH:
@@ -113,15 +123,40 @@ class _Lattice:
         turns &= self.m - 1
         return np.take(self.roots, turns)
 
+    def candidates(self, coefficients) -> tuple:
+        """The maxima M0^2 of ``_quantities`` on the lattice, sampled by one
+        ``upsample_values`` pass, and the cells to refine: a pair of flat
+        lattice indices, those where |phi|^2 >= M0^2 cos^2(reach) for phi's
+        M0, then those where another field's square is at least its own
+        bound.  Nothing of the pass outlives the call."""
+        coarse = upsample_values(self.fold, coefficients)
+        squares = _quantities(coarse.reshape(len(coarse), -1))
+        del coarse
+        top = np.max(squares, axis=-1)
+        threshold = np.where(top > 0.0, top * np.cos(self.reach) ** 2, np.inf)
+        marked = squares >= threshold[:, None]
+        return top, (np.flatnonzero(marked[0]), np.flatnonzero(np.any(marked[1:], axis=0)))
+
     def maxima(self, coefficients, cells) -> np.ndarray:
-        """The maxima of ``_quantities`` over the sub-cell centres of the
-        ``cells`` (flat lattice indices): one product
-        (fields x offsets, M) @ (M, cells) per block of cells and block of
-        offsets, so that the rows stay bounded whatever R^d is.  Rows that
-        fit in one block are built once; otherwise each block of rows is
-        rebuilt for every block of cells, which then holds as many entries."""
-        g, count, offsets = self.grid, len(self.signed), self.offsets
-        weighted = (coefficients * self.phase)[:, None, :]
+        """The maxima of ``_quantities`` over the sub-cell centres of
+        ``cells``, a pair of flat lattice indices: |phi|^2 over the first,
+        from the phi row alone, and the squares of d_t phi, grad phi and
+        d phi over the second, from the other rows."""
+        best, weighted = np.zeros(len(SUP_FIELDS)), coefficients * self.phase
+        self._refine(weighted[:1], cells[0], np.square, best[:1])
+        self._refine(weighted[1:], cells[1], _derivative_squares, best[1:])
+        return best
+
+    def _refine(self, weighted, cells, squares, best) -> None:
+        """Raises ``best`` to the maxima of ``squares`` of the rows that the
+        ``weighted`` coefficients (rows, M) take at the sub-cell centres of
+        the ``cells``: one product (rows x offsets, M) @ (M, cells) per
+        block of cells and block of offsets, so that the product's rows stay
+        bounded whatever R^d is.  Rows that fit in one block are built once;
+        otherwise each block of rows is rebuilt for every block of cells,
+        which then holds as many entries."""
+        count, offsets = len(self.signed), self.offsets
+        weighted = weighted[:, None, :]
         step = max(1, REFINE_BLOCK_ENTRIES // weighted.size)
         kept = (weighted * offsets).reshape(-1, count) if step >= len(offsets) else None
 
@@ -132,15 +167,14 @@ class _Lattice:
             return (weighted * offsets[start : start + step]).reshape(-1, count)
 
         chunk = max(1, (REFINE_BLOCK_ENTRIES if kept is None else REFINE_CHUNK_ENTRIES) // count)
-        index, best = np.unravel_index(cells, (self.m,) * g.dim), np.zeros(4)
+        index = np.unravel_index(cells, (self.m,) * self.grid.dim)
         for lo in range(0, len(cells), chunk):
             phases = self._phases([i[lo : lo + chunk] for i in index])
             for start in range(0, len(offsets), step):
                 values = (rows(start) @ phases).real
-                values = _quantities(values.reshape(len(coefficients), -1))
+                values = squares(values.reshape(len(weighted), -1))
                 np.maximum(best, np.max(values, axis=-1), out=best)
             del phases  # freed before the next block of cells builds its own
-        return best
 
 
 def sup_norms(data: CauchyData, times) -> tuple:
@@ -159,9 +193,12 @@ def sup_norms(data: CauchyData, times) -> tuple:
     f >= ||f|| cos(sigma_max |x - x*|) within pi / (2 sigma_max) of x*.  So
     x* lies in a cell whose lattice point holds at least
     M0 cos(sigma_max delta0), and a field that is 0 on the lattice is 0
-    everywhere (sigma_max delta0 <= 1 < pi / 2).  Those cells of the nonzero
-    fields are sampled once at the lattice's resolution R, within delta0 / R
-    of x*: with M the larger of M0 and their maximum, the sup lies in
+    everywhere (sigma_max delta0 <= 1 < pi / 2).  The squares are compared,
+    against M0^2 cos^2(sigma_max delta0), and a square root is taken of the
+    maxima alone.  Each field's cells are sampled once at the lattice's
+    resolution R, within delta0 / R of x*: phi's from the phi row, and the
+    cells of d_t phi, grad phi and d phi together from the other rows.
+    With M the larger of M0 and their maximum, the sup lies in
     [M, M / cos(sigma_max delta0 / R)], of relative width at most
     ``BRACKET_WIDTH``.
     """
@@ -171,6 +208,7 @@ def sup_norms(data: CauchyData, times) -> tuple:
     lead, weight, minus = hermitian_pairs(g, modes, spectra)
     f_hat, g_hat = weight * (spectra[:, lead] + np.conj(minus))
     modes, xi, omega = modes[lead], xi[lead], omega[lead]
+    del spectra, minus  # the refinement reads only the folded spectra
     upper, lower = np.zeros((len(times), 4)), np.zeros((len(times), 4))
     if not len(modes):
         return upper, lower
@@ -179,12 +217,8 @@ def sup_norms(data: CauchyData, times) -> tuple:
         phi_hat, dphi_hat = _evolved(t - data.t0, omega, f_hat, g_hat)
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
         del phi_hat, dphi_hat
-        coarse = upsample_values(g, modes, coefficients, lattice.m)
-        coarse = _quantities(coarse.reshape(len(coarse), -1))
-        top = np.max(coarse, axis=-1)
-        threshold = np.where(top > 0.0, top * np.cos(lattice.reach), np.inf)
-        cells = np.flatnonzero(np.any(coarse >= threshold[:, None], axis=0))
-        lower[i] = np.maximum(top, lattice.maxima(coefficients, cells))
+        top, cells = lattice.candidates(coefficients)
+        lower[i] = np.sqrt(np.maximum(top, lattice.maxima(coefficients, cells)))
         upper[i] = lower[i] / np.cos(lattice.reach / lattice.resolution)
     return upper, lower
 

@@ -191,7 +191,8 @@ def inverse_transform(F: SpectralField) -> Field:
     """Inverse of :func:`forward_transform`; assumes Hermitian coefficients."""
     g = F.grid
     vals = np.fft.ifftn(F.coefficients * g.alternating_phase) / g.cell_volume
-    return Field(g, vals.real)
+    # a contiguous copy, so the field does not keep the complex buffer alive
+    return Field(g, np.ascontiguousarray(vals.real))
 
 
 def derivative_multiplier(grid: Grid, axis: int, order: int) -> np.ndarray:
@@ -231,27 +232,45 @@ def signed_modes(grid: Grid, modes) -> np.ndarray:
     return signed
 
 
-def upsample_values(grid: Grid, modes, coefficients, m: int) -> np.ndarray:
+class FoldPlan:
+    """Where ``upsample_values`` writes the coefficients of the lattice
+    ``modes`` (flat indices) to sample them on the lattice of m points per
+    axis in the grid's box.  Mode k lands at bin k mod m and its conjugate
+    image at -k mod m; for each image, ``images`` holds the flat bins in the
+    half spectrum, shape ``half``, the modes kept there (those whose
+    last-axis bin is at most m / 2) and their scale, the box phase over
+    twice the lattice cell volume.  It depends on the modes and m alone, so
+    a sweep over many coefficients builds it once."""
+
+    def __init__(self, grid: Grid, modes, m: int):
+        d, signed = grid.dim, signed_modes(grid, modes).T
+        self.m, self.half = m, (m,) * (d - 1) + (m // 2 + 1,)
+        scale = grid.alternating_phase.ravel()[modes] * (0.5 * (m / grid.box_length) ** d)
+        self.images = []
+        for k in (signed % m, -signed % m):
+            keep = np.flatnonzero(k[-1] <= m // 2)
+            bins = np.ravel_multi_index(tuple(k[:, keep]), self.half)
+            self.images.append((bins, keep, scale[keep]))
+
+
+def upsample_values(fold: FoldPlan, coefficients) -> np.ndarray:
     """Real parts of the trigonometric interpolants of C spectra, given at the
-    lattice ``modes`` as ``coefficients`` of shape (C, M), on the lattice of
-    m points per axis in the same box: shape (C,) + (m,) * d, point i at
-    -L/2 + i L / m.
+    lattice modes of ``fold`` as ``coefficients`` of shape (C, M), on its
+    lattice of m points per axis in the same box: shape (C,) + (m,) * d,
+    point i at -L/2 + i L / m.
 
     Mode k lands at bin k mod m, so the spectra are folded when m < N and
     zero-padded when m > N.  That is exact while every |k_a| <= m / 2 and no
     two modes meet mod m, which holds for any modes when m >= N.  The
     Hermitian part (X_k + conj X_-k) / 2 is written into one half spectrum,
-    each image where its last-axis bin is at most m / 2, and one real
-    inverse FFT gives the values.
+    each image where ``fold`` keeps it, and one real inverse FFT gives the
+    values.
     """
-    d, signed = grid.dim, signed_modes(grid, modes).T
-    # the box phase times 1 / (lattice cell volume), halved
-    scaled = coefficients * (grid.alternating_phase.ravel()[modes] * 0.5 * (m / grid.box_length)**d)
-    half = np.zeros((len(coefficients),) + (m,) * (d - 1) + (m // 2 + 1,), dtype=complex)
-    flat = half.reshape(len(coefficients), -1)
-    for k, image in ((signed % m, scaled), (-signed % m, np.conj(scaled))):
-        keep = k[-1] <= m // 2
-        flat[:, np.ravel_multi_index(tuple(k[:, keep]), half.shape[1:])] += image[:, keep]
+    m, d = fold.m, len(fold.half)
+    half = np.zeros((len(coefficients), int(np.prod(fold.half))), dtype=complex)
+    for (bins, keep, scale), image in zip(fold.images, (np.positive, np.conj)):
+        half[:, bins] += image(coefficients[:, keep]) * scale
+    half = half.reshape((len(coefficients),) + fold.half)
     return np.fft.irfftn(half, s=(m,) * d, axes=tuple(range(1, d + 1)))
 
 

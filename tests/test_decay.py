@@ -25,7 +25,9 @@ from kgdecay.decay import (
 )
 from kgdecay.config import HIGHFREQ_LATE_TIMES
 from kgdecay.errors import ConfigurationError
-from kgdecay.grid import Field, Grid, SpectralField, forward_transform, upsample_values
+from kgdecay.grid import (
+    Field, FoldPlan, Grid, SpectralField, forward_transform, upsample_values,
+)
 from kgdecay.propagator import CauchyData, evaluate_at_points, evolve_spectra, nonzero_modes
 
 from oracles import direct_sum_oracle, lattice_sum_oracle
@@ -234,6 +236,23 @@ def test_sup_norms_memory_is_bounded_over_a_whole_sweep():
     assert peak <= 21 * 2**20
 
 
+def test_sup_norms_refine_each_field_group_in_its_own_cells_in_bounded_memory():
+    # two times of the band-4 curve above: the lattice's fold plan is built
+    # once, the coarse squares are freed before the refinement, and phi's
+    # refinement rows (1 x 8 offsets) and the derivative group's (2 x 8)
+    # are built each for their own cells, so the call peaks at 6.3 MiB
+    # (8.7 MiB with all 3 x 8 rows refined in the union of the cells)
+    data = wide_band_data(4)
+    tracemalloc.start()
+    try:
+        upper, _ = sup_norms(data, HIGHFREQ_LATE_TIMES[:2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(upper > 0.0)
+    assert peak <= 7 * 2**20
+
+
 @pytest.mark.parametrize("band", [LOW_PASS_BAND, 0, 4])
 def test_band_data_spectra_vanish_off_band(band):
     f, g = bump_pair(FINE)
@@ -329,7 +348,7 @@ def test_sup_norms_bracketed_by_direct_evaluation(case, factors):
         phi_hat, dphi_hat = (F.coefficients.ravel()[modes] for F in evolve_spectra(data, t))
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
         fine_n = round(factor * g.points_per_axis)
-        phi, dphi, *grad = upsample_values(g, modes, coefficients, fine_n)
+        phi, dphi, *grad = upsample_values(FoldPlan(g, modes, fine_n), coefficients)
         fine = sup_quantities(phi, dphi, np.array(grad))
         for i in range(len(SUP_FIELDS)):
             index = np.unravel_index(np.argmax(fine[i]), fine[i].shape)
@@ -371,9 +390,9 @@ def test_sup_brackets_hold_the_dense_maximum(case):
     data, t = case
     lattices, resolutions = [], [1]
 
-    def upsample_spy(grid, modes, coefficients, m):
-        lattices.append(m)
-        return upsample(grid, modes, coefficients, m)
+    def upsample_spy(fold, coefficients):
+        lattices.append(fold.m)
+        return upsample(fold, coefficients)
 
     def maxima_spy(lattice, coefficients, cells):
         resolutions.append(lattice.resolution)
@@ -421,8 +440,11 @@ def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
     # cell i of the coarse lattice at resolution R is sampled at
     # -L/2 + (i + (2 s + 1 - R) / (2 R)) L / m, s = 0, ..., R - 1 per axis,
     # at the lattice's own resolution and, with the bracket width that makes
-    # R the first to meet it, at R = 2 and 4; the cells are the five of
-    # largest |phi|
+    # R the first to meet it, at R = 2 and 4.  |phi|^2 is refined in the
+    # first cells, the five of largest |phi|, and the squares of d_t phi,
+    # grad phi and d phi in the second, the five of largest |d_t phi|, which
+    # are other cells: each group's maxima are its own fields' maxima over
+    # its own cells
     for case, t in (("band_4", 7.3), ("bump_2d", 3.0)):
         data = oracle_case(case)[0]
         g = data.grid
@@ -430,8 +452,9 @@ def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
         lattice = _Lattice(g, modes, xi)
         phi_hat, dphi_hat = (F.coefficients.ravel()[modes] for F in evolve_spectra(data, t))
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
-        coarse = upsample_values(g, modes, coefficients[:1], lattice.m)
-        cells = np.argsort(np.abs(coarse.ravel()))[-5:]
+        coarse = upsample_values(lattice.fold, coefficients[:2])
+        cells = [np.argsort(np.abs(c.ravel()))[-5:] for c in coarse]
+        assert not np.isin(cells[0], cells[1]).all()
         for resolution in (2, 4, lattice.resolution):
             width = 1.0 / np.cos(lattice.reach / resolution) - 1.0
             with pytest.MonkeyPatch.context() as patch:
@@ -441,10 +464,14 @@ def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
             got = refined.maxima(coefficients, cells)
             steps = (2 * np.arange(resolution) + 1 - resolution) / (2 * resolution)
             offsets = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
-            index = np.stack(np.unravel_index(cells, (lattice.m,) * g.dim), -1)
-            x = (index[:, None] + offsets[None]).reshape(-1, g.dim) * g.box_length / lattice.m
-            phi, dphi, *grad = direct_sum_oracle(data, np.full(len(x), t), x - 0.5 * g.box_length)
-            want = [np.max(q) for q in sup_quantities(phi, dphi, np.array(grad))]
+            want = []
+            for group, fields in zip(cells, (slice(0, 1), slice(1, None))):
+                index = np.stack(np.unravel_index(group, (lattice.m,) * g.dim), -1)
+                x = (index[:, None] + offsets[None]).reshape(-1, g.dim) * g.box_length / lattice.m
+                phi, dphi, *grad = direct_sum_oracle(
+                    data, np.full(len(x), t), x - 0.5 * g.box_length)
+                quantities = sup_quantities(phi, dphi, np.array(grad))[fields]
+                want += [np.max(q) ** 2 for q in quantities]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
@@ -470,8 +497,8 @@ def refinement(data, t):
     takes at time t, its lattice, the cells it refines, and its brackets."""
     coarse, refined = [], []
 
-    def upsample_spy(grid, modes, coefficients, m):
-        values = upsample(grid, modes, coefficients, m)
+    def upsample_spy(fold, coefficients):
+        values = upsample(fold, coefficients)
         coarse.append(values.copy())
         return values
 
@@ -493,7 +520,8 @@ def test_refinement_samples_every_cell_the_bound_allows(case):
     # a maximizer of a field of coarse maximum M0 > 0 and top frequency
     # sigma_max lies within delta0 of a lattice point holding at least
     # M0 cos(sigma_max delta0), so the refinement of each time samples every
-    # cell at or above that for each nonzero field.  edge_mode: a tiny top
+    # cell at or above that for each nonzero field, phi's among the first
+    # cells and the other fields' among the second.  edge_mode: a tiny top
     # mode sets sigma_max, and the bound holds for the whole field, that
     # mode included, so it locates the field's own maximizers with no
     # lower cut-off frequency and no tail
@@ -508,28 +536,31 @@ def test_refinement_samples_every_cell_the_bound_allows(case):
     for t in times:
         (phi, dphi, *grad), lattice, cells, _, _ = refinement(data, t)
         delta0 = g.box_length * np.sqrt(g.dim) / (2 * lattice.m)
-        required = np.zeros(lattice.m**g.dim, dtype=bool)
-        for values in sup_quantities(phi, dphi, np.array(grad)):
+        for i, values in enumerate(sup_quantities(phi, dphi, np.array(grad))):
             assert np.max(values) > 0.0
-            required |= values.ravel() >= np.max(values) * np.cos(sigma_max * delta0)
-        assert np.all(np.isin(np.flatnonzero(required), cells))
+            required = values.ravel() >= np.max(values) * np.cos(sigma_max * delta0)
+            assert np.all(np.isin(np.flatnonzero(required), cells[min(i, 1)]))
 
 
 def test_a_field_zero_on_the_lattice_marks_no_cells():
     # band data (f, 0) at t = 0 have d_t phi = 0 on the lattice, so 0
-    # everywhere: its bracket is [0, 0], and the refinement samples exactly
-    # the cells that phi, grad phi and |d phi| mark (a threshold of
+    # everywhere: its bracket is [0, 0], and the refinement samples phi in
+    # exactly the cells that phi marks, and the other fields in exactly
+    # those that grad phi and |d phi| mark (a threshold of
     # 0 cos(sigma_max delta0) = 0 would mark every cell)
     f, _ = bump_pair(BRACKET)
     data = _band_data(f, Field(BRACKET, np.zeros(BRACKET.shape)), 1.0, 2)
     (phi, dphi, *grad), lattice, cells, upper, lower = refinement(data, 0.0)
     assert not dphi.any() and upper[1] == lower[1] == 0.0
     assert np.all(lower[[0, 2, 3]] > 0.0)
-    marked = np.zeros(lattice.m**BRACKET.dim, dtype=bool)
-    for values in np.delete(sup_quantities(phi, dphi, np.array(grad)), 1, axis=0):
-        marked |= values.ravel() >= np.max(values) * np.cos(lattice.reach)
-    assert 0 < len(cells) < lattice.m**BRACKET.dim
-    assert np.array_equal(np.flatnonzero(marked), cells)
+    phi, _, *derivatives = sup_quantities(phi, dphi, np.array(grad))
+    for group, fields in zip(cells, ([phi], derivatives)):
+        marked = np.zeros(lattice.m**BRACKET.dim, dtype=bool)
+        for values in fields:
+            marked |= values.ravel() >= np.max(values) * np.cos(lattice.reach)
+        assert 0 < len(group) < lattice.m**BRACKET.dim
+        assert np.array_equal(np.flatnonzero(marked), group)
+    assert not np.array_equal(*cells)
 
 
 def test_sup_norms_upsampling_factor_follows_the_band(factors):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kgdecay.errors import GridMismatchError
 from kgdecay.grid import (
     Field,
+    FoldPlan,
     Grid,
     SpectralField,
     forward_transform,
@@ -71,6 +72,19 @@ def test_round_trip_2d():
     f = Field(g, rng.standard_normal(g.shape))
     back = inverse_transform(forward_transform(f))
     assert np.max(np.abs(back.values - f.values)) <= 1e-12 * linf_norm(f)
+
+
+@pytest.mark.parametrize("grid", [GRID, Grid(2, 32, 8.0)], ids=["1d", "2d"])
+def test_inverse_transform_values_own_their_data(grid):
+    # the real part of the complex inverse FFT, copied out: a strided view
+    # would keep the complex buffer, twice the field's bytes, alive with it
+    rng = np.random.default_rng(2)
+    F = forward_transform(Field(grid, rng.standard_normal(grid.shape)))
+    back = inverse_transform(F)
+    want = (np.fft.ifftn(F.coefficients * grid.alternating_phase) / grid.cell_volume).real
+    assert back.values.flags.c_contiguous and back.values.flags.owndata
+    assert back.values.base is None
+    assert np.array_equal(back.values, want)
 
 
 def test_parseval_random_fields():
@@ -206,7 +220,8 @@ def test_upsample_values_reproduces_interpolant():
     xi0 = 2.0 * np.pi * 11 / GRID.box_length
     f = Field(GRID, np.cos(xi0 * x))
     modes = np.arange(GRID.points_per_axis)
-    fine_vals = upsample_values(GRID, modes, forward_transform(f).coefficients[None], 2048)[0]
+    fold = FoldPlan(GRID, modes, 2048)
+    fine_vals = upsample_values(fold, forward_transform(f).coefficients[None])[0]
     fine_x = -0.5 * GRID.box_length + (GRID.spacing / 4.0) * np.arange(4 * GRID.points_per_axis)
     assert np.max(np.abs(fine_vals - np.cos(xi0 * fine_x))) <= 1e-10
 
@@ -232,7 +247,7 @@ def test_upsample_values_matches_complex_oracle(name):
     assert np.max(np.abs(nyquist)) > 1e-3 * np.max(np.abs(spectra[1]))
     modes = np.arange(spectra[0].size)
     m = 4 * grid.points_per_axis
-    got = upsample_values(grid, modes, spectra.reshape(len(spectra), -1), m)
+    got = upsample_values(FoldPlan(grid, modes, m), spectra.reshape(len(spectra), -1))
     assert got.shape == (len(spectra),) + (m,) * grid.dim
     for vals, c in zip(got, spectra):
         want = complex_upsample_oracle(SpectralField(grid, c), m)
@@ -266,7 +281,7 @@ def few_mode_spectra(grid, signed_modes):
 def test_upsample_values_of_few_modes_matches_complex_oracle(grid, signed_modes):
     modes, coefficients, full = few_mode_spectra(grid, signed_modes)
     m = 4 * grid.points_per_axis
-    got = upsample_values(grid, modes, coefficients, m)
+    got = upsample_values(FoldPlan(grid, modes, m), coefficients)
     assert got.shape == (2,) + (m,) * grid.dim
     for vals, c in zip(got, full):
         want = complex_upsample_oracle(SpectralField(grid, c), m)
@@ -275,7 +290,8 @@ def test_upsample_values_of_few_modes_matches_complex_oracle(grid, signed_modes)
 
 def test_upsample_values_of_no_modes_is_zero():
     grid = Grid(2, 8, 4.0)
-    got = upsample_values(grid, np.array([], dtype=int), np.zeros((3, 0), dtype=complex), 32)
+    fold = FoldPlan(grid, np.array([], dtype=int), 32)
+    got = upsample_values(fold, np.zeros((3, 0), dtype=complex))
     assert got.shape == (3, 32, 32)
     assert np.all(got == 0.0)
 
@@ -300,7 +316,7 @@ def test_upsample_values_on_subgrids_match_complex_oracle(name, factor):
     grid, signed_modes, smallest = SUBGRID_CASES[name]
     m = smallest * factor // 2
     modes, coefficients, full = few_mode_spectra(grid, signed_modes)
-    got = upsample_values(grid, modes, coefficients, m)
+    got = upsample_values(FoldPlan(grid, modes, m), coefficients)
     assert got.shape == (2,) + (m,) * grid.dim
     for vals, c in zip(got, full):
         want = complex_upsample_oracle(SpectralField(grid, c), m)
@@ -319,7 +335,7 @@ def test_upsample_values_of_a_low_band_use_short_subgrids(factor):
     spectra = np.stack([F, 1j * grid.axis_frequencies * F])
     modes = np.flatnonzero(F)
     m = 1024 * factor
-    got = upsample_values(grid, modes, spectra[:, modes], m)
+    got = upsample_values(FoldPlan(grid, modes, m), spectra[:, modes])
     for vals, c in zip(got, spectra):
         want = complex_upsample_oracle(SpectralField(grid, c), m)
         assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))

@@ -103,11 +103,13 @@ MUTANTS = [
     ("half spectrum not zeroed before the scatter", "src/kgdecay/grid.py",
      "half = np.zeros(", "half = np.empty("),
     ("grad row overwritten by |d phi|^2 before its maximum is read", "src/kgdecay/decay.py",
-     "    np.add(out[1], out[2], out=out[3])\n",
-     "    out[3] = np.add(out[1], out[2], out=out[2])\n"),
+     "    np.add(out[0], out[1], out=out[2])\n",
+     "    out[2] = np.add(out[0], out[1], out=out[1])\n"),
     ("fine delta in place of delta0 in the candidate threshold", "src/kgdecay/decay.py",
-     "top * np.cos(lattice.reach), np.inf)",
-     "top * np.cos(lattice.reach / lattice.resolution), np.inf)"),
+     "top * np.cos(self.reach) ** 2, np.inf)",
+     "top * np.cos(self.reach / self.resolution) ** 2, np.inf)"),
+    ("squares compared against cos(reach), not cos^2", "src/kgdecay/decay.py",
+     "top * np.cos(self.reach) ** 2, np.inf)", "top * np.cos(self.reach), np.inf)"),
     ("zero-field mask dropped", "src/kgdecay/decay.py",
      "np.where(top > 0.0,", "np.where(top >= 0.0,"),
     ("upper end read at twice the refined spacing", "src/kgdecay/decay.py",
@@ -117,6 +119,12 @@ MUTANTS = [
      "/ (2 * self.resolution)", "/ (4 * self.resolution)"),
     ("each block of refinement rows cut to its first offset", "src/kgdecay/decay.py",
      "offsets[start : start + step]", "offsets[start : start + 1]"),
+    ("phi refined in the derivative cells", "src/kgdecay/decay.py",
+     "self._refine(weighted[:1], cells[0],", "self._refine(weighted[:1], cells[1],"),
+    ("derivative rows refined in phi's cells", "src/kgdecay/decay.py",
+     "self._refine(weighted[1:], cells[1],", "self._refine(weighted[1:], cells[0],"),
+    ("conjugate image left out of the fold plan", "src/kgdecay/grid.py",
+     "for k in (signed % m, -signed % m):", "for k in (signed % m,):"),
     # the partition's neighbour denominator and the ball sums
     ("cutoff denominator over centers within 1 of c_i", "src/kgdecay/partition.py",
      "self.centers[i], axis=-1) < 2.0]", "self.centers[i], axis=-1) < 1.0]"),
