@@ -18,13 +18,15 @@ projected data at t = 0 ("origin" in the reports); their spectra are the
 projected spectra themselves, exactly zero off the band.  The localized check
 takes its data at t = 2 ("data2"), in the unit ball, and weights by plain t.
 
-A sup curve is one sweep over the nonzero modes of its data, each mode -k
-folded into its partner k; what depends on the modes alone (the lattice, its
-fold plan, its phase tables) is built once per curve.  Each sup is a
-certified bracket: below, the maximum over the points sampled; above, that
-maximum over the cosine of Szegő's bound for functions of exponential type
-at the data's top frequency (van der Corput and Schaake 1935; Boas, Entire
-Functions, 1954).  The candidate cells are marked on squares, and each
+A sup curve is one sweep over the folded mode table of its data
+(``FoldedModes``), the nonzero modes with each mode -k folded into its
+partner k, and holds nothing else: the band checks fold their pieces and
+free the full-grid spectra and fields before the sweep.  What depends on the
+modes alone (the lattice, its fold plan, its phase tables) is built once
+per curve.  Each sup is a certified bracket: below, the maximum over the
+points sampled; above, that maximum over the cosine of Szegő's bound for
+functions of exponential type at the data's top frequency (van der Corput
+and Schaake 1935; Boas, Entire Functions, 1954).  The candidate cells are marked on squares, and each
 field is refined only in its own candidate cells.  The reports read the
 upper ends.
 """
@@ -38,8 +40,11 @@ import numpy as np
 from .bands import LOW_PASS_BAND, LittlewoodPaleyBank
 from .config import MIN_FIT_SAMPLES
 from .errors import ConfigurationError
-from .grid import Field, FoldPlan, Grid, l1_norm, signed_modes, sobolev_h_norm, upsample_values
-from .propagator import CauchyData, _evolved, hermitian_pairs, nonzero_modes
+from .grid import (
+    Field, FoldPlan, Grid, inverse_transform, l1_norm, signed_modes, sobolev_h_norm,
+    upsample_values,
+)
+from .propagator import CauchyData, _evolved, fold_modes
 
 DEGENERATE_NORM = 1e-12
 # the largest relative width (upper / lower - 1) of a sup bracket
@@ -177,13 +182,12 @@ class _Lattice:
             del phases  # freed before the next block of cells builds its own
 
 
-def sup_norms(data: CauchyData, times) -> tuple:
+def sup_norms(data, times) -> tuple:
     """Brackets of the sups of |phi|, |d_t phi|, |grad phi| and |d phi|:
     arrays (upper, lower) of shape (T, 4), columns in ``SUP_FIELDS`` order,
-    from one sweep over the data's ``nonzero_modes``, each mode -k folded
-    into its partner k (``hermitian_pairs``): Re sum F_k exp(i xi.x) keeps
-    its value with F_k + conj F_-k at k, and the evolution multipliers are
-    real and even in xi.
+    from one sweep over the folded mode table ``data`` (``FoldedModes``), or
+    over that of the ``CauchyData`` ``data`` (``fold_modes``): the table is
+    all the sweep holds.
 
     At each time one ``upsample_values`` pass samples the fields on the
     curve's coarse ``_Lattice``, maxima M0.  The fields have exponential type
@@ -202,17 +206,13 @@ def sup_norms(data: CauchyData, times) -> tuple:
     [M, M / cos(sigma_max delta0 / R)], of relative width at most
     ``BRACKET_WIDTH``.
     """
-    g = data.grid
-    modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
-    spectra = np.stack([f_hat, g_hat])
-    lead, weight, minus = hermitian_pairs(g, modes, spectra)
-    f_hat, g_hat = weight * (spectra[:, lead] + np.conj(minus))
-    modes, xi, omega = modes[lead], xi[lead], omega[lead]
-    del spectra, minus  # the refinement reads only the folded spectra
+    if isinstance(data, CauchyData):
+        data = fold_modes(data.grid, *data.spectra, data.t0, data.mass)
+    xi, omega, f_hat, g_hat = data.xi, data.omega, data.f_hat, data.g_hat
     upper, lower = np.zeros((len(times), 4)), np.zeros((len(times), 4))
-    if not len(modes):
+    if not len(data.modes):
         return upper, lower
-    lattice = _Lattice(g, modes, xi)
+    lattice = _Lattice(data.grid, data.modes, xi)
     for i, t in enumerate(times):
         phi_hat, dphi_hat = _evolved(t - data.t0, omega, f_hat, g_hat)
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
@@ -323,8 +323,9 @@ class _Row:
     extras: dict = field(default_factory=dict)
 
 
-def _decay_reports(data: CauchyData, times, fit_window, rows, n_f, n_g, norms, band) -> list:
-    """One sup_norms sweep over the time grid, one DecayReport per row."""
+def _decay_reports(data, times, fit_window, rows, n_f, n_g, norms, band) -> list:
+    """One sup_norms sweep of ``data`` (``CauchyData`` or ``FoldedModes``)
+    over the time grid, one DecayReport per row."""
     t = increasing_times(times)
     window = fit_window or ((t[0], t[-1]) if len(t) else (1.0, 2.0))
     upper, lower = sup_norms(data, t)
@@ -387,22 +388,32 @@ def localized_decay_check(data: CauchyData, times, fit_window=None) -> list:
     return _decay_reports(data, times, fit_window, rows, n_f, n_g, norms, None)
 
 
-def _band_data(f: Field, g: Field, m0: float, band: int) -> CauchyData:
-    """The band-``band`` pieces of (f, g) at t = 0.  Their spectra are the
-    projected spectra themselves, exactly zero off the band's support, and
-    their fields are the ``LittlewoodPaleyBank.project`` values.  Each
-    field is transformed once (``Field.spectrum``), whatever its bands."""
+def _band_data(f: Field, g: Field, m0: float, band: int) -> tuple:
+    """The band-``band`` pieces of (f, g) at t = 0 as a sup curve holds
+    them, (table, n_f, n_g): the ``FoldedModes`` of the projected spectra,
+    exactly zero off the band's support, and the l1 norms of the pieces'
+    fields, the ``LittlewoodPaleyBank.project`` values.  Each field is
+    transformed once (``Field.spectrum``), whatever its bands, and a field
+    whose values are all zero never: its piece is zero, of norm 0.  Nothing
+    of the full grid outlives the call."""
     bank = LittlewoodPaleyBank.for_grid(f.grid)
-    f_hat, g_hat = (bank.project_spectrum(h.spectrum, band) for h in (f, g))
-    return CauchyData.from_spectra(f_hat, g_hat, 0.0, m0)
+    spectra, norms = [], []
+    for h in (f, g):
+        if h.values.any():
+            F = bank.project_spectrum(h.spectrum, band)
+            spectra.append(F.coefficients)
+            norms.append(l1_norm(inverse_transform(F)))
+        else:
+            spectra.append(np.zeros(h.grid.shape, dtype=complex))
+            norms.append(0.0)
+    return fold_modes(f.grid, *spectra, 0.0, m0), *norms
 
 
 def _projected_reports(f: Field, g: Field, m0: float, band: int, times, fit_window, rows) -> list:
     """The rows for the band-``band`` pieces of (f, g), evolved from t = 0."""
-    data = _band_data(f, g, m0, band)
-    n_f, n_g = l1_norm(data.f), l1_norm(data.g)
+    table, n_f, n_g = _band_data(f, g, m0, band)
     norms = {"l1_p_f": n_f, "l1_p_g": n_g}
-    return _decay_reports(data, times, fit_window, rows, n_f, n_g, norms, band)
+    return _decay_reports(table, times, fit_window, rows, n_f, n_g, norms, band)
 
 
 def lowfreq_check(f: Field, g: Field, m0: float, times, fit_window=None) -> list:

@@ -106,9 +106,19 @@ class UnitBallPartition:
             )
 
     def cutoff_field(self, i: int, grid: Grid) -> Field:
+        """chi_i on the lattice, evaluated only on the box of lattice points
+        within 1 of c_i along every axis and 0 elsewhere, outside B(c_i, 1)."""
         self._check_grid(grid)
-        vals = self.cutoff_values(i, grid.lattice_points())
-        return Field(grid, vals.reshape(grid.shape))
+        x = grid.axis_coordinates
+        box = tuple(
+            slice(np.searchsorted(x, c - 1.0), np.searchsorted(x, c + 1.0, side="right"))
+            for c in self.centers[i]
+        )
+        axes = np.meshgrid(*(x[s] for s in box), indexing="ij")
+        inside = self.cutoff_values(i, np.stack([a.ravel() for a in axes], axis=-1))
+        vals = np.zeros(grid.shape)
+        vals[box] = inside.reshape(axes[0].shape)
+        return Field(grid, vals)
 
     def apply_cutoff(self, i: int, f: Field) -> Field:
         """The localized piece chi_i * f, supported in B(c_i, 1)."""

@@ -155,6 +155,40 @@ def hermitian_pairs(grid: Grid, modes, spectra) -> tuple:
     return lead, weight, minus
 
 
+@dataclass(frozen=True)
+class FoldedModes:
+    """Data at t0 with mass ``mass`` as the table a sup curve sweeps: the
+    lattice ``modes`` (flat indices, lattice order) that lead their pairs,
+    their ``xi`` (M, d) and ``omega``, and the folded spectra ``f_hat`` and
+    ``g_hat``, F_k + conj F_-k at a pair and F_k at a mode on its own."""
+
+    grid: Grid
+    t0: float
+    mass: float
+    modes: np.ndarray
+    xi: np.ndarray
+    omega: np.ndarray
+    f_hat: np.ndarray
+    g_hat: np.ndarray
+
+
+def fold_modes(grid: Grid, f_hat, g_hat, t0: float, mass: float) -> FoldedModes:
+    """The ``FoldedModes`` of the spectra (f_hat, g_hat) on ``grid``: the
+    modes where either is nonzero, each -k folded into its partner k
+    (``hermitian_pairs``).  Re sum F_k exp(i xi.x) keeps its value with
+    F_k + conj F_-k at k, and the evolution multipliers are real and even
+    in xi.  Nothing of the full-grid spectra is kept."""
+    f_hat, g_hat = np.ravel(f_hat), np.ravel(g_hat)
+    modes = np.flatnonzero((f_hat != 0) | (g_hat != 0))
+    spectra = np.stack([f_hat[modes], g_hat[modes]])
+    lead, weight, minus = hermitian_pairs(grid, modes, spectra)
+    f_hat, g_hat = weight * (spectra[:, lead] + np.conj(minus))
+    modes = modes[lead]
+    xi = grid.axis_frequencies[np.stack(np.unravel_index(modes, grid.shape), axis=-1)]
+    omega = np.sqrt(grid.frequency_norm.ravel()[modes] ** 2 + mass**2)
+    return FoldedModes(grid, t0, mass, modes, xi, omega, f_hat, g_hat)
+
+
 def _jet_coefficients(columns, xi, omega, f_hat, g_hat) -> np.ndarray:
     """The doubled + half-wave coefficient of each jet column at each mode,
     shape (C, M): (i xi)^alpha times c = f_hat - i g_hat / w (f_hat at w = 0),

@@ -15,6 +15,10 @@ from a private lattice sum, and one ball's restricted norm with its own
 derivatives.
 ``tensor_bump_values`` is the per-axis product the radial bump fields
 replaced; in 1-D the two agree bit for bit.
+``band_data`` keeps a band piece on the full grid, as Cauchy data the other
+oracles read, and ``pairwise_fold`` folds data by the mode table and the
+Hermitian pairing of the point evaluator, as the sup sweep did before its
+own ``fold_modes``.
 """
 
 import itertools
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from kgdecay.bands import LittlewoodPaleyBank
 from kgdecay.bumps import bump_profile, mollifier
 from kgdecay.grid import (
     Field,
@@ -35,7 +40,14 @@ from kgdecay.grid import (
     partial_derivative,
 )
 from kgdecay.hyperboloid import build_slice, slice_samples
-from kgdecay.propagator import CauchyData, data_support_radius, evolve_spectra, jet_columns
+from kgdecay.propagator import (
+    CauchyData,
+    data_support_radius,
+    evolve_spectra,
+    hermitian_pairs,
+    jet_columns,
+    nonzero_modes,
+)
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,25 @@ def evolve(data: CauchyData, t: float) -> EvolvedState:
     phi = inverse_transform(phi_hat)
     grad = tuple(partial_derivative(phi, e) for e in np.eye(phi.grid.dim, dtype=int).tolist())
     return EvolvedState(data, t, phi, inverse_transform(dphi_hat), grad)
+
+
+def band_data(f: Field, g: Field, m0: float, band: int) -> CauchyData:
+    """The band-``band`` pieces of (f, g) at t = 0 on the full grid: their
+    spectra are the projected spectra themselves, their fields the inverse
+    transforms."""
+    bank = LittlewoodPaleyBank.for_grid(f.grid)
+    spectra = (bank.project_spectrum(h.spectrum, band) for h in (f, g))
+    return CauchyData.from_spectra(*spectra, 0.0, m0)
+
+
+def pairwise_fold(data: CauchyData) -> tuple:
+    """(modes, xi, omega, f_hat, g_hat) of the data's ``nonzero_modes``, each
+    mode -k folded into its partner k by ``hermitian_pairs``."""
+    modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
+    spectra = np.stack([f_hat, g_hat])
+    lead, weight, minus = hermitian_pairs(data.grid, modes, spectra)
+    f_hat, g_hat = weight * (spectra[:, lead] + np.conj(minus))
+    return modes[lead], xi[lead], omega[lead], f_hat, g_hat
 
 
 def data_slice_samples(data: CauchyData, tau: float, order: int = 0) -> list:

@@ -26,11 +26,13 @@ from kgdecay.decay import (
 from kgdecay.config import HIGHFREQ_LATE_TIMES
 from kgdecay.errors import ConfigurationError
 from kgdecay.grid import (
-    Field, FoldPlan, Grid, SpectralField, forward_transform, upsample_values,
+    Field, FoldPlan, Grid, SpectralField, forward_transform, l1_norm, upsample_values,
 )
-from kgdecay.propagator import CauchyData, evaluate_at_points, evolve_spectra, nonzero_modes
+from kgdecay.propagator import (
+    CauchyData, evaluate_at_points, evolve_spectra, fold_modes, nonzero_modes,
+)
 
-from oracles import direct_sum_oracle, lattice_sum_oracle
+from oracles import band_data, direct_sum_oracle, lattice_sum_oracle, pairwise_fold
 
 GRID = Grid(1, 1024, 256.0)
 ZERO = Field(GRID, np.zeros(GRID.shape))
@@ -138,7 +140,7 @@ def oracle_case(name):
     if name == "bump":
         data = CauchyData(f, g, 2.0, 1.0)
     else:
-        data = _band_data(f, g, 1.0, {"low_pass": LOW_PASS_BAND, "band_4": 4}[name])
+        data = band_data(f, g, 1.0, {"low_pass": LOW_PASS_BAND, "band_4": 4}[name])
     return data, 7.3, rng.uniform(-8.0, 8.0, size=(40, 1))
 
 
@@ -160,7 +162,7 @@ def test_nonzero_modes_hold_exactly_the_band():
     # zero data hold none and evaluate to zero
     bank = LittlewoodPaleyBank.for_grid(FINE)
     for band in (LOW_PASS_BAND, 4):
-        data = _band_data(*bump_pair(FINE), 1.0, band)
+        data = band_data(*bump_pair(FINE), 1.0, band)
         modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
         assert np.array_equal(modes, np.flatnonzero(bank.symbol(band)))
         assert len(modes) < FINE.points_per_axis // 2
@@ -190,7 +192,7 @@ def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data(n, box, mb):
     # on a coarse lattice of (4 N)^2 points and refined to resolution 8 in
     # their candidate cells; the 64 offsets' rows of the refinement product
     # are built in blocks of at most REFINE_BLOCK_ENTRIES, so one call peaks
-    # at 13.1 and 35.7 MB (15.0 and 52.6 MB with all the rows at once)
+    # at 9.1 and 33.8 MiB (10.3 and 35.9 MiB with all the rows at once)
     data = full_spectrum_2d(n, box)  # transformed before the measured call
     tracemalloc.start()
     try:
@@ -204,10 +206,10 @@ def test_sup_norms_memory_is_bounded_on_full_spectrum_2d_data(n, box, mb):
 
 def test_sup_norms_memory_is_bounded_on_wide_band_data():
     # band 4 of highfreq's d = 1 sweep on its 8x wider box; one call peaks
-    # at 9.9 MB, with a coarse lattice of 32768 points and few candidate cells
+    # at 6.2 MiB, with a coarse lattice of 32768 points and few candidate cells
     wide = Grid(1, 32768, 2048.0)
     f = bump_field(wide, width=0.25, sharpness=4.0)
-    data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
+    data = band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
     tracemalloc.start()
     try:
         upper, _ = sup_norms(data, [64.0])
@@ -224,7 +226,7 @@ def test_sup_norms_memory_is_bounded_over_a_whole_sweep():
     # of every time would add 0.8 MB each)
     wide = Grid(1, 32768, 2048.0)
     f = bump_field(wide, width=0.25, sharpness=4.0)
-    data = _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
+    data = band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, 4)
     tracemalloc.start()
     try:
         upper, _ = sup_norms(data, HIGHFREQ_LATE_TIMES)
@@ -255,21 +257,43 @@ def test_sup_norms_refine_each_field_group_in_its_own_cells_in_bounded_memory():
 
 @pytest.mark.parametrize("band", [LOW_PASS_BAND, 0, 4])
 def test_band_data_spectra_vanish_off_band(band):
+    # a band check holds its pieces as the folded projected spectra, at
+    # modes where the band's symbol is nonzero, and the l1 norms of the
+    # projected fields; a zero field's piece is zero, of norm 0
     f, g = bump_pair(FINE)
     bank = LittlewoodPaleyBank.for_grid(FINE)
-    data = _band_data(f, g, 1.0, band)
-    off = bank.symbol(band) == 0.0
-    assert np.any(off)
-    for spectrum, field, source in zip(data.spectra, (data.f, data.g), (f, g)):
-        assert field.spectrum.coefficients is spectrum
-        assert not spectrum.flags.writeable
-        assert np.all(spectrum[off] == 0.0)
-        assert np.array_equal(field.values, bank.project(source, band).values)
+    zero = Field(FINE, np.zeros(FINE.shape))
+    assert np.any(bank.symbol(band) == 0.0)
+    for pair in ((f, g), (f, zero), (zero, g)):
+        table, *norms = _band_data(*pair, 1.0, band)
+        assert (table.grid, table.t0, table.mass) == (FINE, 0.0, 1.0)
+        assert np.all(bank.symbol(band).ravel()[table.modes] != 0.0)
+        want = pairwise_fold(band_data(*pair, 1.0, band))
+        got = (table.modes, table.xi, table.omega, table.f_hat, table.g_hat)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for norm, source in zip(norms, pair):
+            assert norm == l1_norm(bank.project(source, band))
+
+
+@pytest.mark.parametrize("case", ["band_4", "bump", "bump_2d", "full_2d"])
+def test_folded_table_equals_the_pairwise_fold(case):
+    # fold_modes gives, bit for bit, the table of the data's nonzero modes
+    # folded by the point evaluator's Hermitian pairing: band-4 data, the
+    # full-spectrum bump, a 2-D bump and 2-D data that keep all N^2 modes
+    data = full_spectrum_2d(64, 16.0) if case == "full_2d" else oracle_case(case)[0]
+    table = fold_modes(data.grid, *data.spectra, data.t0, data.mass)
+    assert (table.grid, table.t0, table.mass) == (data.grid, data.t0, data.mass)
+    got = (table.modes, table.xi, table.omega, table.f_hat, table.g_hat)
+    want = pairwise_fold(data)
+    assert len(want[0]) < len(nonzero_modes(data)[0])
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_band_checks_transform_each_field_once(monkeypatch):
     # highfreq's band sweep checks the same fields on every band: each is
-    # transformed once, whatever the number of bands and checks
+    # transformed once, whatever the number of bands and checks, and a zero
+    # field never
     transformed = []
 
     def spy(f):
@@ -283,7 +307,28 @@ def test_band_checks_transform_each_field_once(monkeypatch):
     for band in (0, 1, 2):
         highfreq_check(f, zero, 0.5, band, TIMES[:3])
         highfreq_check(zero, g, 0.5, band, TIMES[:3])
-    assert len(transformed) == 3 and len({id(h) for h in transformed}) == 3
+    assert len(transformed) == 2 and {id(h) for h in transformed} == {id(f), id(g)}
+
+
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_highfreq_check_memory_is_bounded_on_wide_band_data(which):
+    # one band-4 check of highfreq's d = 1 sweep on its 8x wider box, with
+    # data in f alone or in g alone: the check frees the band's full-grid
+    # spectra and fields before the sweep and never transforms the zero
+    # field, so it peaks at 6.7 MiB (8.8 MiB when it held them)
+    wide = Grid(1, 32768, 2048.0)
+    h = bump_field(wide, width=0.25, sharpness=4.0)
+    h.spectrum  # transformed before the measured call
+    zero = Field(wide, np.zeros(wide.shape))
+    pair = (h, zero) if which == "f" else (zero, h)
+    tracemalloc.start()
+    try:
+        reports = highfreq_check(*pair, 0.5, 4, HIGHFREQ_LATE_TIMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reports[0].empirical_constant > 0.0
+    assert peak <= 7 * 2**20
 
 
 BRACKET = Grid(1, 256, 16.0)  # Nyquist 50.3, as FINE
@@ -299,7 +344,7 @@ def bracket_case(case):
     if case == "bump":
         f, g = bump_pair(BRACKET, sharpness=1.0)
         return CauchyData(f, g, 2.0, 1.0), (3.7, 20.0)
-    return _band_data(*bump_pair(BRACKET), 1.0, case), (3.7, 20.0)
+    return band_data(*bump_pair(BRACKET), 1.0, case), (3.7, 20.0)
 
 
 @pytest.fixture
@@ -549,7 +594,7 @@ def test_a_field_zero_on_the_lattice_marks_no_cells():
     # those that grad phi and |d phi| mark (a threshold of
     # 0 cos(sigma_max delta0) = 0 would mark every cell)
     f, _ = bump_pair(BRACKET)
-    data = _band_data(f, Field(BRACKET, np.zeros(BRACKET.shape)), 1.0, 2)
+    data = band_data(f, Field(BRACKET, np.zeros(BRACKET.shape)), 1.0, 2)
     (phi, dphi, *grad), lattice, cells, upper, lower = refinement(data, 0.0)
     assert not dphi.any() and upper[1] == lower[1] == 0.0
     assert np.all(lower[[0, 2, 3]] > 0.0)
@@ -571,10 +616,10 @@ def test_sup_norms_upsampling_factor_follows_the_band(factors):
     wide = Grid(1, 32768, 2048.0)
     f = bump_field(wide, width=0.25, sharpness=4.0)
     zero = Field(wide, np.zeros(wide.shape))
-    sup_norms(_band_data(f, zero, 0.5, 0), HIGHFREQ_LATE_TIMES)
+    sup_norms(band_data(f, zero, 0.5, 0), HIGHFREQ_LATE_TIMES)
     assert max(factors) == 0.5
     factors.clear()
-    sup_norms(_band_data(f, zero, 0.5, 4), HIGHFREQ_LATE_TIMES)
+    sup_norms(band_data(f, zero, 0.5, 4), HIGHFREQ_LATE_TIMES)
     assert max(factors) == 8
     factors.clear()
     grid = Grid(1, 4096, 256.0)
@@ -587,7 +632,7 @@ def wide_band_data(band):
     """Band ``band`` of highfreq's d = 1 sweep data on its 8x wider box."""
     wide = Grid(1, 32768, 2048.0)
     f = bump_field(wide, width=0.25, sharpness=4.0)
-    return _band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, band)
+    return band_data(f, Field(wide, np.zeros(wide.shape)), 0.5, band)
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,20 @@ def test_cutoff_supported_in_unit_ball():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_cutoff_field_equals_the_full_lattice_evaluation(dim):
+    # chi_i evaluated on the index box around its ball and scattered into
+    # zeros is, bit for bit, chi_i at every lattice point; the boxes of the
+    # outer balls are cut by the grid's edges, on a grid whose half-width
+    # is the active radius
+    part = PART if dim == 1 else UnitBallPartition.build(2, active_radius=2.0)
+    for grid in (GRID, Grid(1, 128, 8.0)) if dim == 1 else (Grid(2, 64, 8.0), Grid(2, 32, 4.0)):
+        points = grid.lattice_points()
+        for i in range(part.n_cutoffs):
+            want = part.cutoff_values(i, points).reshape(grid.shape)
+            assert part.cutoff_field(i, grid).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_overlap_count_within_bound(dim):
     part = UnitBallPartition.build(dim, active_radius=2.0)
     rng = np.random.default_rng(2)

@@ -125,11 +125,24 @@ MUTANTS = [
      "self._refine(weighted[1:], cells[1],", "self._refine(weighted[1:], cells[0],"),
     ("conjugate image left out of the fold plan", "src/kgdecay/grid.py",
      "for k in (signed % m, -signed % m):", "for k in (signed % m,):"),
+    # the folded mode table, all that a sup curve holds
+    ("folded omega without the mass", "src/kgdecay/propagator.py",
+     "np.sqrt(grid.frequency_norm.ravel()[modes] ** 2 + mass**2)",
+     "grid.frequency_norm.ravel()[modes]"),
+    ("Cauchy data folded at t0 = 0", "src/kgdecay/decay.py",
+     "fold_modes(data.grid, *data.spectra, data.t0, data.mass)",
+     "fold_modes(data.grid, *data.spectra, 0.0, data.mass)"),
+    ("zero-field shortcut taken for a nonzero g", "src/kgdecay/decay.py",
+     "        if h.values.any():\n", "        if h is f and h.values.any():\n"),
+    ("band norms read from the unprojected field", "src/kgdecay/decay.py",
+     "norms.append(l1_norm(inverse_transform(F)))", "norms.append(l1_norm(h))"),
     # the partition's neighbour denominator and the ball sums
     ("cutoff denominator over centers within 1 of c_i", "src/kgdecay/partition.py",
      "self.centers[i], axis=-1) < 2.0]", "self.centers[i], axis=-1) < 1.0]"),
     ("ball sums read at radius 2", "src/kgdecay/partition.py",
      "p.centers[i], axis=-1) < 1.0)", "p.centers[i], axis=-1) < 2.0)"),
+    ("cutoff box cut to half the ball below its center", "src/kgdecay/partition.py",
+     "np.searchsorted(x, c - 1.0)", "np.searchsorted(x, c - 0.5)"),
     # the radial bump
     ("bump radius read as the max norm", "src/kgdecay/bumps.py",
      "np.sqrt(r, out=r)", "np.max(np.abs(u), axis=0)"),
@@ -158,7 +171,7 @@ MUTANTS = [
     ("suites run on a fresh plan", "src/kgdecay/cli.py",
      "run_selected_suites(plan)", "run_selected_suites(RunPlan(config))"),
     # what each object derives and keeps
-    ("band data re-transform their fields", "src/kgdecay/propagator.py",
+    ("spectra-built data re-transform their fields", "src/kgdecay/propagator.py",
      '            h.__dict__["spectrum"] = F\n', ""),
     ("one symbol for every band", "src/kgdecay/bands.py",
      "return self._symbols[k]", "return next(iter(self._symbols.values()))"),
