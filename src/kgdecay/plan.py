@@ -39,6 +39,11 @@ MAX_NYQUIST_TAIL = 0.7
 # L = 256), 1.2e-4 at 8.6e-3 (N = 128, L = 12) and 4.5e-7 at 1.1e-3 (defaults)
 SMALL_TAU = 2.0
 SMALL_TAU_NYQUIST_TAIL = 3e-3
+# the most points of a grid the plan builds: 32 MB per float64 array, where
+# one bump's coordinate arrays and spectra already take several; the largest
+# grids tier-1, perfbench and the README run hold 2^18 points (2-D) and
+# 2^15 (highfreq's wide 1-D grid)
+MAX_GRID_POINTS = 2**22
 
 
 def mass_commensurate_times(m0: float) -> np.ndarray:
@@ -209,10 +214,19 @@ class RunPlan:
             problems.append(f"seed must be non-negative (got {c.seed})")
         if not c.support_radius > 0:
             problems.append(f"support_radius must be positive (got {c.support_radius})")
+        active = c.selected_suites
+        if c.dim >= 1 and n >= 2:
+            wide = self.highfreq_scale if "highfreq" in active else 1
+            points = (n * wide) ** c.dim
+            if points > MAX_GRID_POINTS:
+                scale = f" (x{wide} per axis for highfreq's wide grid)" if wide > 1 else ""
+                problems.append(
+                    f"grid_n {n}{scale} in dim {c.dim} makes {points} grid points, "
+                    f"above the {MAX_GRID_POINTS} a run may build"
+                )
         # the plan's data and slices can only be built from valid values
         buildable = not problems
 
-        active = c.selected_suites
         if c.dim >= 1 and n >= 2 and c.box_length > 0:
             nyquist = np.pi * n / c.box_length
             for k in c.bands:

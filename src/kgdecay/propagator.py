@@ -7,15 +7,16 @@ xi evolves as a harmonic oscillator with omega = sqrt(|xi|^2 + m^2):
     d/dt phi_hat = -omega sin(dt*omega) f_hat + cos(dt*omega) g_hat
 
 with dt = t - t0 and sin(dt*omega)/omega -> dt as omega -> 0.  The grid
-propagator applies these multipliers.  The pointwise evaluator used for
-sampling on curved slices splits each nonzero mode into its two half-waves
-exp(+-i dt omega) and sums them directly at space-time points.  Real data
-have Hermitian spectra, so the sum runs over the + half-waves, doubled.
-omega is even in xi, and a slice has the same t at x and -x, so a mode and
-its negation, and a point and its mirror, share exp(i dt omega): each pair
-of modes at each pair of points costs one cos and one sin.  A derivative
-d_x^alpha d_t^j phi multiplies each half-wave's coefficient by
-(i xi)^alpha (+-i w)^j and keeps its phase, so one pass sums all of them.
+propagator applies these multipliers.  Real data have F_-k = conj F_k, and
+the multipliers are real and even in xi, so the solution is
+Re sum m_k(t) (F_k + conj F_-k) exp(i xi.x) over one mode of each pair +-k:
+the folded mode table (``fold_modes``) that both the sup sweep and the
+pointwise evaluator sum.  At each folded mode a column d_x^alpha d_t^j phi
+of the evaluator is the standing wave Re (cos(dt w) A + sin(dt w) B)
+exp(i xi.x), with (A, B) = (i xi)^alpha (f_hat, g_hat / w) for j = 0 and
+(i xi)^alpha (g_hat, -w f_hat) for j = 1, so one pass sums all of them.  A
+slice has the same t at x and -x, so a point and its mirror share the cos
+and sin of dt w: each mode at each pair of points costs one cos and one sin.
 
 The run plan's measure of the data's support in space (``data_support_radius``)
 lives here, so the plan does not load ``decay``.
@@ -39,7 +40,7 @@ from .grid import (
     signed_modes,
 )
 
-# cap on point pairs x mode pairs per block of a direct Fourier evaluation
+# cap on point pairs x folded modes per block of a direct Fourier evaluation
 # at arbitrary points, sized by bytes: a block's temporaries (the angles,
 # their cos and sin, the complex phase, one product) are 7 float64 per
 # entry, under 2 MB; more columns widen a block
@@ -114,17 +115,6 @@ def evolve_spectra(data: CauchyData, t: float) -> tuple:
     return SpectralField(g, phi_hat), SpectralField(g, dphi_hat)
 
 
-def nonzero_modes(data: CauchyData) -> tuple:
-    """The flat indices of the lattice modes where f_hat or g_hat is nonzero,
-    in lattice order, with their xi, shape (M, d), omega, f_hat and g_hat."""
-    g = data.grid
-    f_hat, g_hat = (c.ravel() for c in data.spectra)
-    modes = np.flatnonzero((f_hat != 0) | (g_hat != 0))
-    xi = g.axis_frequencies[np.stack(np.unravel_index(modes, g.shape), axis=-1)]
-    omega = _omega(g, data.mass).ravel()[modes]
-    return modes, xi, omega, f_hat[modes], g_hat[modes]
-
-
 def jet_columns(dim: int, order: int) -> list:
     """The keys (alpha_0, .., alpha_{d-1}, j) of the columns d_x^alpha d_t^j
     phi that ``evaluate_at_points`` returns: j <= 1 and j + |alpha| <= order
@@ -134,33 +124,13 @@ def jet_columns(dim: int, order: int) -> list:
     return sorted(columns, key=lambda k: (sum(k), -k[-1], [-a for a in k]))
 
 
-def hermitian_pairs(grid: Grid, modes, spectra) -> tuple:
-    """Each of the lattice ``modes`` (flat indices) once with its partner -k:
-    (lead, weight, minus), ``lead`` marking the first mode of each pair and
-    ``minus`` the ``spectra`` (S, M) at their partners.  A mode is its own
-    partner where -k is not listed or k lies on a Nyquist plane (a component
-    -N/2, whose negation the lattice does not list); there ``minus`` is the
-    conjugate of its own spectra, as real data have F_-k = conj F_k, and
-    ``weight`` is 0.5, so weight (F + conj minus) is F_k + conj F_-k for a
-    pair and F for a mode on its own."""
-    n, count, signed = grid.points_per_axis, np.arange(len(modes)), signed_modes(grid, modes)
-    position = np.full(n**grid.dim, -1)
-    position[modes] = count
-    partner = position[np.ravel_multi_index(tuple((-signed % n).T), grid.shape)]
-    partner = np.where((partner < 0) | np.any(signed == -n // 2, axis=-1), count, partner)
-    lead = partner >= count
-    own = partner[lead] == count[lead]
-    minus = np.where(own, np.conj(spectra[:, lead]), spectra[:, partner[lead]])
-    weight = np.where(own, 0.5, 1.0)
-    return lead, weight, minus
-
-
 @dataclass(frozen=True)
 class FoldedModes:
-    """Data at t0 with mass ``mass`` as the table a sup curve sweeps: the
-    lattice ``modes`` (flat indices, lattice order) that lead their pairs,
-    their ``xi`` (M, d) and ``omega``, and the folded spectra ``f_hat`` and
-    ``g_hat``, F_k + conj F_-k at a pair and F_k at a mode on its own."""
+    """Data at t0 with mass ``mass`` as the table that a sup curve and the
+    point evaluator sum: the lattice ``modes`` (flat indices, lattice order)
+    that lead their pairs, their ``xi`` (M, d) and ``omega``, and the folded
+    spectra ``f_hat`` and ``g_hat``, F_k + conj F_-k at a pair and F_k at a
+    mode on its own."""
 
     grid: Grid
     t0: float
@@ -174,29 +144,33 @@ class FoldedModes:
 
 def fold_modes(grid: Grid, f_hat, g_hat, t0: float, mass: float) -> FoldedModes:
     """The ``FoldedModes`` of the spectra (f_hat, g_hat) on ``grid``: the
-    modes where either is nonzero, each -k folded into its partner k
-    (``hermitian_pairs``).  Re sum F_k exp(i xi.x) keeps its value with
-    F_k + conj F_-k at k, and the evolution multipliers are real and even
-    in xi.  Nothing of the full-grid spectra is kept."""
+    modes where either is nonzero, each -k folded into its partner k, the
+    first of the pair in lattice order.  A mode is its own partner, and
+    keeps F_k, where -k is not listed, where k lies on a Nyquist plane (a
+    component -N/2, whose negation the lattice does not list) or where
+    -k = k (the zero mode).  Nothing of the full-grid spectra is kept."""
     f_hat, g_hat = np.ravel(f_hat), np.ravel(g_hat)
-    modes = np.flatnonzero((f_hat != 0) | (g_hat != 0))
-    spectra = np.stack([f_hat[modes], g_hat[modes]])
-    lead, weight, minus = hermitian_pairs(grid, modes, spectra)
-    f_hat, g_hat = weight * (spectra[:, lead] + np.conj(minus))
-    modes = modes[lead]
+    listed = (f_hat != 0) | (g_hat != 0)
+    modes = np.flatnonzero(listed)
+    n, signed = grid.points_per_axis, signed_modes(grid, modes)
+    negated = np.ravel_multi_index(tuple((-signed % n).T), grid.shape)
+    own = ~listed[negated] | np.any(signed == -n // 2, axis=-1) | (negated == modes)
+    lead = own | (negated > modes)
+    modes, negated, own = modes[lead], negated[lead], own[lead]
+    f_hat, g_hat = (np.where(own, F[modes], F[modes] + np.conj(F[negated])) for F in (f_hat, g_hat))
     xi = grid.axis_frequencies[np.stack(np.unravel_index(modes, grid.shape), axis=-1)]
     omega = np.sqrt(grid.frequency_norm.ravel()[modes] ** 2 + mass**2)
     return FoldedModes(grid, t0, mass, modes, xi, omega, f_hat, g_hat)
 
 
 def _jet_coefficients(columns, xi, omega, f_hat, g_hat) -> np.ndarray:
-    """The doubled + half-wave coefficient of each jet column at each mode,
-    shape (C, M): (i xi)^alpha times c = f_hat - i g_hat / w (f_hat at w = 0),
-    or times its d_t coefficient g_hat + i w f_hat."""
+    """The cos and sin coefficients (A, B) of each jet column at each folded
+    mode, shape (C, 2, M): (i xi)^alpha times (f_hat, g_hat / w), with
+    g_hat / w = 0 at w = 0, or times (g_hat, -w f_hat) for d_t."""
     g_over_w = np.divide(g_hat, omega, out=np.zeros_like(g_hat), where=omega != 0.0)
-    c, dc = f_hat - 1j * g_over_w, g_hat + 1j * omega * f_hat
+    waves = np.stack([f_hat, g_over_w]), np.stack([g_hat, -omega * f_hat])
     ixi = 1j * xi
-    return np.stack([np.prod(ixi ** k[:-1], -1) * (c, dc)[k[-1]] for k in columns])
+    return np.stack([np.prod(ixi ** k[:-1], -1) * waves[k[-1]] for k in columns])
 
 
 def _mirror_pairs(times, points) -> tuple:
@@ -233,49 +207,34 @@ def evaluate_at_points(data: CauchyData, times, points, order: int = 0) -> np.nd
     at space-time points: ``times`` (P,) and ``points`` (P, d) give
     an array (C, P), at order 0 the rows phi, d_t phi and grad phi.
 
-    Each of the ``nonzero_modes`` is split into its half-waves, phi_hat =
-    exp(+i dt w) c+ + exp(-i dt w) c- with c+- = (f_hat -+ i g_hat / w) / 2,
-    whose d_t phi coefficients are (g_hat +- i w f_hat) / 2; a column's are
-    (i xi)^alpha times the one or the other.  Hermitian spectra (as
-    ``inverse_transform`` assumes) give c-(-xi) = conj c+(xi), so the
-    half-wave (-xi, -w) adds the real term of (xi, +w): the sum runs over the
-    + half-waves with doubled coefficients.  Each mode k is taken with its
-    partner -k (``hermitian_pairs``): with P and Q their columns' doubled
-    coefficients and A = exp(i dt w), the pair adds
-
-        Re A (exp(i xi.x) P + exp(-i xi.x) Q)
-            = Re A cos(xi.x) (P + Q) + Re i A sin(xi.x) (P - Q),
-
-    and at -x and the same time the first term minus the second.  A mode
-    that is its own partner (the zero mode, a mode on a Nyquist plane, whose
-    negation is not a listed mode) keeps both of its half-waves: P and Q are
-    half its own and half the conjugate data's.  A point whose negation at
-    the same time is also requested is summed once for both; any other
-    point on its own.  exp(i xi.x) is built per axis from two small tables
-    (``_phase_tables``), so the trigonometry per point pair and mode pair is
-    one cos and one sin of dt w, in blocks of at most ``EVAL_CHUNK_ENTRIES``
-    point pairs x mode pairs.  A mode with w = 0 (the zero mode at mass 0)
-    adds f_hat + dt g_hat to phi and g_hat to d_t phi only.
+    The data's ``fold_modes`` table, which takes them real (Hermitian
+    spectra) as ``inverse_transform`` does, is summed directly: at each
+    folded mode a column is Re (cos(dt w) A + sin(dt w) B) exp(i xi.x) with
+    the coefficients (A, B) of ``_jet_coefficients``.  With exp(i xi.x) =
+    c + i s, that is c (cos Re A + sin Re B) - s (cos Im A + sin Im B), and
+    at -x and the same time the first term plus the second.  A point whose
+    negation at the same time is also requested is summed once for both;
+    any other point on its own.  exp(i xi.x) is built per axis from two
+    small tables (``_phase_tables``), so the trigonometry per point pair and
+    mode is one cos and one sin of dt w, in blocks of at most
+    ``EVAL_CHUNK_ENTRIES`` point pairs x modes.  A mode with w = 0 (the zero
+    mode at mass 0) adds f_hat + dt g_hat to phi and g_hat to d_t phi only.
     """
     g = data.grid
     times = np.atleast_1d(np.asarray(times, dtype=float))
     points = np.asarray(points, dtype=float).reshape(len(times), g.dim)
     dt = times - data.t0
-    modes, xi, omega, fh, gh = nonzero_modes(data)
-    columns = jet_columns(g.dim, order)
-    spectra = np.stack([fh, gh])
-    lead, weight, minus = hermitian_pairs(g, modes, spectra)
-    w = omega[lead]
-    coeff = weight * _jet_coefficients(columns, xi[lead], w, *spectra[:, lead])
-    mirror = weight * _jet_coefficients(columns, -xi[lead], w, *minus)
-    # (C, 2 x mode pairs), used transposed.  BLAS picks its kernel by shape,
-    # so the block products of calls with different C need not round alike:
+    table = fold_modes(g, *data.spectra, data.t0, data.mass)
+    w, columns = table.omega, jet_columns(g.dim, order)
+    coeff = _jet_coefficients(columns, table.xi, w, table.f_hat, table.g_hat)
+    # (C, 2 x modes), used transposed.  BLAS picks its kernel by shape, so
+    # the block products of calls with different C need not round alike:
     # orders 0 and 1 can differ in the last bits of the columns they share,
     # which is why the run plan samples the slice data at one order
-    even = np.concatenate([(coeff + mirror).real, -(coeff + mirror).imag], axis=1)
-    odd = np.concatenate([-(coeff - mirror).imag, -(coeff - mirror).real], axis=1)
-    del coeff, mirror
-    tables = [_phase_tables(k, g.box_length) for k in signed_modes(g, modes[lead]).T]
+    coeff = coeff.reshape(len(columns), -1)
+    even, odd = coeff.real.copy(), -coeff.imag
+    del coeff
+    tables = [_phase_tables(k, g.box_length) for k in signed_modes(g, table.modes).T]
     rows, mirrors = _mirror_pairs(times, points)
     vals = np.empty((len(times), len(columns)))
     step = max(1, EVAL_CHUNK_ENTRIES // max(1, len(w)))
@@ -293,7 +252,7 @@ def evaluate_at_points(data: CauchyData, times, points, order: int = 0) -> np.nd
         vals[block] = even_part + odd_part
         pairs = mirrors[lo : lo + step]
         vals[pairs] = (even_part - odd_part)[: len(pairs)]
-    vals[:, 0] += dt * np.sum(gh[omega == 0.0].real)
+    vals[:, 0] += dt * np.sum(table.g_hat[w == 0.0].real)
     vals /= g.box_length**g.dim
     return vals.T
 

@@ -16,9 +16,9 @@ derivatives.
 ``tensor_bump_values`` is the per-axis product the radial bump fields
 replaced; in 1-D the two agree bit for bit.
 ``band_data`` keeps a band piece on the full grid, as Cauchy data the other
-oracles read, and ``pairwise_fold`` folds data by the mode table and the
-Hermitian pairing of the point evaluator, as the sup sweep did before its
-own ``fold_modes``.
+oracles read, and ``pairwise_fold`` builds the folded mode table that
+``fold_modes`` builds, one mode at a time: it finds each mode's partner -k
+by a lookup of signed multi-indices, with none of the library's pairing.
 """
 
 import itertools
@@ -44,9 +44,7 @@ from kgdecay.propagator import (
     CauchyData,
     data_support_radius,
     evolve_spectra,
-    hermitian_pairs,
     jet_columns,
-    nonzero_modes,
 )
 
 
@@ -79,13 +77,28 @@ def band_data(f: Field, g: Field, m0: float, band: int) -> CauchyData:
 
 
 def pairwise_fold(data: CauchyData) -> tuple:
-    """(modes, xi, omega, f_hat, g_hat) of the data's ``nonzero_modes``, each
-    mode -k folded into its partner k by ``hermitian_pairs``."""
-    modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
-    spectra = np.stack([f_hat, g_hat])
-    lead, weight, minus = hermitian_pairs(data.grid, modes, spectra)
-    f_hat, g_hat = weight * (spectra[:, lead] + np.conj(minus))
-    return modes[lead], xi[lead], omega[lead], f_hat, g_hat
+    """(modes, xi, omega, f_hat, g_hat) of the data's folded mode table: the
+    lattice modes where f_hat or g_hat is nonzero, in lattice order, each
+    looked up with its partner -k by signed multi-index.  The first of a
+    pair keeps F_k + conj F_-k and the other goes; a mode whose -k is not
+    listed, with a component -N/2 (a Nyquist plane) or at k = 0 keeps F_k."""
+    g, n = data.grid, data.grid.points_per_axis
+    spectra = [c.ravel() for c in data.spectra]
+    modes = np.flatnonzero((spectra[0] != 0) | (spectra[1] != 0))
+    signed = [tuple(int(a) - n * (a >= n // 2) for a in np.unravel_index(k, g.shape)) for k in modes]
+    position = {k: i for i, k in enumerate(signed)}
+    lead, folded = [], []
+    for i, k in enumerate(signed):
+        j = i if -n // 2 in k else position.get(tuple(-a for a in k), i)
+        if j >= i:
+            lead.append(modes[i])
+            folded.append([F[modes[i]] + np.conj(F[modes[j]]) if j > i else F[modes[i]]
+                           for F in spectra])
+    lead = np.array(lead, dtype=modes.dtype)
+    f_hat, g_hat = np.array(folded, dtype=complex).reshape(-1, 2).T
+    xi = g.axis_frequencies[np.stack(np.unravel_index(lead, g.shape), axis=-1)]
+    omega = np.sqrt(g.frequency_norm.ravel()[lead] ** 2 + data.mass**2)
+    return lead, xi, omega, f_hat, g_hat
 
 
 def data_slice_samples(data: CauchyData, tau: float, order: int = 0) -> list:

@@ -461,3 +461,41 @@ def test_validation_accepts_2d_localized_data_in_the_unit_ball(tmp_path, capsys,
     with pytest.raises(AssertionError, match="run_selected_suites entered"):
         main([*argv, "--out", str(tmp_path)])
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _never_build_fields(config, sharpness):
+    raise AssertionError("bump_pair_data entered: validate() built a field")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "energy", "--dim", "3"], "grid_n 4096 in dim 3 makes 68719476736 grid points"),
+        (["--dim", "2"], "grid_n 4096 in dim 2 makes 16777216 grid points"),
+        (
+            ["--suite", "highfreq", "--grid-n", str(2**20)],
+            f"grid_n {2**20} (x8 per axis for highfreq's wide grid) in dim 1 makes 8388608 "
+            "grid points",
+        ),
+    ],
+    ids=["3d_energy", "2d_all", "highfreq_wide"],
+)
+def test_cli_rejects_oversized_grids_before_building_a_field(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # at the defaults N = 4096, d = 3 asked bump_field for 512 GiB of
+    # coordinates inside validate(); the grid's size is read from N, d and
+    # highfreq's wide factor alone, before any field is built
+    monkeypatch.setattr("kgdecay.cli.run_selected_suites", _never_run_suites)
+    monkeypatch.setattr("kgdecay.plan.bump_pair_data", _never_build_fields)
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{message}, above the 4194304 a run may build" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite, grid_n", [("lp", 2**22), ("highfreq", 2**19)])
+def test_validation_accepts_grids_at_the_size_cap(monkeypatch, suite, grid_n):
+    # 2^22 points on the configured grid, and on highfreq's 8x wider one
+    monkeypatch.setattr("kgdecay.plan.bump_pair_data", _never_build_fields)
+    RunPlan(RunConfig(suite=suite, grid_n=grid_n)).validate()

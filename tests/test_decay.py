@@ -29,7 +29,7 @@ from kgdecay.grid import (
     Field, FoldPlan, Grid, SpectralField, forward_transform, l1_norm, upsample_values,
 )
 from kgdecay.propagator import (
-    CauchyData, evaluate_at_points, evolve_spectra, fold_modes, nonzero_modes,
+    CauchyData, evaluate_at_points, evolve_spectra, fold_modes,
 )
 
 from oracles import band_data, direct_sum_oracle, lattice_sum_oracle, pairwise_fold
@@ -99,8 +99,8 @@ def test_sup_norms_of_zero_data():
 
 def test_sup_norms_of_zero_data_skip_the_window_sum():
     data = CauchyData(ZERO, ZERO, 0.0, 1.0)
-    modes, xi, *_ = nonzero_modes(data)
-    assert len(modes) == 0 and xi.shape == (0, 1)
+    table = fold_modes(GRID, *data.spectra, data.t0, data.mass)
+    assert len(table.modes) == 0 and table.xi.shape == (0, 1)
     upper, lower = sup_norms(data, TIMES)
     assert upper.shape == lower.shape == (len(TIMES), len(SUP_FIELDS))
     assert np.all(upper == 0.0) and np.all(lower == 0.0)
@@ -156,25 +156,41 @@ def test_evaluate_at_points_matches_direct_evaluation(name, chunk, monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_nonzero_modes_hold_exactly_the_band():
-    # band-limited data cost in proportion to their band: the table holds
-    # the modes where the band's symbol is nonzero, in lattice order, and
-    # zero data hold none and evaluate to zero
+def test_folded_modes_hold_exactly_the_band():
+    # band-limited data cost in proportion to their band: the folded table
+    # holds one mode of each pair +-k where the band's symbol is nonzero,
+    # in lattice order, and zero data hold none and evaluate to zero
     bank = LittlewoodPaleyBank.for_grid(FINE)
     for band in (LOW_PASS_BAND, 4):
         data = band_data(*bump_pair(FINE), 1.0, band)
-        modes, xi, omega, f_hat, g_hat = nonzero_modes(data)
-        assert np.array_equal(modes, np.flatnonzero(bank.symbol(band)))
-        assert len(modes) < FINE.points_per_axis // 2
-        assert np.array_equal(xi[:, 0], FINE.axis_frequencies[modes])
-        assert np.array_equal(omega, np.sqrt(FINE.frequency_norm.ravel()[modes] ** 2 + 1.0))
-        for got, spectrum in zip((f_hat, g_hat), data.spectra):
-            assert np.array_equal(got, spectrum.ravel()[modes])
+        table = fold_modes(FINE, *data.spectra, data.t0, data.mass)
+        modes = table.modes
+        assert np.array_equal(np.union1d(modes, -modes % FINE.points_per_axis),
+                               np.flatnonzero(bank.symbol(band)))
+        assert np.all(np.diff(modes) > 0) and len(modes) < FINE.points_per_axis // 4
+        assert np.array_equal(table.xi[:, 0], FINE.axis_frequencies[modes])
+        assert np.array_equal(table.omega, np.sqrt(FINE.frequency_norm.ravel()[modes] ** 2 + 1.0))
+        for got, want in zip((table.f_hat, table.g_hat), pairwise_fold(data)[3:]):
+            assert got.tobytes() == want.tobytes()
     zero = CauchyData(ZERO, ZERO, 0.0, 1.0)
-    modes, xi, omega, f_hat, g_hat = nonzero_modes(zero)
-    assert xi.shape == (0, 1) and all(len(a) == 0 for a in (modes, omega, f_hat, g_hat))
+    table = fold_modes(GRID, *zero.spectra, zero.t0, zero.mass)
+    assert table.xi.shape == (0, 1)
+    assert all(len(a) == 0 for a in (table.modes, table.omega, table.f_hat, table.g_hat))
     vals = evaluate_at_points(zero, [1.0, 3.0], [[0.5], [-2.0]])
     assert vals.shape == (3, 2) and not vals.any()
+
+
+def listed_modes(data):
+    """How many lattice modes the data's spectra hold before folding."""
+    return np.count_nonzero((data.spectra[0] != 0) | (data.spectra[1] != 0))
+
+
+def evolved_table(data, t):
+    """(modes, xi, phi_hat, d_t phi_hat) of the folded table of the data's
+    spectra evolved to time t (``evolve_spectra``)."""
+    spectra = (F.coefficients for F in evolve_spectra(data, t))
+    table = fold_modes(data.grid, *spectra, t, data.mass)
+    return table.modes, table.xi, table.f_hat, table.g_hat
 
 
 def full_spectrum_2d(n, box):
@@ -285,7 +301,7 @@ def test_folded_table_equals_the_pairwise_fold(case):
     assert (table.grid, table.t0, table.mass) == (data.grid, data.t0, data.mass)
     got = (table.modes, table.xi, table.omega, table.f_hat, table.g_hat)
     want = pairwise_fold(data)
-    assert len(want[0]) < len(nonzero_modes(data)[0])
+    assert len(want[0]) < listed_modes(data)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -389,8 +405,7 @@ def test_sup_norms_bracketed_by_direct_evaluation(case, factors):
         assert 4 * factor <= per_h
         steps = np.arange(-2 * per_h // factor, 2 * per_h // factor + 1) * g.spacing / per_h
         square = np.stack([m.ravel() for m in np.meshgrid(*[steps] * g.dim, indexing="ij")], -1)
-        modes, xi, *_ = nonzero_modes(data)
-        phi_hat, dphi_hat = (F.coefficients.ravel()[modes] for F in evolve_spectra(data, t))
+        modes, xi, phi_hat, dphi_hat = evolved_table(data, t)
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
         fine_n = round(factor * g.points_per_axis)
         phi, dphi, *grad = upsample_values(FoldPlan(g, modes, fine_n), coefficients)
@@ -493,9 +508,8 @@ def test_lattice_maxima_are_the_maxima_at_the_sub_cell_centres():
     for case, t in (("band_4", 7.3), ("bump_2d", 3.0)):
         data = oracle_case(case)[0]
         g = data.grid
-        modes, xi, *_ = nonzero_modes(data)
+        modes, xi, phi_hat, dphi_hat = evolved_table(data, t)
         lattice = _Lattice(g, modes, xi)
-        phi_hat, dphi_hat = (F.coefficients.ravel()[modes] for F in evolve_spectra(data, t))
         coefficients = np.stack([phi_hat, dphi_hat, *(1j * x * phi_hat for x in xi.T)])
         coarse = upsample_values(lattice.fold, coefficients[:2])
         cells = [np.argsort(np.abs(c.ravel()))[-5:] for c in coarse]
@@ -577,7 +591,8 @@ def test_refinement_samples_every_cell_the_bound_allows(case):
     else:
         data, times = bracket_case(case)
     g = data.grid
-    sigma_max = np.max(g.frequency_norm.ravel()[nonzero_modes(data)[0]])
+    modes = fold_modes(g, *data.spectra, data.t0, data.mass).modes
+    sigma_max = np.max(g.frequency_norm.ravel()[modes])
     for t in times:
         (phi, dphi, *grad), lattice, cells, _, _ = refinement(data, t)
         delta0 = g.box_length * np.sqrt(g.dim) / (2 * lattice.m)
@@ -679,8 +694,8 @@ def test_sup_norms_build_one_offset_table_per_curve_and_resolution(monkeypatch):
     lattice = calls[0][0]
     assert [r for _, r, _ in calls] == [8] * len(HIGHFREQ_LATE_TIMES)
     assert all(table is lattice.offsets for *_, table in calls)
-    modes = nonzero_modes(data)[0]
-    assert lattice.offsets.shape == (8, len(lattice.signed)) and len(lattice.signed) < len(modes)
+    modes = fold_modes(data.grid, *data.spectra, data.t0, data.mass).modes
+    assert lattice.offsets.shape == (8, len(modes)) and len(modes) < listed_modes(data)
     reach = np.max(data.grid.frequency_norm.ravel()[modes]) * lattice.delta0
     assert 1.0 / np.cos(reach / 4) - 1.0 > BRACKET_WIDTH
     assert np.all(np.abs(widths(upper, lower) - (1.0 / np.cos(reach / 8) - 1.0)) <= 1e-13)

@@ -19,7 +19,7 @@ from kgdecay.propagator import (
     data_support_radius,
     evaluate_at_points,
     flat_energy,
-    hermitian_pairs,
+    fold_modes,
     jet_columns,
 )
 from kgdecay.hyperboloid import build_slice
@@ -170,7 +170,7 @@ def test_evaluate_at_points_off_grid_closed_form(target, mass):
 
 
 # data that are large on a Nyquist plane: the lattice lists only the -N/2
-# entry there, so these modes keep both half-waves in the paired sum
+# entry there, so these modes are their own partners in the folded sum
 NYQUIST_TERMS = {
     "1d_nyquist": lambda j, n: (-1.0) ** j[0],
     "2d_nyquist": lambda j, n: (-1.0) ** (j[0] + j[1]),
@@ -194,8 +194,8 @@ def oracle_case(case, mass):
 @pytest.mark.parametrize("mass", [0.0, 1.0])
 @pytest.mark.parametrize("case", ["1d", "2d", *NYQUIST_TERMS])
 def test_evaluate_at_points_matches_direct_sum_oracle(case, mass):
-    # the evaluator pairs the half-waves (xi, +w) and (-xi, -w), which
-    # assumes Hermitian spectra (real data), as inverse_transform does; the
+    # the evaluator folds each mode -k into its partner k, which assumes
+    # Hermitian spectra (real data), as inverse_transform does; the
     # oracle sums every lattice mode on its own.  At mass 0 the zero mode of
     # g grows linearly, in phi only.  The slice points are lattice points,
     # where a Nyquist mode's sin(x.xi) vanishes, so every third point is also
@@ -288,27 +288,28 @@ def test_slice_points_come_in_mirror_pairs(grid):
         assert 2 * len(mirrors) + 1 == slc.n_points == len(rows) + len(mirrors)
 
 
-def test_hermitian_pairs_fold_each_pair_once():
-    # on an 8 x 8 lattice of random Hermitian spectra, every mode leads its
-    # pair or is the partner of one lead; weight (F + conj minus) is exactly
-    # F_k + conj F_-k for a pair, and F for the zero mode, the Nyquist-plane
-    # modes and a mode whose -k is not listed
+def test_fold_modes_fold_each_pair_once():
+    # on an 8 x 8 lattice of random Hermitian spectra, every listed mode
+    # leads its pair, the first in lattice order, or is the partner of one
+    # lead; the folded spectra are exactly F_k + conj F_-k for a pair, and F
+    # for the zero mode, the Nyquist-plane modes and a mode whose -k is not
+    # listed
     grid, rng = Grid(2, 8, 4.0), np.random.default_rng(5)
     c = rng.normal(size=(2, 8, 8)) + 1j * rng.normal(size=(2, 8, 8))
     c = (c + np.conj(c[:, -np.arange(8) % 8][:, :, -np.arange(8) % 8])).reshape(2, -1)
     modes = np.delete(np.arange(64), 9 * 7)  # drops k = (7, 7), so (1, 1) has no partner
-    spectra = c[:, modes]
-    lead, weight, minus = hermitian_pairs(grid, modes, spectra)
+    table = fold_modes(grid, *np.where(np.isin(np.arange(64), modes), c, 0.0), 2.0, 0.0)
     k = np.stack(np.unravel_index(modes, grid.shape), axis=-1)
     negated = np.ravel_multi_index(tuple((-k % 8).T), grid.shape)
     alone = (k == 4).any(axis=-1) | (negated == modes) | (negated == 63)
-    paired = np.count_nonzero(~alone)
-    assert np.count_nonzero(lead) == np.count_nonzero(alone) + paired // 2
-    assert np.array_equal(weight == 0.5, alone[lead])
-    folded = weight * (spectra[:, lead] + np.conj(minus))
+    assert alone[0] and alone[9]  # the zero mode and (1, 1)
+    paired, lead = np.count_nonzero(~alone), alone | (negated > modes)
+    assert len(table.modes) == np.count_nonzero(alone) + paired // 2
+    assert np.array_equal(table.modes, modes[lead])
+    folded = np.stack([table.f_hat, table.g_hat])
     own, partner = alone[lead], np.where(alone, modes, negated)[lead]
     assert np.array_equal(folded[:, ~own], (c[:, modes[lead]] + np.conj(c[:, partner]))[:, ~own])
-    assert np.array_equal(folded[:, own], spectra[:, lead][:, own])
+    assert np.array_equal(folded[:, own], c[:, modes[lead]][:, own])
 
 
 def test_jet_columns_count_and_order():

@@ -63,24 +63,25 @@ MUTANTS = [
     ("Szego cosine factor set to 1", "src/kgdecay/decay.py",
      "lower[i] / np.cos(lattice.reach / lattice.resolution)", "lower[i] / 1.0"),
     ("mass-0 zero-mode term dropped", "src/kgdecay/propagator.py",
-     "vals[:, 0] += dt * np.sum(gh[omega == 0.0].real)", "pass"),
-    # Hermitian pairing of the modes, shared by the point evaluator and the sup sweep
-    ("Nyquist-plane modes doubled too, their - half-waves dropped",
-     "src/kgdecay/propagator.py",
-     "np.where(own, np.conj(spectra[:, lead]), spectra[:, partner[lead]])\n"
-     "    weight = np.where(own, 0.5, 1.0)\n",
-     "np.where(own, 0.0, spectra[:, partner[lead]])\n    weight = 1.0\n"),
-    ("Nyquist - half-waves dropped", "src/kgdecay/propagator.py",
-     "np.where(own, np.conj(spectra[:, lead]),", "np.where(own, 0.0 * spectra[:, lead],"),
-    ("+ half-waves not doubled", "src/kgdecay/propagator.py",
-     "weight = np.where(own, 0.5, 1.0)", "weight = 0.5"),
+     "vals[:, 0] += dt * np.sum(table.g_hat[w == 0.0].real)", "pass"),
+    # the folded mode table, summed by the point evaluator and the sup sweep
+    ("modes on their own folded with their own conjugate", "src/kgdecay/propagator.py",
+     "np.where(own, F[modes],", "np.where(own, F[modes] + np.conj(F[modes]),"),
+    ("modes on their own halved", "src/kgdecay/propagator.py",
+     "np.where(own, F[modes],", "np.where(own, 0.5 * F[modes],"),
+    ("pairs folded to half their sum", "src/kgdecay/propagator.py",
+     "F[modes] + np.conj(F[negated])", "0.5 * (F[modes] + np.conj(F[negated]))"),
     ("Nyquist-plane modes paired with their alias", "src/kgdecay/propagator.py",
-     "(partner < 0) | np.any(signed == -n // 2, axis=-1)", "partner < 0"),
-    # mode and mirror pairing of the point evaluator
+     "~listed[negated] | np.any(signed == -n // 2, axis=-1) |", "~listed[negated] |"),
+    ("the -k partner's coefficients dropped", "src/kgdecay/propagator.py",
+     "F[modes] + np.conj(F[negated])", "F[modes] + 0.0 * np.conj(F[negated])"),
+    ("the zero mode left out of the fold", "src/kgdecay/propagator.py",
+     " | (negated == modes)\n", "\n"),
+    # the point evaluator's cos/sin coefficients and its mirror pairs
+    ("d_t phi's sin coefficient sign flipped", "src/kgdecay/propagator.py",
+     "np.stack([g_hat, -omega * f_hat])", "np.stack([g_hat, omega * f_hat])"),
     ("mirror values written with U and V swapped", "src/kgdecay/propagator.py",
      "vals[pairs] = (even_part - odd_part)", "vals[pairs] = (even_part + odd_part)"),
-    ("the -k partner's coefficients dropped", "src/kgdecay/propagator.py",
-     "spectra[:, partner[lead]])\n", "0.0 * spectra[:, partner[lead]])\n"),
     ("a two-level phase table shifted by one", "src/kgdecay/propagator.py",
      "unit * np.arange(s), r", "unit * np.arange(1, s + 1), r"),
     # the slice data's jet and the boosts read from it
